@@ -35,7 +35,7 @@ print(f"{'construction':24s}  rho_0(B_1)   stderr")
 for label in labels:
     measure = measure_from_label(label, grid)
     rho = measure.evaluate(ctx, 0, claim)
-    se = block_stderr(ctx, lambda sub, m=measure: m.evaluate(sub, 0, claim).mean())
+    se = block_stderr(ctx, lambda sub, rows, m=measure: m.evaluate(sub, 0, claim).mean())
     print(f"{label:24s}  {rho.mean():+10.5f}  {se:.5f}")
 
 print()

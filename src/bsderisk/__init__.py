@@ -12,7 +12,6 @@ from .stochastic import (
     SingularRegression,
     TimeGrid,
     claim_from_label,
-    evaluate_claim,
     simulate,
 )
 from .bsde import (
@@ -31,24 +30,14 @@ from .bsde import (
     solve,
 )
 from .riskmeasures import (
+    CertaintyEquivalent,
     DiscountedMeasure,
     DriverMeasure,
-    EntropicMeasure,
     FamilyMeasure,
     MeanMeasure,
-    QEntropicClosed,
-    QEntropicOnLosses,
     QEntropicOnLossesBSDE,
     RiskMeasure,
-    TranslatedQEntropic,
-    discounted_wrap,
-    entropic,
     measure_from_label,
-    q_entropic_closed,
-    q_entropic_on_losses,
-    rho_from_driver,
-    rho_from_family,
-    translated_q_entropic,
 )
 from .diagnostics import (
     DegenerateWeights,

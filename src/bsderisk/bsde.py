@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .stochastic import LsmcContext, RandomField
+from .stochastic import LsmcContext, RandomField, label_floats
 
 __all__ = [
     "Driver",
@@ -317,7 +317,7 @@ def driver_from_label(label: str) -> Driver:
     if name == "zero":
         return Driver(lambda t, y, z: np.zeros(y.shape), "zero", nonneg_at_z0=True, zero_at_z0=True)
     if name == "linear_y":
-        r = float(arg)
+        (r,) = label_floats(label, arg, 1)
         return Driver(lambda t, y, z: -r * y, label, depends_on_y=True)
     if name == "abs_z":
         return Driver(
@@ -334,7 +334,7 @@ def driver_from_label(label: str) -> Driver:
             zero_at_z0=True,
         )
     if name in ("csa_example", "csa_example_shift"):
-        r = float(arg) if arg else 0.1
+        r = label_floats(label, arg, 1)[0] if arg else 0.1
         shift = 1.0 if name == "csa_example_shift" else 0.0
         return Driver(
             lambda t, y, z, r=r, s=shift: r * np.maximum(-y, 0.0) + np.sum(z, axis=1) + s,
@@ -344,7 +344,7 @@ def driver_from_label(label: str) -> Driver:
             zero_at_z0=(shift == 0.0 and r == 0.0),
         )
     if name == "q_entropic":
-        q = float(arg)
+        (q,) = label_floats(label, arg, 1)
         return Driver(
             _q_entropic_fn(q),
             label,
@@ -354,8 +354,7 @@ def driver_from_label(label: str) -> Driver:
             zero_at_z0=True,
         )
     if name == "q_entropic_translated":
-        qs, a_s = arg.split(",")
-        q, a = float(qs), float(a_s)
+        q, a = label_floats(label, arg, 2)
         base = _q_entropic_fn(q)
         return Driver(
             lambda t, y, z: base(t, y, z) + a,
@@ -372,8 +371,7 @@ def family_from_label(label: str) -> DriverFamily:
     """Family registry: translated_family:q,alpha with g_u = g_q + alpha * u."""
     name, _, arg = label.partition(":")
     if name == "translated_family":
-        qs, al = arg.split(",")
-        q, alpha = float(qs), float(al)
+        q, alpha = label_floats(label, arg, 2)
 
         def member(u_time: float, q=q, alpha=alpha) -> Driver:
             base = _q_entropic_fn(q)

@@ -93,39 +93,11 @@ class RunConfig:
     out_dir: str = "out"
 
     def canonical_text(self) -> str:
-        lines = [
-            "[grid]",
-            f"T = {_fmt(self.T)}",
-            f"n_steps = {self.n_steps}",
-            "",
-            "[ensemble]",
-            f"d = {self.d}",
-            f"n_paths = {self.n_paths}",
-            f"seed = {self.seed}",
-            "",
-            "[basis]",
-            f"degree = {self.degree}",
-            f"ridge = {_fmt(self.ridge)}",
-            "",
-            "[run]",
-            f"measure = {self.measure}",
-            f"claim = {self.claim}",
-            f"s = {_fmt(self.s)}",
-            f"t = {_fmt(self.t)}",
-            f"u = {_fmt(self.u)}",
-            f"v = {_fmt(self.v)}",
-            f"workers = {self.workers}",
-            f"checks = {','.join(self.checks)}",
-            "",
-            "[sweep]",
-            f"axis = {self.axis}",
-            f"values = {','.join(_fmt(float(v)) for v in self.values)}",
-            f"metric = {self.metric}",
-            "",
-            "[output]",
-            f"dir = {self.out_dir}",
-            "",
-        ]
+        lines = []
+        for section, fields in _CONFIG_FIELDS.items():
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {_config_value(getattr(self, name))}" for key, name, _ in fields]
+            lines.append("")
         return "\n".join(lines)
 
     def build(self):
@@ -139,52 +111,62 @@ class RunConfig:
         return g.index_of(self.s), g.index_of(self.t), g.index_of(self.u), g.index_of(self.v)
 
 
+def _names(raw: str) -> tuple:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(","))
+
+
+# section -> (key, RunConfig field, converter), in canonical order
+_CONFIG_FIELDS = {
+    "grid": (("T", "T", float), ("n_steps", "n_steps", int)),
+    "ensemble": (("d", "d", int), ("n_paths", "n_paths", int), ("seed", "seed", int)),
+    "basis": (("degree", "degree", int), ("ridge", "ridge", float)),
+    "run": (
+        ("measure", "measure", str),
+        ("claim", "claim", str),
+        ("s", "s", float),
+        ("t", "t", float),
+        ("u", "u", float),
+        ("v", "v", float),
+        ("workers", "workers", int),
+        ("checks", "checks", _names),
+    ),
+    "sweep": (("axis", "axis", str), ("values", "values", _floats), ("metric", "metric", str)),
+    "output": (("dir", "out_dir", str),),
+}
+
+
+def _config_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return _fmt(value)
+
+
 def parse_config(text: str) -> RunConfig:
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"config parse error: {exc}") from exc
-    cfg = RunConfig()
-
-    def get(section, key, conv, default):
-        if cp.has_option(section, key):
-            raw = cp.get(section, key)
-            try:
-                return conv(raw)
-            except ValueError as exc:
-                raise ValueError(f"config [{section}] {key} = {raw!r}: {exc}") from exc
-        return default
-
-    cfg.T = get("grid", "T", float, cfg.T)
-    cfg.n_steps = get("grid", "n_steps", int, cfg.n_steps)
-    cfg.d = get("ensemble", "d", int, cfg.d)
-    cfg.n_paths = get("ensemble", "n_paths", int, cfg.n_paths)
-    cfg.seed = get("ensemble", "seed", int, cfg.seed)
-    cfg.degree = get("basis", "degree", int, cfg.degree)
-    cfg.ridge = get("basis", "ridge", float, cfg.ridge)
-    cfg.measure = get("run", "measure", str, cfg.measure)
-    cfg.claim = get("run", "claim", str, cfg.claim)
-    cfg.s = get("run", "s", float, cfg.s)
-    cfg.t = get("run", "t", float, cfg.t)
-    cfg.u = get("run", "u", float, cfg.u)
-    cfg.v = get("run", "v", float, cfg.v)
-    cfg.workers = get("run", "workers", int, cfg.workers)
-    cfg.checks = tuple(
-        tok.strip() for tok in get("run", "checks", str, ",".join(cfg.checks)).split(",") if tok.strip()
-    )
-    cfg.axis = get("sweep", "axis", str, cfg.axis)
-    cfg.values = tuple(
-        float(tok) for tok in get("sweep", "values", str, ",".join(map(_fmt, cfg.values))).split(",")
-    )
-    cfg.metric = get("sweep", "metric", str, cfg.metric)
-    cfg.out_dir = get("output", "dir", str, cfg.out_dir)
-
-    known = {"grid", "ensemble", "basis", "run", "sweep", "output"}
-    extra = set(cp.sections()) - known
+    extra = set(cp.sections()) - set(_CONFIG_FIELDS)
     if extra:
         raise ValueError(f"unknown config sections: {sorted(extra)}")
-    return cfg
+    values = {}
+    for section in cp.sections():
+        # configparser lower-cases keys; the table keeps the canonical spelling
+        fields = {key.lower(): (key, name, conv) for key, name, conv in _CONFIG_FIELDS[section]}
+        for opt, raw in cp.items(section):
+            if opt not in fields:
+                raise ValueError(f"unknown config key [{section}] {opt}")
+            key, name, conv = fields[opt]
+            try:
+                values[name] = conv(raw)
+            except ValueError as exc:
+                raise ValueError(f"config [{section}] {key} = {raw!r}: {exc}") from exc
+    return RunConfig(**values)
 
 
 def _estimate_stderr(ctx, measure, claim, t, u, rho) -> float:
@@ -193,7 +175,7 @@ def _estimate_stderr(ctx, measure, claim, t, u, rho) -> float:
     if t > 0:
         return rho.stderr()
     return block_stderr(
-        ctx, lambda sub: measure.evaluate(sub, t, claim, maturity=u).mean()
+        ctx, lambda sub, rows: measure.evaluate(sub, t, claim, maturity=u).mean()
     )
 
 

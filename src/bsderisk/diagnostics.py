@@ -32,7 +32,7 @@ import numpy as np
 
 from .bsde import Driver, SolveOptions, solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
-from .stochastic import Claim, LsmcContext, RandomField, path_block
+from .stochastic import Claim, LsmcContext, RandomField, block_stderr
 
 __all__ = [
     "PropertyReport",
@@ -208,18 +208,14 @@ def gamma(
     g = RandomField(t, rho_v.values - rho_u.values)
     if t == 0:
         # the root-node field is constant; block-split for the estimator error
-        n = ctx.ensemble.n_paths
-        edges = np.linspace(0, n, 9, dtype=int)
-        block_means = []
-        for k in range(8):
-            lo, hi = edges[k], edges[k + 1]
-            sub = LsmcContext(ctx.grid, path_block(ctx.ensemble, lo, hi), ctx.basis, ctx.workers)
-            sub_field = RandomField(field.index, field.values[lo:hi])
-            sub_aux = aux[lo:hi] if aux is not None else None
+        def block_gamma(sub, rows):
+            sub_field = RandomField(field.index, field.values[rows])
+            sub_aux = aux[rows] if aux is not None else None
             du = measure.evaluate(sub, t, sub_field, maturity=u, aux=sub_aux)
             dv = measure.evaluate(sub, t, sub_field, maturity=v, aux=sub_aux)
-            block_means.append(float(np.mean(dv.values - du.values)))
-        se = float(np.std(block_means) / np.sqrt(8))
+            return np.mean(dv.values - du.values)
+
+        se = block_stderr(ctx, block_gamma)
     else:
         se = g.stderr()
     return LongevityResult(gamma=g, gamma_mean=g.mean(), gamma_stderr=se)
@@ -259,7 +255,7 @@ def gamma_via_premium_measure(
     for i in range(t, v):
         t_i = i * dt
         y_v = sol_v.Y[i]
-        z_v = sol_v.Z[i] if i < v else np.zeros((n, d))
+        z_v = sol_v.Z[i]
         if i <= u:
             y_bar = sol_u.Y[i]
             z_bar = sol_u.Z[i] if i < u else np.zeros((n, d))

@@ -1,9 +1,11 @@
 """Fully-dynamic risk measure constructions.
 
-A measure maps (t-index, maturity-index, claim) to a RandomField at t.  Five
-constructions are provided: from a single driver, from a maturity-indexed
-driver family, closed forms (entropic, deformed-entropic on losses, and its
-translated variant), and discount-wrapping of a cash-additive base measure.
+A measure maps (t-index, maturity-index, claim) to a RandomField at t.  The
+constructions are: from a single driver, from a maturity-indexed driver
+family, the conditional mean, the certainty-equivalent closed form
+ln_q E[exp_q(T(X)) | F_t] (entropic, deformed-entropic, and deformed-entropic
+on losses with an optional translation rate), and discount-wrapping of a
+cash-additive base measure.
 
 Claims measurable before the requested maturity are handled by the terminal
 extension built into the solver (value held, Z = 0 on the tail), so a measure
@@ -28,7 +30,14 @@ from .bsde import (
     family_from_label,
     g_expectation,
 )
-from .stochastic import Claim, DiscountCurve, LsmcContext, RandomField, TimeGrid
+from .stochastic import (
+    Claim,
+    DiscountCurve,
+    LsmcContext,
+    RandomField,
+    TimeGrid,
+    label_floats,
+)
 from .tsallis import DomainError
 
 __all__ = [
@@ -36,20 +45,10 @@ __all__ = [
     "DriverMeasure",
     "FamilyMeasure",
     "MeanMeasure",
-    "EntropicMeasure",
-    "QEntropicClosed",
-    "QEntropicOnLosses",
+    "CertaintyEquivalent",
     "QEntropicOnLossesBSDE",
-    "TranslatedQEntropic",
     "DiscountedMeasure",
     "measure_from_label",
-    "rho_from_driver",
-    "rho_from_family",
-    "q_entropic_closed",
-    "q_entropic_on_losses",
-    "translated_q_entropic",
-    "entropic",
-    "discounted_wrap",
 ]
 
 ClaimLike = Union[Claim, RandomField]
@@ -160,64 +159,68 @@ class MeanMeasure(RiskMeasure):
         return ctx.cond_expect(-field, t_index, aux=aux)
 
 
-class EntropicMeasure(RiskMeasure):
-    """Classical closed form: log E[exp(-X) | F_t]."""
-
-    label = "entropic"
-    is_cash_additive = True
-
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
-        ef = RandomField(field.index, np.exp(-field.values))
-        return _safe_ln_q(ctx.cond_expect(ef, t_index, aux=aux, clip=True), 1.0)
-
-
 @dataclass
-class QEntropicClosed(RiskMeasure):
-    """Deformed closed form ln_q E[exp_q(-X)|F_t] on its restricted domain.
+class CertaintyEquivalent(RiskMeasure):
+    """Closed form ln_q E[exp_q(T(X)) | F_t] with the fit clamped (clip=True).
 
-    Requires -X >= 1/(q-1) + eps pathwise; the DomainError raised otherwise
-    is the reason the losses variant below exists.
+    The terminal transform T is chosen by beta:
+
+    - beta None: T(X) = -X.  q = 1 is the classical entropic measure, the
+      only cash-additive member; q in (0,1) requires -X >= 1/(q-1) + eps
+      pathwise and raises DomainError otherwise, which is the reason the
+      losses transform exists.
+    - beta >= 0: T(X) = (X+beta)^- + integral_t^u a(s) ds, defined for every
+      claim and always >= 0.  Without a rate it is the losses measure; a
+      deterministic nonnegative rate a (a constant or a callable of time)
+      makes longer horizons carry a nonnegative premium through the
+      integral bound.
+
+    q = 1 takes the classical exp/log branch of the deformed pair.
     """
 
     q: float
+    beta: Optional[float] = None
+    a: Optional[Union[float, Callable[[float], float]]] = None
     eps: float = EPS_DOM
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must lie in (0,1), got {self.q}")
-        self.label = f"qent_closed:{self.q:g}"
-        self.is_cash_additive = False
-
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
-        neg_x = -field.values
-        bound = 1.0 / (self.q - 1.0) + self.eps
-        if np.any(neg_x < bound):
-            raise DomainError("exp_q", float(np.min(neg_x)), self.q, f"-X >= {bound}")
-        eq = RandomField(field.index, np.asarray(tsallis.exp_q(neg_x, self.q)))
-        return _safe_ln_q(ctx.cond_expect(eq, t_index, aux=aux, clip=True), self.q)
-
-
-@dataclass
-class QEntropicOnLosses(RiskMeasure):
-    """ln_q E[exp_q((X+beta)^-) | F_t]: defined for every claim, always >= 0.
-
-    q = 1 is admitted and selects the classical branch (entropic on losses).
-    """
-
-    q: float
-    beta: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must lie in (0,1], got {self.q}")
-        if self.beta < 0.0:
+        if self.beta is None:
+            if self.a is not None:
+                raise ValueError("a translation rate needs the losses transform (set beta)")
+            self.label = "entropic" if self.q == 1.0 else f"qent_closed:{self.q:g}"
+        elif self.beta < 0.0:
             raise ValueError(f"acceptable loss level beta must be >= 0, got {self.beta}")
-        self.label = f"qent:{self.q:g},{self.beta:g}"
-        self.is_cash_additive = False
+        elif self.a is None:
+            self.label = f"qent:{self.q:g},{self.beta:g}"
+        elif callable(self.a):
+            self.label = f"qent_tr:{self.q:g},{self.beta:g},a(t)"
+        elif self.a < 0.0:
+            raise ValueError(f"translation rate must be >= 0, got {self.a}")
+        else:
+            self.label = f"qent_tr:{self.q:g},{self.beta:g},{self.a:g}"
+        self.is_cash_additive = self.beta is None and self.q == 1.0
+
+    def _rate(self, t: float) -> float:
+        r = self.a(t) if callable(self.a) else float(self.a)
+        if r < 0.0:
+            raise ValueError(f"translation rate must be >= 0, got a({t}) = {r}")
+        return r
 
     def _evaluate(self, ctx, t_index, field, maturity, aux):
-        loss = _positive_part_of_loss(field.values, self.beta)
-        eq = RandomField(field.index, np.asarray(tsallis.exp_q(loss, self.q)))
+        if self.beta is None:
+            arg = -field.values
+            if self.q < 1.0:  # exp_q's domain; at q = 1 there is none and 1/(q-1) is undefined
+                bound = 1.0 / (self.q - 1.0) + self.eps
+                if np.any(arg < bound):
+                    raise DomainError("exp_q", float(np.min(arg)), self.q, f"-X >= {bound}")
+        else:
+            arg = _positive_part_of_loss(field.values, self.beta)
+            if self.a is not None:
+                dt = ctx.grid.dt
+                arg = arg + sum(self._rate(k * dt) for k in range(t_index, maturity)) * dt
+        eq = RandomField(field.index, np.asarray(tsallis.exp_q(arg, self.q)))
         return _safe_ln_q(ctx.cond_expect(eq, t_index, aux=aux, clip=True), self.q)
 
 
@@ -226,7 +229,7 @@ class QEntropicOnLossesBSDE(RiskMeasure):
     """Backward-solver route to the losses measure: the g-expectation of
     (X+beta)^- under the deformed quadratic generator.
 
-    Cross-validates the closed form QEntropicOnLosses; the nonnegative
+    Cross-validates the closed form CertaintyEquivalent(q, beta); the nonnegative
     terminal keeps the solve inside the generator's domain guard.
     """
 
@@ -246,44 +249,6 @@ class QEntropicOnLossesBSDE(RiskMeasure):
         return g_expectation(
             driver, loss, t_index, ctx, maturity=maturity, options=self.options, aux=aux
         )
-
-
-@dataclass
-class TranslatedQEntropic(RiskMeasure):
-    """Losses variant with a deterministic nonnegative translation rate a(t):
-
-        ln_q E[exp_q((X+beta)^- + integral_t^u a(s) ds) | F_t]
-
-    Reduces to QEntropicOnLosses for a = 0; the maturity enters through the
-    integral bound, so longer horizons carry a nonnegative premium.
-    """
-
-    q: float
-    beta: float = 0.0
-    a: Union[float, Callable[[float], float]] = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must lie in (0,1], got {self.q}")
-        a_repr = f"{self.a:g}" if not callable(self.a) else "a(t)"
-        self.label = f"qent_tr:{self.q:g},{self.beta:g},{a_repr}"
-        self.is_cash_additive = False
-
-    def rate(self, t: float) -> float:
-        r = self.a(t) if callable(self.a) else float(self.a)
-        if r < 0.0:
-            raise ValueError(f"translation rate must be >= 0, got a({t}) = {r}")
-        return r
-
-    def integral(self, ctx: LsmcContext, t_index: int, u_index: int) -> float:
-        dt = ctx.grid.dt
-        return sum(self.rate(k * dt) for k in range(t_index, u_index)) * dt
-
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
-        loss = _positive_part_of_loss(field.values, self.beta)
-        arg = loss + self.integral(ctx, t_index, maturity)
-        eq = RandomField(field.index, np.asarray(tsallis.exp_q(arg, self.q)))
-        return _safe_ln_q(ctx.cond_expect(eq, t_index, aux=aux, clip=True), self.q)
 
 
 @dataclass
@@ -322,19 +287,19 @@ def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
     if label == "mean":
         return MeanMeasure()
     if label == "entropic":
-        return EntropicMeasure()
+        return CertaintyEquivalent(1.0)
     name, _, arg = label.partition(":")
     if name == "qent":
-        qs, bs = arg.split(",")
-        return QEntropicOnLosses(float(qs), float(bs))
+        return CertaintyEquivalent(*label_floats(label, arg, 2))
     if name == "qent_tr":
-        qs, bs, a_s = arg.split(",")
-        return TranslatedQEntropic(float(qs), float(bs), float(a_s))
+        return CertaintyEquivalent(*label_floats(label, arg, 3))
     if name == "qent_closed":
-        return QEntropicClosed(float(arg))
+        (q,) = label_floats(label, arg, 1)
+        if q == 1.0:
+            raise ValueError(f"{label!r}: q must lie in (0,1); q = 1 is 'entropic'")
+        return CertaintyEquivalent(q)
     if name == "qent_bsde":
-        qs, bs = arg.split(",")
-        return QEntropicOnLossesBSDE(float(qs), float(bs))
+        return QEntropicOnLossesBSDE(*label_floats(label, arg, 2))
     if name == "driver":
         return DriverMeasure(driver_from_label(arg))
     if name == "family":
@@ -342,39 +307,7 @@ def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
     if name == "family_losses":
         return FamilyMeasure(family_from_label(arg), on_losses_beta=0.0)
     if name == "discounted":
-        base_label, r_s = arg.rsplit(",", 1)
-        base = measure_from_label(base_label, grid)
-        return DiscountedMeasure(base, DiscountCurve.flat(grid, float(r_s)))
+        base_label, _, r_s = arg.rpartition(",")
+        (r,) = label_floats(label, r_s, 1)
+        return DiscountedMeasure(measure_from_label(base_label, grid), DiscountCurve.flat(grid, r))
     raise KeyError(f"unknown measure label {label!r}")
-
-
-# ---------------------------------------------------------------------------
-# Functional forms of the operations
-# ---------------------------------------------------------------------------
-
-def rho_from_driver(ctx, driver: Driver, claim: ClaimLike, t_index: int, maturity=None, **kw):
-    return DriverMeasure(driver, **kw).evaluate(ctx, t_index, claim, maturity)
-
-
-def rho_from_family(ctx, family: DriverFamily, claim: ClaimLike, t_index: int, maturity=None, **kw):
-    return FamilyMeasure(family, **kw).evaluate(ctx, t_index, claim, maturity)
-
-
-def q_entropic_closed(ctx, q: float, claim: ClaimLike, t_index: int, maturity=None):
-    return QEntropicClosed(q).evaluate(ctx, t_index, claim, maturity)
-
-
-def q_entropic_on_losses(ctx, q: float, beta: float, claim: ClaimLike, t_index: int, maturity=None):
-    return QEntropicOnLosses(q, beta).evaluate(ctx, t_index, claim, maturity)
-
-
-def translated_q_entropic(ctx, q: float, beta: float, a, claim: ClaimLike, t_index: int, maturity=None):
-    return TranslatedQEntropic(q, beta, a).evaluate(ctx, t_index, claim, maturity)
-
-
-def entropic(ctx, claim: ClaimLike, t_index: int, maturity=None):
-    return EntropicMeasure().evaluate(ctx, t_index, claim, maturity)
-
-
-def discounted_wrap(ctx, base: RiskMeasure, curve: DiscountCurve, claim: ClaimLike, t_index: int, maturity=None):
-    return DiscountedMeasure(base, curve).evaluate(ctx, t_index, claim, maturity)

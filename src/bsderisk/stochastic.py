@@ -30,8 +30,8 @@ __all__ = [
     "LsmcContext",
     "SingularRegression",
     "simulate",
-    "evaluate_claim",
     "claim_from_label",
+    "label_floats",
     "ensemble_to_csv",
     "ensemble_from_csv",
     "ensemble_to_npz",
@@ -184,8 +184,18 @@ class Claim:
         return RandomField(self.maturity, vals)
 
 
-def evaluate_claim(claim: Claim, ensemble: PathEnsemble) -> RandomField:
-    return claim.evaluate(ensemble)
+def label_floats(label: str, arg: str, n: int) -> list[float]:
+    """The n comma-separated numbers of a registry label's argument `arg`.
+
+    Anything else raises one ValueError that names the whole label.
+    """
+    try:
+        values = [float(p) for p in arg.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != n:
+        raise ValueError(f"malformed label {label!r}: expected {n} comma-separated number(s)")
+    return values
 
 
 def claim_from_label(label: str, maturity: int) -> Claim:
@@ -195,15 +205,15 @@ def claim_from_label(label: str, maturity: int) -> Claim:
     """
     name, _, arg = label.partition(":")
     if name == "const":
-        c = float(arg)
+        (c,) = label_floats(label, arg, 1)
         return Claim(maturity, lambda path, c=c: np.full(path.shape[0], c), label)
     if name == "brownian":
         return Claim(maturity, lambda path: path[:, -1, 0].copy(), label)
     if name == "neg_part":
-        beta = float(arg) if arg else 0.0
+        beta = label_floats(label, arg, 1)[0] if arg else 0.0
         return Claim(maturity, lambda path, b=beta: np.maximum(-(path[:, -1, 0] + b), 0.0), label)
     if name == "call":
-        strike = float(arg)
+        (strike,) = label_floats(label, arg, 1)
         return Claim(maturity, lambda path, k=strike: np.maximum(path[:, -1, 0] - k, 0.0), label)
     if name == "sin":
         return Claim(maturity, lambda path: np.sin(path[:, -1, 0]), label)
@@ -416,13 +426,6 @@ class LsmcContext:
         fitted = self.projector(at, aux).fitted(field.values, clip=clip)
         return RandomField(at, fitted)
 
-    def cond_expect_coeffs(self, field: RandomField, at: int) -> np.ndarray:
-        """Regression coefficients of the conditional-expectation fit."""
-        if field.index <= at or at == 0:
-            fitted = self.cond_expect(field, at)
-            return np.array([fitted.mean()])
-        return self.projector(at).coefficients(field.values[:, None])[:, 0]
-
 
 def path_block(ensemble: PathEnsemble, start: int, stop: int) -> PathEnsemble:
     """Sub-ensemble over a contiguous path slice (shares the arrays)."""
@@ -437,18 +440,22 @@ def path_block(ensemble: PathEnsemble, start: int, stop: int) -> PathEnsemble:
 def block_stderr(ctx: LsmcContext, estimate, n_blocks: int = 8) -> float:
     """Monte Carlo standard error of a scalar estimator by block splitting.
 
-    `estimate` maps a context to a float; it is re-run on n_blocks contiguous
-    sub-ensembles and the spread of the block estimates scales down to the
-    full-sample error.  Deterministic: the partition ignores the worker count.
+    `estimate(sub, rows)` maps a context on one block of paths, and the
+    slice of the parent's path rows it holds, to a float; rows lets a caller
+    cut its own per-path arrays to the block.  It is re-run on n_blocks
+    contiguous sub-ensembles and the spread of the block estimates scales
+    down to the full-sample error.  Deterministic: the partition ignores the
+    worker count.
     """
     n = ctx.ensemble.n_paths
     edges = np.linspace(0, n, n_blocks + 1, dtype=int)
     vals = []
     for k in range(n_blocks):
+        rows = slice(edges[k], edges[k + 1])
         sub = LsmcContext(
-            ctx.grid, path_block(ctx.ensemble, edges[k], edges[k + 1]), ctx.basis, ctx.workers
+            ctx.grid, path_block(ctx.ensemble, rows.start, rows.stop), ctx.basis, ctx.workers
         )
-        vals.append(float(estimate(sub)))
+        vals.append(float(estimate(sub, rows)))
     return float(np.std(vals) / np.sqrt(n_blocks))
 
 

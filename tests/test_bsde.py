@@ -88,11 +88,11 @@ class TestDeterministicOracle:
 
 class TestQuadraticDriver:
     def test_matches_closed_form_on_losses(self, ctx50, b1):
-        from bsderisk import QEntropicOnLosses
+        from bsderisk import CertaintyEquivalent
 
         loss = np.maximum(-(b1 + 0.5), 0.0)
         sol = solve(driver_from_label("q_entropic:0.5"), RandomField(50, loss), 50, ctx50)
-        closed = QEntropicOnLosses(0.5, 0.5).evaluate(ctx50, 0, RandomField(50, b1))
+        closed = CertaintyEquivalent(0.5, 0.5).evaluate(ctx50, 0, RandomField(50, b1))
         assert abs(sol.field_at(0).mean() - closed.mean()) <= 0.05
 
     def test_domain_guard_aborts(self, ctx20):

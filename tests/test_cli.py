@@ -39,6 +39,10 @@ claim = brownian
         with pytest.raises(ValueError, match="unknown config sections"):
             parse_config("[grid]\nT = 1\n\n[extras]\nfoo = 1\n")
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match=r"\[run\] wokers"):
+            parse_config("[run]\nwokers = 2\n")
+
 
 class TestEvaluate:
     def test_entropic_brownian(self):

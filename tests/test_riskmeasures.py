@@ -1,32 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from bsderisk import (
+    CertaintyEquivalent,
     Claim,
     DiscountCurve,
     DiscountedMeasure,
     DriverMeasure,
-    EntropicMeasure,
     FamilyMeasure,
     MeanMeasure,
-    QEntropicClosed,
-    QEntropicOnLosses,
     QEntropicOnLossesBSDE,
     RandomField,
     TimeGrid,
-    TranslatedQEntropic,
     claim_from_label,
-    discounted_wrap,
     driver_from_label,
-    entropic,
     family_from_label,
     measure_from_label,
-    q_entropic_closed,
-    q_entropic_on_losses,
-    rho_from_driver,
-    rho_from_family,
-    translated_q_entropic,
 )
 from bsderisk.tsallis import DomainError
 
@@ -47,20 +39,20 @@ MEAN_LOSS = gauss_quad(lambda b: np.maximum(-b, 0.0))  # 0.398942
 
 class TestRhoFromDriver:
     def test_zero_driver_mean(self, ctx50, b1):
-        rho = rho_from_driver(ctx50, driver_from_label("zero"), claim_from_label("brownian", 50), 0)
+        rho = DriverMeasure(driver_from_label("zero")).evaluate(ctx50, 0, claim_from_label("brownian", 50))
         assert rho.mean() == pytest.approx(-np.mean(b1), abs=1e-12)
 
     def test_normalization_of_csa_example(self, ctx50):
-        rho = rho_from_driver(
-            ctx50, driver_from_label("csa_example"), claim_from_label("const:0", 50), 0
+        rho = DriverMeasure(driver_from_label("csa_example")).evaluate(
+            ctx50, 0, claim_from_label("const:0", 50)
         )
         assert np.max(np.abs(rho.values)) <= 1e-12
 
     def test_shifted_example_not_normalized(self, ctx50):
         # zero claim, driver r y^- + z + 1: y stays >= 0 so the solution is
         # the deterministic source integral, exactly 1 over a unit horizon
-        rho = rho_from_driver(
-            ctx50, driver_from_label("csa_example_shift"), claim_from_label("const:0", 50), 0
+        rho = DriverMeasure(driver_from_label("csa_example_shift")).evaluate(
+            ctx50, 0, claim_from_label("const:0", 50)
         )
         assert rho.mean() == pytest.approx(1.0, abs=1e-12)
 
@@ -72,8 +64,8 @@ class TestRhoFromFamily:
         drv = driver_from_label("abs_z")
         fam = DriverFamily(lambda u: drv, "constant")
         claim = claim_from_label("brownian", 20)
-        a = rho_from_family(ctx20, fam, claim, 0)
-        b = rho_from_driver(ctx20, drv, claim, 0)
+        a = FamilyMeasure(fam).evaluate(ctx20, 0, claim)
+        b = DriverMeasure(drv).evaluate(ctx20, 0, claim)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_translated_members_differ_by_integral(self, ctx20):
@@ -89,68 +81,68 @@ class TestRhoFromFamily:
 
 class TestQEntropicClosed:
     def test_constant_claim(self, ctx50):
-        rho = QEntropicClosed(0.5).evaluate(ctx50, 0, claim_from_label("const:1.5", 50))
+        rho = CertaintyEquivalent(0.5).evaluate(ctx50, 0, claim_from_label("const:1.5", 50))
         assert rho.mean() == pytest.approx(-1.5, abs=1e-12)
 
     def test_boundary_constant(self, ctx50):
         # with the margin disabled the domain boundary itself is admissible
-        rho = QEntropicClosed(0.5, eps=0.0).evaluate(ctx50, 0, claim_from_label("const:2", 50))
+        rho = CertaintyEquivalent(0.5, eps=0.0).evaluate(ctx50, 0, claim_from_label("const:2", 50))
         assert rho.mean() == pytest.approx(-2.0, abs=1e-12)
 
     def test_near_one_matches_entropic(self, ctx50, b1):
         clipped = Claim(50, lambda p: np.clip(p[:, -1, 0], -0.9, 3.0), "clipped")
-        a = QEntropicClosed(0.999).evaluate(ctx50, 0, clipped)
-        b = EntropicMeasure().evaluate(ctx50, 0, clipped)
+        a = CertaintyEquivalent(0.999).evaluate(ctx50, 0, clipped)
+        b = CertaintyEquivalent(1.0).evaluate(ctx50, 0, clipped)
         assert abs(a.mean() - b.mean()) <= 1e-2
 
     def test_unbounded_claim_rejected(self, ctx50):
         with pytest.raises(DomainError):
-            q_entropic_closed(ctx50, 0.5, claim_from_label("brownian", 50), 0)
+            CertaintyEquivalent(0.5).evaluate(ctx50, 0, claim_from_label("brownian", 50))
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
-            QEntropicClosed(1.2)
+            CertaintyEquivalent(1.2)
 
 
 class TestQEntropicOnLosses:
     def test_no_loss_claim_is_zero(self, ctx50):
-        rho = q_entropic_on_losses(ctx50, 0.5, 0.5, claim_from_label("const:0", 50), 0)
+        rho = CertaintyEquivalent(0.5, 0.5).evaluate(ctx50, 0, claim_from_label("const:0", 50))
         assert np.max(np.abs(rho.values)) <= 1e-12
 
     def test_value_between_oracles(self, ctx50):
-        rho = q_entropic_on_losses(ctx50, 0.5, 0.0, claim_from_label("brownian", 50), 0)
+        rho = CertaintyEquivalent(0.5, 0.0).evaluate(ctx50, 0, claim_from_label("brownian", 50))
         assert MEAN_LOSS - 0.01 <= rho.mean() <= ENTROPIC_ON_LOSSES + 0.01
 
     def test_monotone_in_q(self, ctx50):
         claim = claim_from_label("brownian", 50)
-        vals = [q_entropic_on_losses(ctx50, q, 0.0, claim, 0).mean() for q in (0.1, 0.5, 0.9)]
+        vals = [CertaintyEquivalent(q, 0.0).evaluate(ctx50, 0, claim).mean() for q in (0.1, 0.5, 0.9)]
         assert vals[0] <= vals[1] <= vals[2]
 
     def test_always_nonnegative(self, ctx50):
-        rho = q_entropic_on_losses(ctx50, 0.3, 0.0, claim_from_label("brownian", 50), 0)
+        rho = CertaintyEquivalent(0.3, 0.0).evaluate(ctx50, 0, claim_from_label("brownian", 50))
         assert rho.mean() >= 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QEntropicOnLosses(0.0)
+            CertaintyEquivalent(0.0, 0.0)
         with pytest.raises(ValueError):
-            QEntropicOnLosses(0.5, beta=-1.0)
+            CertaintyEquivalent(0.5, beta=-1.0)
 
 
 class TestTranslated:
     def test_zero_rate_reduces(self, ctx50):
         claim = claim_from_label("brownian", 50)
-        a = translated_q_entropic(ctx50, 0.5, 0.0, 0.0, claim, 0)
-        b = q_entropic_on_losses(ctx50, 0.5, 0.0, claim, 0)
+        a = CertaintyEquivalent(0.5, 0.0, 0.0).evaluate(ctx50, 0, claim)
+        b = CertaintyEquivalent(0.5, 0.0).evaluate(ctx50, 0, claim)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_deterministic_argument(self, ctx50):
         # no losses and a constant rate: ln_q(exp_q(0.1)) = 0.1 exactly
-        rho = translated_q_entropic(ctx50, 0.5, 0.5, 0.1, claim_from_label("const:1", 50), 0)
+        rho = CertaintyEquivalent(0.5, 0.5, 0.1).evaluate(ctx50, 0, claim_from_label("const:1", 50))
         assert rho.mean() == pytest.approx(0.1, abs=1e-12)
 
     def test_longer_horizon_charges_more(self, ctx50):
-        m = TranslatedQEntropic(0.5, 0.0, 0.1)
+        m = CertaintyEquivalent(0.5, 0.0, 0.1)
         claim = claim_from_label("brownian", 25)
         g = m.evaluate(ctx50, 0, claim, maturity=50).mean() - m.evaluate(
             ctx50, 0, claim, maturity=25
@@ -159,46 +151,54 @@ class TestTranslated:
 
     def test_negative_rate_rejected(self, ctx50):
         with pytest.raises(ValueError):
-            translated_q_entropic(
-                ctx50, 0.5, 0.0, lambda t: -0.1, claim_from_label("const:1", 50), 0
+            CertaintyEquivalent(0.5, 0.0, lambda t: -0.1).evaluate(
+                ctx50, 0, claim_from_label("const:1", 50)
             )
 
     def test_callable_rate(self, ctx50):
-        rho = translated_q_entropic(
-            ctx50, 0.5, 0.5, lambda t: 0.2 * t, claim_from_label("const:1", 50), 0
+        rho = CertaintyEquivalent(0.5, 0.5, lambda t: 0.2 * t).evaluate(
+            ctx50, 0, claim_from_label("const:1", 50)
         )
         dt = ctx50.grid.dt
         oracle = sum(0.2 * k * dt for k in range(50)) * dt
         assert rho.mean() == pytest.approx(oracle, abs=1e-12)
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            CertaintyEquivalent(0.5, a=0.1)  # a rate needs the losses transform
+        with pytest.raises(ValueError):
+            CertaintyEquivalent(0.5, -1.0, 0.1)
+        with pytest.raises(ValueError):
+            measure_from_label("qent_tr:0.5,0,-0.1", TimeGrid(1.0, 10))
+
 
 class TestEntropic:
     def test_constant(self, ctx50):
-        rho = entropic(ctx50, claim_from_label("const:2", 50), 0)
+        rho = CertaintyEquivalent(1.0).evaluate(ctx50, 0, claim_from_label("const:2", 50))
         assert rho.mean() == pytest.approx(-2.0, abs=1e-12)
 
     def test_gaussian_mgf(self, ctx50):
-        rho = entropic(ctx50, claim_from_label("brownian", 50), 0)
+        rho = CertaintyEquivalent(1.0).evaluate(ctx50, 0, claim_from_label("brownian", 50))
         assert abs(rho.mean() - 0.5) <= 0.02
 
     def test_losses_oracle(self, ctx50, b1):
         neg_loss = Claim(50, lambda p: -np.maximum(-p[:, -1, 0], 0.0), "-(B)^-")
-        rho = entropic(ctx50, neg_loss, 0)
+        rho = CertaintyEquivalent(1.0).evaluate(ctx50, 0, neg_loss)
         assert abs(rho.mean() - ENTROPIC_ON_LOSSES) <= 0.02
 
 
 class TestDiscountedWrapper:
     def test_zero_rate_equals_base(self, ctx50, b1):
         curve = DiscountCurve.flat(ctx50.grid, 0.0)
-        wrapped = discounted_wrap(
-            ctx50, MeanMeasure(), curve, claim_from_label("brownian", 50), 0
+        wrapped = DiscountedMeasure(MeanMeasure(), curve).evaluate(
+            ctx50, 0, claim_from_label("brownian", 50)
         )
         base = MeanMeasure().evaluate(ctx50, 0, claim_from_label("brownian", 50))
         np.testing.assert_array_equal(wrapped.values, base.values)
 
     def test_closed_form_discount(self, ctx50):
         curve = DiscountCurve.flat(ctx50.grid, 0.1)
-        rho = discounted_wrap(ctx50, MeanMeasure(), curve, claim_from_label("const:1", 50), 0)
+        rho = DiscountedMeasure(MeanMeasure(), curve).evaluate(ctx50, 0, claim_from_label("const:1", 50))
         assert rho.mean() == pytest.approx(-np.exp(-0.1), rel=1e-12)
 
     def test_cash_subadditive_for_constants(self, ctx50, b1):
@@ -212,14 +212,14 @@ class TestDiscountedWrapper:
     def test_refuses_non_cash_additive_base(self, ctx50):
         curve = DiscountCurve.flat(ctx50.grid, 0.1)
         with pytest.raises(ValueError):
-            DiscountedMeasure(QEntropicOnLosses(0.5), curve)
+            DiscountedMeasure(CertaintyEquivalent(0.5, 0.0), curve)
 
 
 class TestBsdeClosedFormAgreement:
     def test_on_standard_claim(self, ctx50):
         claim = claim_from_label("brownian", 50)
         bsde_route = QEntropicOnLossesBSDE(0.5, 0.5).evaluate(ctx50, 0, claim)
-        closed = QEntropicOnLosses(0.5, 0.5).evaluate(ctx50, 0, claim)
+        closed = CertaintyEquivalent(0.5, 0.5).evaluate(ctx50, 0, claim)
         assert abs(bsde_route.mean() - closed.mean()) <= 0.05
 
 
@@ -257,6 +257,8 @@ class TestConstructionStrings:
         assert measure_from_label("driver:quad_z", grid).is_cash_additive
         assert not measure_from_label("driver:csa_example", grid).is_cash_additive
         assert not measure_from_label("qent:0.5,0", grid).is_cash_additive
+        assert not measure_from_label("qent_tr:0.5,0,0", grid).is_cash_additive
+        assert not measure_from_label("qent_closed:0.5", grid).is_cash_additive
         assert not measure_from_label("discounted:mean,0.1", grid).is_cash_additive
 
     def test_evaluation_window_validated(self, ctx20):
@@ -269,3 +271,59 @@ class TestConstructionStrings:
         for label in ("mean", "entropic", "qent:0.5,0", "qent_closed:0.5", "driver:quad_z"):
             rho = measure_from_label(label, ctx20.grid).evaluate(ctx20, 5, zero)
             assert np.max(np.abs(rho.values)) <= 1e-10, label
+
+    @pytest.mark.parametrize(
+        "registry, label",
+        [
+            ("claim", "call"),
+            ("claim", "const:x"),
+            ("driver", "linear_y"),
+            ("driver", "q_entropic_translated:0.5"),
+            ("family", "translated_family:0.5,a"),
+            ("measure", "qent:abc"),
+            ("measure", "qent_tr:0.5,0"),
+            ("measure", "qent_closed:"),
+            ("measure", "qent_closed:1"),
+            ("measure", "discounted:mean"),
+        ],
+    )
+    def test_bad_arguments_name_the_label(self, registry, label):
+        build = {
+            "claim": lambda s: claim_from_label(s, 5),
+            "driver": driver_from_label,
+            "family": family_from_label,
+            "measure": lambda s: measure_from_label(s, TimeGrid(1.0, 10)),
+        }[registry]
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            build(label)
+
+
+class TestCertaintyEquivalentAtRoot:
+    """At t = 0 the projection is the sample mean, so each closed form is
+    ln_q(mean(exp_q(T(X)))) computed here with plain numpy, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "label, claim, q, transform",
+        [
+            ("entropic", "sin", 1.0, lambda x, dt: -x),
+            ("qent_closed:0.5", "sin", 0.5, lambda x, dt: -x),
+            ("qent:0.5,0.5", "brownian", 0.5, lambda x, dt: np.maximum(-(x + 0.5), 0.0)),
+            (
+                "qent_tr:0.5,0,0.2",
+                "brownian",
+                0.5,
+                lambda x, dt: np.maximum(-(x + 0.0), 0.0) + sum([0.2] * 50) * dt,
+            ),
+        ],
+    )
+    def test_matches_plain_numpy(self, ctx50, label, claim, q, transform):
+        c = claim_from_label(claim, 50)
+        rho = measure_from_label(label, ctx50.grid).evaluate(ctx50, 0, c)
+        arg = transform(c.evaluate(ctx50.ensemble).values, ctx50.grid.dt)
+        if q == 1.0:
+            expected = np.log(np.full(arg.size, np.mean(np.exp(arg))))
+        else:
+            omq = 1.0 - q
+            mean = np.full(arg.size, np.mean((1.0 + omq * arg) ** (1.0 / omq)))
+            expected = (mean**omq - 1.0) / omq
+        assert np.array_equal(rho.values, expected)

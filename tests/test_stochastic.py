@@ -9,7 +9,6 @@ from bsderisk import (
     RegressionBasis,
     TimeGrid,
     claim_from_label,
-    evaluate_claim,
     simulate,
 )
 from bsderisk.stochastic import (
@@ -81,25 +80,25 @@ class TestSimulate:
 
 class TestClaims:
     def test_constant(self, ctx50):
-        field = evaluate_claim(claim_from_label("const:2", 50), ctx50.ensemble)
+        field = claim_from_label("const:2", 50).evaluate(ctx50.ensemble)
         assert np.all(field.values == 2.0)
 
     def test_identity_payoff(self, ctx50):
-        field = evaluate_claim(claim_from_label("brownian", 50), ctx50.ensemble)
+        field = claim_from_label("brownian", 50).evaluate(ctx50.ensemble)
         np.testing.assert_array_equal(field.values, ctx50.ensemble.values[:, 50, 0])
 
     def test_negative_part(self, ctx50):
         b1 = ctx50.ensemble.values[:, 50, 0]
-        field = evaluate_claim(claim_from_label("neg_part:0", 50), ctx50.ensemble)
+        field = claim_from_label("neg_part:0", 50).evaluate(ctx50.ensemble)
         np.testing.assert_array_equal(field.values, np.maximum(-b1, 0.0))
         p = int(np.argmin(np.abs(b1 + 0.4)))  # a path with B_1 close to -0.4
         assert field.values[p] == pytest.approx(-b1[p])
 
     def test_call_and_sin(self, ctx50):
         b1 = ctx50.ensemble.values[:, 50, 0]
-        call = evaluate_claim(claim_from_label("call:0.5", 50), ctx50.ensemble)
+        call = claim_from_label("call:0.5", 50).evaluate(ctx50.ensemble)
         np.testing.assert_array_equal(call.values, np.maximum(b1 - 0.5, 0.0))
-        sin = evaluate_claim(claim_from_label("sin", 50), ctx50.ensemble)
+        sin = claim_from_label("sin", 50).evaluate(ctx50.ensemble)
         np.testing.assert_array_equal(sin.values, np.sin(b1))
 
     def test_unknown_label(self):
