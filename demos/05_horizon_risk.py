@@ -17,6 +17,7 @@ from bsderisk import (
     TimeGrid,
     claim_from_label,
     driver_from_label,
+    family_from_label,
     gamma,
     gamma_via_premium_measure,
     shifted,
@@ -30,10 +31,18 @@ claim = claim_from_label("brownian", 25)  # F_{0.5}-measurable claim
 t, u, v = 0, 25, 50
 
 print("gamma(0, 0.5, 1.0, B_0.5) per generator:")
-for label in ("quad_z", "csa_example", "q_entropic_translated:1,0.1"):
-    res = gamma(ctx, DriverMeasure(driver_from_label(label)), claim, t, u, v)
-    print(f"  {label:30s} gamma = {res.gamma_mean:+.5f} +- {res.gamma_stderr:.5f}")
-print("  (quad_z vanishes exactly: its generator is zero at z = 0)")
+for generator in (
+    driver_from_label("quad_z"),
+    driver_from_label("csa_example"),
+    driver_from_label("q_entropic_translated:1,0.1"),
+    family_from_label("translated_family:1,0.1"),
+):
+    measure = DriverMeasure(generator)
+    res = gamma(ctx, measure, claim, t, u, v)
+    print(f"  {measure.label:38s} gamma = {res.gamma_mean:+.5f} +- {res.gamma_stderr:.5f}")
+print("  (quad_z vanishes exactly: its generator is zero at z = 0; the family's")
+print("   generator g_u = g + 0.1 u grows with the maturity, so it charges more than")
+print("   the fixed translation)")
 
 print()
 print("premium-measure representation vs the direct difference:")

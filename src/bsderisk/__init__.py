@@ -25,7 +25,6 @@ from .bsde import (
     default_registry_labels,
     driver_from_label,
     family_from_label,
-    g_expectation,
     shifted,
     solve,
 )
@@ -33,9 +32,7 @@ from .riskmeasures import (
     CertaintyEquivalent,
     DiscountedMeasure,
     DriverMeasure,
-    FamilyMeasure,
     MeanMeasure,
-    QEntropicOnLossesBSDE,
     RiskMeasure,
     measure_from_label,
 )

@@ -40,7 +40,6 @@ __all__ = [
     "DomainGuardViolation",
     "NonFiniteError",
     "solve",
-    "g_expectation",
     "check_increasing",
     "driver_from_label",
     "family_from_label",
@@ -229,26 +228,9 @@ def solve(
         maturity=maturity,
         diagnostics={
             "picard_evals": picard_total,
-            "guard_violations": 0,
             "regression_fallbacks": ctx.fallback_count - fallbacks_before,
         },
     )
-
-
-def g_expectation(
-    driver: Driver,
-    terminal: RandomField,
-    t_index: int,
-    ctx: LsmcContext,
-    maturity: Optional[int] = None,
-    options: SolveOptions = SolveOptions(),
-    aux: Optional[np.ndarray] = None,
-) -> RandomField:
-    """Nonlinear conditional expectation: the Y-component at t_index of the
-    backward solution with the given terminal condition."""
-    m = terminal.index if maturity is None else maturity
-    sol = solve(driver, terminal, m, ctx, options=options, stop=t_index, aux=aux)
-    return sol.field_at(t_index)
 
 
 def check_increasing(

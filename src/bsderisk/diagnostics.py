@@ -32,7 +32,7 @@ import numpy as np
 
 from .bsde import Driver, SolveOptions, solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
-from .stochastic import Claim, LsmcContext, RandomField, block_stderr
+from .stochastic import LsmcContext, RandomField, block_stderr, claim_from_label
 
 __all__ = [
     "PropertyReport",
@@ -415,6 +415,12 @@ def check_cash_subadditivity(
     )
 
 
+def _rho_at_zero(ctx, measure, tu_pairs):
+    """(t, u, rho_{tu}(0) values) for each pair, in order."""
+    for t, u in tu_pairs:
+        yield t, u, measure.evaluate(ctx, t, claim_from_label("const:0", u)).values
+
+
 def check_normalization(
     ctx: LsmcContext,
     measure: RiskMeasure,
@@ -424,10 +430,8 @@ def check_normalization(
     """|rho_{tu}(0)| at every (t, u): the zero claim is deterministic, so a
     normalized construction returns exactly zero (no Monte Carlo noise)."""
     violations, worst = [], None
-    for t, u in tu_pairs:
-        zero = Claim(u, lambda path: np.zeros(path.shape[0]), "const:0")
-        rho0 = measure.evaluate(ctx, t, zero)
-        m = float(np.max(np.abs(rho0.values)))
+    for t, u, rho0 in _rho_at_zero(ctx, measure, tu_pairs):
+        m = float(np.max(np.abs(rho0)))
         violations.append(m)
         if worst is None or m > worst[0]:
             worst = (m, t, u)
@@ -445,11 +449,9 @@ def check_nonpositive_at_zero(
     tolerance: float = 1e-10,
 ) -> PropertyReport:
     """rho_{tu}(0) <= 0 at every (t, u) (premise of the sub-consistency law)."""
-    violations = []
-    for t, u in tu_pairs:
-        zero = Claim(u, lambda path: np.zeros(path.shape[0]), "const:0")
-        rho0 = measure.evaluate(ctx, t, zero)
-        violations.append(float(np.max(np.maximum(rho0.values, 0.0))))
+    violations = [
+        float(np.max(np.maximum(rho0, 0.0))) for _, _, rho0 in _rho_at_zero(ctx, measure, tu_pairs)
+    ]
     return _report(
         ctx, "rho0_nonpositive", measure.label, {"pairs": list(map(list, tu_pairs))},
         np.asarray(violations), tolerance, 0.0,
@@ -625,8 +627,7 @@ def check_time_consistency(
 
     if kind == "weak":
         inner = measure.evaluate(ctx, t, field, maturity=u)
-        zero = Claim(u, lambda path: np.zeros(path.shape[0]), "const:0")
-        inner0 = measure.evaluate(ctx, t, zero)
+        inner0 = measure.evaluate(ctx, t, claim_from_label("const:0", u))
         arg = RandomField(t, inner0.values - inner.values)
         outer = measure.evaluate(ctx, s, arg, maturity=u)
         diff = outer.values - rho_su.values

@@ -1,11 +1,11 @@
 """Fully-dynamic risk measure constructions.
 
 A measure maps (t-index, maturity-index, claim) to a RandomField at t.  The
-constructions are: from a single driver, from a maturity-indexed driver
-family, the conditional mean, the certainty-equivalent closed form
-ln_q E[exp_q(T(X)) | F_t] (entropic, deformed-entropic, and deformed-entropic
-on losses with an optional translation rate), and discount-wrapping of a
-cash-additive base measure.
+constructions are: the backward solve of a driver or of a maturity-indexed
+driver family (on -X or on the loss (X+beta)^-), the conditional mean, the
+certainty-equivalent closed form ln_q E[exp_q(T(X)) | F_t] (entropic,
+deformed-entropic, and deformed-entropic on losses with an optional
+translation rate), and discount-wrapping of a cash-additive base measure.
 
 Claims measurable before the requested maturity are handled by the terminal
 extension built into the solver (value held, Z = 0 on the tail), so a measure
@@ -28,7 +28,7 @@ from .bsde import (
     NonFiniteError,
     driver_from_label,
     family_from_label,
-    g_expectation,
+    solve,
 )
 from .stochastic import (
     Claim,
@@ -43,10 +43,8 @@ from .tsallis import DomainError
 __all__ = [
     "RiskMeasure",
     "DriverMeasure",
-    "FamilyMeasure",
     "MeanMeasure",
     "CertaintyEquivalent",
-    "QEntropicOnLossesBSDE",
     "DiscountedMeasure",
     "measure_from_label",
 ]
@@ -103,50 +101,43 @@ class RiskMeasure:
 
 @dataclass
 class DriverMeasure(RiskMeasure):
-    """rho_{tu}(X) = Y_t of the backward solve with terminal -X and generator g."""
+    """rho_{tu}(X) = Y_t of the backward solve to maturity u with generator g_u.
 
-    driver: Driver
-    options: SolveOptions = SolveOptions()
-
-    def __post_init__(self):
-        self.label = f"driver:{self.driver.label}"
-        self.is_cash_additive = not self.driver.depends_on_y
-
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
-        return g_expectation(
-            self.driver, -field, t_index, ctx, maturity=maturity, options=self.options, aux=aux
-        )
-
-
-@dataclass
-class FamilyMeasure(RiskMeasure):
-    """As DriverMeasure but the generator is selected by the maturity time.
-
-    With on_losses_beta set, the terminal is (X+beta)^- instead of -X: the
-    losses composition keeps quadratic-generator members inside their domain
-    guard for unbounded claims.
+    The generator is a Driver (the same g at every maturity) or a DriverFamily
+    (g_u = family.at(u)).  The terminal is -X, or with beta >= 0 set the loss
+    (X+beta)^-: the losses composition keeps quadratic-generator members inside
+    their domain guard for unbounded claims.  An empty label is derived from
+    the generator and beta.
     """
 
-    family: DriverFamily
+    driver: Union[Driver, DriverFamily]
+    beta: Optional[float] = None
     options: SolveOptions = SolveOptions()
-    on_losses_beta: Optional[float] = None
+    label: str = ""
 
     def __post_init__(self):
-        prefix = "family_losses" if self.on_losses_beta is not None else "family"
-        self.label = f"{prefix}:{self.family.label}"
-        self.is_cash_additive = False
+        if self.beta is not None and self.beta < 0.0:
+            raise ValueError(f"acceptable loss level beta must be >= 0, got {self.beta}")
+        family = isinstance(self.driver, DriverFamily)
+        if not self.label:
+            prefix = "family" if family else "driver"
+            if self.beta is None:
+                self.label = f"{prefix}:{self.driver.label}"
+            else:  # beta = 0 keeps the registry's family_losses:<family> bytes
+                beta_tag = f",{float(self.beta)!r}" if self.beta else ""
+                self.label = f"{prefix}_losses:{self.driver.label}{beta_tag}"
+        self.is_cash_additive = not family and self.beta is None and not self.driver.depends_on_y
 
     def _evaluate(self, ctx, t_index, field, maturity, aux):
-        driver = self.family.at(maturity * ctx.grid.dt)
-        if self.on_losses_beta is None:
+        driver = self.driver
+        if isinstance(driver, DriverFamily):
+            driver = driver.at(maturity * ctx.grid.dt)
+        if self.beta is None:
             terminal = -field
         else:
-            terminal = RandomField(
-                field.index, _positive_part_of_loss(field.values, self.on_losses_beta)
-            )
-        return g_expectation(
-            driver, terminal, t_index, ctx, maturity=maturity, options=self.options, aux=aux
-        )
+            terminal = RandomField(field.index, _positive_part_of_loss(field.values, self.beta))
+        sol = solve(driver, terminal, maturity, ctx, options=self.options, stop=t_index, aux=aux)
+        return sol.field_at(t_index)
 
 
 class MeanMeasure(RiskMeasure):
@@ -225,33 +216,6 @@ class CertaintyEquivalent(RiskMeasure):
 
 
 @dataclass
-class QEntropicOnLossesBSDE(RiskMeasure):
-    """Backward-solver route to the losses measure: the g-expectation of
-    (X+beta)^- under the deformed quadratic generator.
-
-    Cross-validates the closed form CertaintyEquivalent(q, beta); the nonnegative
-    terminal keeps the solve inside the generator's domain guard.
-    """
-
-    q: float
-    beta: float = 0.0
-    options: SolveOptions = SolveOptions()
-
-    def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must lie in (0,1], got {self.q}")
-        self.label = f"qent_bsde:{self.q:g},{self.beta:g}"
-        self.is_cash_additive = False
-
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
-        loss = RandomField(field.index, _positive_part_of_loss(field.values, self.beta))
-        driver = driver_from_label(f"q_entropic:{self.q:g}")
-        return g_expectation(
-            driver, loss, t_index, ctx, maturity=maturity, options=self.options, aux=aux
-        )
-
-
-@dataclass
 class DiscountedMeasure(RiskMeasure):
     """Wrap a cash-additive base: rho_{tu}(X) = base_{tu}(D(t,u) X).
 
@@ -299,13 +263,18 @@ def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
             raise ValueError(f"{label!r}: q must lie in (0,1); q = 1 is 'entropic'")
         return CertaintyEquivalent(q)
     if name == "qent_bsde":
-        return QEntropicOnLossesBSDE(*label_floats(label, arg, 2))
+        q, beta = label_floats(label, arg, 2)
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"{label!r}: q must lie in (0,1], got {q}")
+        return DriverMeasure(
+            driver_from_label(f"q_entropic:{q:g}"), beta, label=f"qent_bsde:{q:g},{beta:g}"
+        )
     if name == "driver":
         return DriverMeasure(driver_from_label(arg))
     if name == "family":
-        return FamilyMeasure(family_from_label(arg))
+        return DriverMeasure(family_from_label(arg))
     if name == "family_losses":
-        return FamilyMeasure(family_from_label(arg), on_losses_beta=0.0)
+        return DriverMeasure(family_from_label(arg), 0.0)
     if name == "discounted":
         base_label, _, r_s = arg.rpartition(",")
         (r,) = label_floats(label, r_s, 1)

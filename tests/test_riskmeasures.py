@@ -10,9 +10,7 @@ from bsderisk import (
     DiscountCurve,
     DiscountedMeasure,
     DriverMeasure,
-    FamilyMeasure,
     MeanMeasure,
-    QEntropicOnLossesBSDE,
     RandomField,
     TimeGrid,
     claim_from_label,
@@ -64,7 +62,7 @@ class TestRhoFromFamily:
         drv = driver_from_label("abs_z")
         fam = DriverFamily(lambda u: drv, "constant")
         claim = claim_from_label("brownian", 20)
-        a = FamilyMeasure(fam).evaluate(ctx20, 0, claim)
+        a = DriverMeasure(fam).evaluate(ctx20, 0, claim)
         b = DriverMeasure(drv).evaluate(ctx20, 0, claim)
         np.testing.assert_array_equal(a.values, b.values)
 
@@ -72,8 +70,8 @@ class TestRhoFromFamily:
         # two maturities differ by the added source alpha*u over the horizon
         fam = family_from_label("translated_family:1,0.2")
         claim = claim_from_label("brownian", 10)
-        short = FamilyMeasure(fam).evaluate(ctx20, 0, claim, maturity=10)
-        long = FamilyMeasure(fam).evaluate(ctx20, 0, claim, maturity=20)
+        short = DriverMeasure(fam).evaluate(ctx20, 0, claim, maturity=10)
+        long = DriverMeasure(fam).evaluate(ctx20, 0, claim, maturity=20)
         dt = ctx20.grid.dt
         oracle = 0.2 * 1.0 * (20 * dt) - 0.2 * 0.5 * (10 * dt)
         assert long.mean() - short.mean() == pytest.approx(oracle, abs=5e-3)
@@ -127,6 +125,8 @@ class TestQEntropicOnLosses:
             CertaintyEquivalent(0.0, 0.0)
         with pytest.raises(ValueError):
             CertaintyEquivalent(0.5, beta=-1.0)
+        with pytest.raises(ValueError):
+            measure_from_label("qent_bsde:0.5,-1", TimeGrid(1.0, 10))
 
 
 class TestTranslated:
@@ -218,7 +218,7 @@ class TestDiscountedWrapper:
 class TestBsdeClosedFormAgreement:
     def test_on_standard_claim(self, ctx50):
         claim = claim_from_label("brownian", 50)
-        bsde_route = QEntropicOnLossesBSDE(0.5, 0.5).evaluate(ctx50, 0, claim)
+        bsde_route = measure_from_label("qent_bsde:0.5,0.5", ctx50.grid).evaluate(ctx50, 0, claim)
         closed = CertaintyEquivalent(0.5, 0.5).evaluate(ctx50, 0, claim)
         assert abs(bsde_route.mean() - closed.mean()) <= 0.05
 
@@ -243,8 +243,15 @@ class TestConstructionStrings:
     )
     def test_round_trip(self, label):
         grid = TimeGrid(1.0, 10)
-        measure = measure_from_label(label, grid)
-        assert measure.label
+        assert measure_from_label(label, grid).label == label
+
+    def test_losses_label_names_beta(self):
+        fam = family_from_label("translated_family:0.5,0.4")
+        labels = [DriverMeasure(fam, beta).label for beta in (0.0, 0.3)]
+        assert labels == [
+            "family_losses:translated_family:0.5,0.4",
+            "family_losses:translated_family:0.5,0.4,0.3",
+        ]
 
     def test_unknown(self):
         with pytest.raises(KeyError):
@@ -260,6 +267,8 @@ class TestConstructionStrings:
         assert not measure_from_label("qent_tr:0.5,0,0", grid).is_cash_additive
         assert not measure_from_label("qent_closed:0.5", grid).is_cash_additive
         assert not measure_from_label("discounted:mean,0.1", grid).is_cash_additive
+        assert not measure_from_label("qent_bsde:1,0", grid).is_cash_additive
+        assert not measure_from_label("family:translated_family:1,0", grid).is_cash_additive
 
     def test_evaluation_window_validated(self, ctx20):
         m = measure_from_label("mean", ctx20.grid)
@@ -284,6 +293,7 @@ class TestConstructionStrings:
             ("measure", "qent_tr:0.5,0"),
             ("measure", "qent_closed:"),
             ("measure", "qent_closed:1"),
+            ("measure", "qent_bsde:1.5,0"),
             ("measure", "discounted:mean"),
         ],
     )
