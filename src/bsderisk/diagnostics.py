@@ -154,8 +154,7 @@ def _report(
 
 
 def _refined(ctx: LsmcContext) -> LsmcContext:
-    basis = replace(ctx.basis, degree=ctx.basis.degree + 1)
-    return LsmcContext(ctx.grid, ctx.ensemble, basis, ctx.workers)
+    return ctx.with_basis(replace(ctx.basis, degree=ctx.basis.degree + 1))
 
 
 def noise_sigma(
@@ -731,16 +730,19 @@ def run_taxonomy(
     longevity_probe = RandomField(u, ctx.ensemble.levels(u)[:, 0])
     for measure, claim in rows:
         field = _terminal(ctx, claim)
-        per_measure = [
-            check_normalization(ctx, measure, [(s, t), (t, u)]),
-            check_nonpositive_at_zero(ctx, measure, [(s, t), (t, u)]),
-            check_restriction(ctx, measure, field, t, [v]),
-            check_longevity(ctx, measure, longevity_probe, t, u, [v]),
-            check_time_consistency(ctx, measure, "strong", field, s, t, u),
-            check_time_consistency(ctx, measure, "weak", field, s, t, u),
-            check_time_consistency(ctx, measure, "sub", field, s, t, u),
-            check_time_consistency(ctx, measure, "order", field, s, t, u),
-        ]
+        # the checks of one row re-evaluate the same (t, maturity, field)
+        # many times; the memo lives for the row only, which bounds its size
+        with ctx.evaluation_memo():
+            per_measure = [
+                check_normalization(ctx, measure, [(s, t), (t, u)]),
+                check_nonpositive_at_zero(ctx, measure, [(s, t), (t, u)]),
+                check_restriction(ctx, measure, field, t, [v]),
+                check_longevity(ctx, measure, longevity_probe, t, u, [v]),
+                check_time_consistency(ctx, measure, "strong", field, s, t, u),
+                check_time_consistency(ctx, measure, "weak", field, s, t, u),
+                check_time_consistency(ctx, measure, "sub", field, s, t, u),
+                check_time_consistency(ctx, measure, "order", field, s, t, u),
+            ]
         reports.extend(per_measure)
         for rep in per_measure:
             verdicts[(measure.label, rep.property)] = rep.verdict

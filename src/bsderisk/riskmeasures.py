@@ -36,6 +36,7 @@ from .stochastic import (
     LsmcContext,
     RandomField,
     TimeGrid,
+    digest,
     label_floats,
 )
 from .tsallis import DomainError
@@ -74,7 +75,13 @@ def _safe_ln_q(field: RandomField, q: float) -> RandomField:
 
 
 class RiskMeasure:
-    """Base class: evaluation is a pure function of immutable inputs."""
+    """Base class: evaluation is a pure function of immutable inputs.
+
+    While ctx has an evaluation memo open (LsmcContext.evaluation_memo),
+    evaluate stores each result as a read-only copy under the measure
+    object, the context's rows and basis, t, maturity, the field's index and
+    bytes, and aux, and serves a repeat from it.
+    """
 
     label: str = ""
     is_cash_additive: bool = False
@@ -93,7 +100,17 @@ class RiskMeasure:
             raise ValueError(f"need 0 <= t={t_index} <= u={m} <= {ctx.grid.n_steps}")
         if field.index > m:
             raise ValueError(f"claim measurable at {field.index} but maturity {m}")
-        return self._evaluate(ctx, t_index, field, m, aux)
+        memo = ctx.memo
+        if memo is None:
+            return self._evaluate(ctx, t_index, field, m, aux)
+        key = (id(self), ctx.rows, ctx.basis, t_index, m, field.index, digest(field.values), digest(aux))
+        if key not in memo:
+            # a copy: a solve's field_at is a view that would pin its whole Y
+            result = self._evaluate(ctx, t_index, field, m, aux)
+            values = result.values.copy()
+            values.setflags(write=False)
+            memo[key] = (self, RandomField(result.index, values))  # self pins id(self)
+        return memo[key][1]
 
     def _evaluate(self, ctx, t_index, field, maturity, aux) -> RandomField:
         raise NotImplementedError
@@ -241,6 +258,12 @@ class DiscountedMeasure(RiskMeasure):
         return self.base._evaluate(ctx, t_index, scaled, maturity, aux)
 
 
+def _exact(x: float) -> str:
+    """x in %g where that reads back as x, else its exact repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
     """Construction strings:
 
@@ -267,7 +290,7 @@ def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
         if not 0.0 < q <= 1.0:
             raise ValueError(f"{label!r}: q must lie in (0,1], got {q}")
         return DriverMeasure(
-            driver_from_label(f"q_entropic:{q:g}"), beta, label=f"qent_bsde:{q:g},{beta:g}"
+            driver_from_label(f"q_entropic:{_exact(q)}"), beta, label=f"qent_bsde:{_exact(q)},{_exact(beta)}"
         )
     if name == "driver":
         return DriverMeasure(driver_from_label(arg))

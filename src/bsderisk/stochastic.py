@@ -12,8 +12,10 @@ and the block partition does not depend on the number of workers.
 
 from __future__ import annotations
 
+import hashlib
 import io
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
@@ -235,16 +237,24 @@ class RegressionBasis:
 
     def design(self, variables: np.ndarray) -> np.ndarray:
         """Design matrix for (n, k) conditioning variables: all monomials
-        of total degree <= degree, the constant first."""
+        of total degree <= degree, the constant first.
+
+        Each monomial column is its prefix monomial's column times one
+        variable, so the products run left to right over the sorted index
+        tuple."""
         n, k = variables.shape
-        cols = [np.ones(n)]
+        combos = [()]
         for deg in range(1, self.degree + 1):
-            for combo in combinations_with_replacement(range(k), deg):
-                col = variables[:, combo[0]].copy()
-                for j in combo[1:]:
-                    col *= variables[:, j]
-                cols.append(col)
-        return np.column_stack(cols)
+            combos += combinations_with_replacement(range(k), deg)
+        column = {combo: j for j, combo in enumerate(combos)}
+        phi = np.empty((n, len(combos)))
+        phi[:, 0] = 1.0
+        for j, combo in enumerate(combos[1:], 1):
+            if len(combo) == 1:
+                phi[:, j] = variables[:, combo[0]]
+            else:
+                np.multiply(phi[:, column[combo[:-1]]], variables[:, combo[-1]], out=phi[:, j])
+        return phi
 
 
 @dataclass(frozen=True)
@@ -289,7 +299,6 @@ class _Projector:
     def __init__(self, phi: np.ndarray, ridge: float, workers: int, ctx: "LsmcContext"):
         self._phi = phi
         self._workers = workers
-        self._ctx = ctx
         gram = _blocked_gram(phi, phi, workers)
         lam = ridge
         chol = None
@@ -310,6 +319,14 @@ class _Projector:
                     f"normal system singular (p={p}, ridge={ridge})"
                 ) from None
         self._chol = chol
+
+    @classmethod
+    def _from_factor(cls, phi: np.ndarray, chol: np.ndarray, workers: int) -> "_Projector":
+        """The projector of an already factorised normal system: phi rebuilt,
+        the Cholesky factor of phi.T @ phi (+ ridge) reused."""
+        proj = cls.__new__(cls)
+        proj._phi, proj._chol, proj._workers = phi, chol, workers
+        return proj
 
     def coefficients(self, targets: np.ndarray) -> np.ndarray:
         rhs = _blocked_gram(self._phi, targets, self._workers)
@@ -356,12 +373,39 @@ def _blocked_gram(phi: np.ndarray, rhs: np.ndarray, workers: int) -> np.ndarray:
     return acc[:, 0] if rhs.ndim == 1 else acc
 
 
+def digest(values: Optional[np.ndarray]):
+    """Cache key of an array: its shape and a 256-bit hash of its float64
+    bytes (None for None)."""
+    if values is None:
+        return None
+    arr = np.ascontiguousarray(values, dtype=float)
+    return arr.shape, hashlib.blake2b(arr.view(np.uint8), digest_size=32).digest()
+
+
+@dataclass
+class _Reuse:
+    """Work shared by every context on one root ensemble.
+
+    factors maps (rows, basis, node, aux digest) to the Cholesky factor of
+    that normal system, for the life of the contexts: a p x p matrix each,
+    while phi (n x p) is rebuilt on every use.  memo is the evaluation memo
+    while one is open (LsmcContext.evaluation_memo), None otherwise.
+    """
+
+    factors: dict = field(default_factory=dict)
+    memo: Optional[dict] = None
+
+
 @dataclass
 class LsmcContext:
     """Evaluation context: grid, ensemble, basis and the worker count.
 
-    fallback_count records how many regressions needed the automatic
-    1e-10 ridge retry (zero for a clean run).
+    Contexts derived from one another (with_basis, block) share a factor
+    cache, so each distinct normal system is factorised once; rows is the
+    slice of the root ensemble's paths this context holds.  fallback_count
+    records how many distinct normal systems needed the automatic 1e-10
+    ridge retry when first factorised (zero for a clean run); one served
+    again from the cache is not counted again.
     """
 
     grid: TimeGrid
@@ -369,12 +413,45 @@ class LsmcContext:
     basis: RegressionBasis = field(default_factory=RegressionBasis)
     workers: int = 1
     fallback_count: int = 0
+    rows: tuple = field(init=False, compare=False)
+    _reuse: _Reuse = field(default_factory=_Reuse, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ensemble.grid != self.grid:
             raise ValueError("ensemble was simulated on a different grid")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        self.rows = (0, self.ensemble.n_paths)
+
+    def _derived(self, ensemble: PathEnsemble, basis: RegressionBasis, rows: tuple) -> "LsmcContext":
+        ctx = LsmcContext(self.grid, ensemble, basis, self.workers)
+        ctx.rows, ctx._reuse = rows, self._reuse
+        return ctx
+
+    def with_basis(self, basis: RegressionBasis) -> "LsmcContext":
+        """The same paths under another basis, sharing the factor cache."""
+        return self._derived(self.ensemble, basis, self.rows)
+
+    def block(self, start: int, stop: int) -> "LsmcContext":
+        """The paths [start, stop) of this context, sharing the factor cache."""
+        lo = self.rows[0]
+        return self._derived(path_block(self.ensemble, start, stop), self.basis, (lo + start, lo + stop))
+
+    @property
+    def memo(self) -> Optional[dict]:
+        """The open evaluation memo of these paths, or None."""
+        return self._reuse.memo
+
+    @contextmanager
+    def evaluation_memo(self):
+        """Open an empty evaluation memo, shared by every context derived
+        from this one, for the with block; it is dropped when the block ends."""
+        reuse = self._reuse
+        outer, reuse.memo = reuse.memo, {}
+        try:
+            yield
+        finally:
+            reuse.memo = outer
 
     def projector(self, at: int, aux: Optional[np.ndarray] = None) -> _Projector:
         """Factorized projector onto the basis at node `at`.
@@ -383,6 +460,7 @@ class LsmcContext:
         1/sqrt(t_at), plus any aux columns (extra adapted state a claim needs,
         scaled by their sample deviation).  At the root node only aux columns
         remain; with none, the projector degenerates to the sample mean.
+        The normal system is factorised on first use and its factor reused.
         """
         cols = []
         if at > 0:
@@ -398,7 +476,13 @@ class LsmcContext:
         else:
             variables = np.concatenate(cols, axis=1)
         phi = self.basis.design(variables)
-        return _Projector(phi, self.basis.ridge, self.workers, self)
+        key = (self.rows, self.basis, at, digest(aux))
+        chol = self._reuse.factors.get(key)
+        if chol is not None:
+            return _Projector._from_factor(phi, chol, self.workers)
+        proj = _Projector(phi, self.basis.ridge, self.workers, self)
+        self._reuse.factors[key] = proj._chol
+        return proj
 
     def cond_expect(
         self,
@@ -445,17 +529,15 @@ def block_stderr(ctx: LsmcContext, estimate, n_blocks: int = 8) -> float:
     cut its own per-path arrays to the block.  It is re-run on n_blocks
     contiguous sub-ensembles and the spread of the block estimates scales
     down to the full-sample error.  Deterministic: the partition ignores the
-    worker count.
+    worker count.  The block contexts share ctx's factor cache, so repeated
+    calls on one parent factorise each block's normal systems once.
     """
     n = ctx.ensemble.n_paths
     edges = np.linspace(0, n, n_blocks + 1, dtype=int)
     vals = []
     for k in range(n_blocks):
         rows = slice(edges[k], edges[k + 1])
-        sub = LsmcContext(
-            ctx.grid, path_block(ctx.ensemble, rows.start, rows.stop), ctx.basis, ctx.workers
-        )
-        vals.append(float(estimate(sub, rows)))
+        vals.append(float(estimate(ctx.block(rows.start, rows.stop), rows)))
     return float(np.std(vals) / np.sqrt(n_blocks))
 
 

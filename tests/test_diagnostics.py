@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from bsderisk import (
+    CertaintyEquivalent,
     Claim,
     DegenerateWeights,
     Driver,
     DriverMeasure,
     LsmcContext,
+    MeanMeasure,
     RandomField,
+    RegressionBasis,
+    TimeGrid,
     check_cash_additivity,
     check_cash_subadditivity,
     check_convexity,
@@ -25,14 +29,16 @@ from bsderisk import (
     measure_from_label,
     run_taxonomy,
     shifted,
+    simulate,
     taxonomy_rows,
 )
+from bsderisk import cli, riskmeasures, stochastic
 from bsderisk.diagnostics import (
     check_nonpositive_at_zero,
     reports_to_csv,
     reports_to_json_lines,
 )
-from bsderisk.stochastic import path_block
+from bsderisk.stochastic import digest, path_block
 
 
 class TestGamma:
@@ -332,3 +338,117 @@ class TestReportSerialization:
         lines = text.splitlines()
         assert lines[0].startswith("property,construction,params,verdict")
         assert len(lines) == 3
+
+
+class TestReuse:
+    """Factor cache and per-row evaluation memo: invisible in the reports,
+    each distinct piece of work done once, and bounded in memory."""
+
+    S, T, U, V = 0, 4, 6, 8
+
+    @pytest.fixture
+    def ctx(self):
+        grid = TimeGrid(1.0, 8)
+        return LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+
+    def rows(self, ctx):
+        return [
+            (measure_from_label(lbl, ctx.grid), claim_from_label(claim_lbl, self.U))
+            for lbl, claim_lbl in taxonomy_rows()
+        ]
+
+    def test_taxonomy_reports_equal_each_check_run_alone(self, ctx):
+        s, t, u, v = self.S, self.T, self.U, self.V
+        rows = self.rows(ctx)
+        reports, _ = run_taxonomy(ctx, rows, s, t, u, v)
+        probe = RandomField(u, ctx.ensemble.levels(u)[:, 0])
+        alone = []
+        for m, claim in rows:
+            field = claim.evaluate(ctx.ensemble)
+            for check in (
+                lambda c: check_normalization(c, m, [(s, t), (t, u)]),
+                lambda c: check_nonpositive_at_zero(c, m, [(s, t), (t, u)]),
+                lambda c: check_restriction(c, m, field, t, [v]),
+                lambda c: check_longevity(c, m, probe, t, u, [v]),
+                *[
+                    lambda c, kind=kind: check_time_consistency(c, m, kind, field, s, t, u)
+                    for kind in ("strong", "weak", "sub", "order")
+                ],
+            ):
+                alone.append(check(LsmcContext(ctx.grid, ctx.ensemble, ctx.basis)))
+        assert [r.as_dict() for r in reports] == [r.as_dict() for r in alone]
+        assert [r.details for r in reports] == [r.details for r in alone]
+
+    def test_verify_factorises_and_solves_each_thing_once(self, monkeypatch):
+        builds, solved = [], []
+        init = stochastic._Projector.__init__
+
+        def counted_init(self, phi, ridge, workers, ctx):
+            builds.append((ctx.basis.degree, ctx.rows, digest(phi)))
+            init(self, phi, ridge, workers, ctx)
+
+        monkeypatch.setattr(stochastic._Projector, "__init__", counted_init)
+        for cls in (riskmeasures.DriverMeasure, MeanMeasure, CertaintyEquivalent, riskmeasures.DiscountedMeasure):
+
+            def counted_evaluate(self, ctx, t_index, field, maturity, aux, original=cls._evaluate):
+                solved.append((id(self), ctx.rows, ctx.basis, t_index, maturity, field.index,
+                               digest(field.values), digest(aux)))
+                return original(self, ctx, t_index, field, maturity, aux)
+
+            monkeypatch.setattr(cls, "_evaluate", counted_evaluate)
+        _, summary = cli.run_verify(cli.RunConfig(n_paths=2000, n_steps=8, seed=4))
+        assert summary["n_checks"] > 0
+        # every row builds its own measure objects, so a repeated key would
+        # be the same evaluation solved twice within one row
+        assert builds and len(set(builds)) == len(builds)
+        assert solved and len(set(solved)) == len(solved)
+
+    def test_memo_is_row_scoped_and_factors_are_p_by_p(self, ctx, monkeypatch):
+        sizes = []
+        evaluate = riskmeasures.RiskMeasure.evaluate
+
+        def watched(self, c, *args, **kwargs):
+            out = evaluate(self, c, *args, **kwargs)
+            sizes.append(len(c.memo))
+            return out
+
+        monkeypatch.setattr(riskmeasures.RiskMeasure, "evaluate", watched)
+        run_taxonomy(ctx, self.rows(ctx), self.S, self.T, self.U, self.V)
+        assert ctx.memo is None
+        assert 0 < max(sizes) <= 18
+        # one conditioning variable at degree <= 5: at most 6 monomials,
+        # whatever the path count
+        assert ctx._reuse.factors
+        assert all(chol.shape[0] == chol.shape[1] <= 6 for chol in ctx._reuse.factors.values())
+
+    def test_memoised_value_is_read_only(self, ctx):
+        m = measure_from_label("driver:quad_z", ctx.grid)
+        claim = claim_from_label("brownian", 8)
+        with ctx.evaluation_memo():
+            rho = m.evaluate(ctx, 4, claim)
+            assert m.evaluate(ctx, 4, claim) is rho
+            assert rho.values.base is None  # a copy: a view would pin the solve's whole Y
+            with pytest.raises(ValueError):
+                rho.values[0] = 0.0
+        assert ctx.memo is None
+
+    def test_memo_tells_apart_equal_labels_and_equal_bytes(self, ctx):
+        a = CertaintyEquivalent(0.5, 0.0, a=lambda t: 0.1)
+        b = CertaintyEquivalent(0.5, 0.0, a=lambda t: 0.2)
+        assert a.label == b.label
+        claim = claim_from_label("brownian", 8)
+        noise = RandomField(8, np.random.default_rng(0).standard_normal(1000))
+        mean = MeanMeasure()
+        with ctx.evaluation_memo():
+            got = [a.evaluate(ctx, 4, claim), b.evaluate(ctx, 4, claim)]
+            got += [mean.evaluate(ctx.block(lo, lo + 1000), 4, noise) for lo in (0, 1000)]
+        fresh = LsmcContext(ctx.grid, ctx.ensemble, ctx.basis)
+        want = [a.evaluate(fresh, 4, claim), b.evaluate(fresh, 4, claim)]
+        want += [
+            mean.evaluate(LsmcContext(ctx.grid, path_block(ctx.ensemble, lo, lo + 1000), ctx.basis), 4, noise)
+            for lo in (0, 1000)
+        ]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.values, w.values)
+        assert not np.array_equal(got[0].values, got[1].values)
+        assert not np.array_equal(got[2].values, got[3].values)

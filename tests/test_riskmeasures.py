@@ -233,6 +233,8 @@ class TestConstructionStrings:
             "qent_tr:0.5,0,0.1",
             "qent_closed:0.5",
             "qent_bsde:0.5,0",
+            "qent_bsde:0.25,0",
+            "qent_bsde:1,0",
             "driver:quad_z",
             "driver:csa_example",
             "family:translated_family:0.5,0.1",
@@ -252,6 +254,17 @@ class TestConstructionStrings:
             "family_losses:translated_family:0.5,0.4",
             "family_losses:translated_family:0.5,0.4,0.3",
         ]
+
+    def test_qent_bsde_solves_at_the_exact_q(self):
+        m = measure_from_label("qent_bsde:0.1234567,0", TimeGrid(1.0, 10))
+        assert m.label == "qent_bsde:0.1234567,0"
+        # g(t, 0, z) = q |z|^2 / 2, so at |z| = 1 the generator reads q / 2
+        assert m.driver(0.0, np.zeros(1), np.ones((1, 1)))[0] == 0.1234567 / 2
+
+    def test_qent_bsde_labels_tell_betas_apart(self):
+        grid = TimeGrid(1.0, 10)
+        labels = [measure_from_label(f"qent_bsde:0.5,{b}", grid).label for b in ("0.3", "0.30000001")]
+        assert labels == ["qent_bsde:0.5,0.3", "qent_bsde:0.5,0.30000001"]
 
     def test_unknown(self):
         with pytest.raises(KeyError):

@@ -11,6 +11,7 @@ from bsderisk import (
     claim_from_label,
     simulate,
 )
+from bsderisk import stochastic
 from bsderisk.stochastic import (
     ensemble_from_csv,
     ensemble_from_npz,
@@ -221,6 +222,48 @@ class TestCondExpect:
         assert np.max(out.values) <= np.max(f.values)
 
 
+class TestFactorCache:
+    def _count_builds(self, monkeypatch):
+        builds = []
+        init = stochastic._Projector.__init__
+
+        def counted(self, phi, ridge, workers, ctx):
+            builds.append(phi.shape)
+            init(self, phi, ridge, workers, ctx)
+
+        monkeypatch.setattr(stochastic._Projector, "__init__", counted)
+        return builds
+
+    def test_each_normal_system_factorised_once(self, monkeypatch):
+        grid = TimeGrid(1.0, 10)
+        ctx = LsmcContext(grid, simulate(grid, 1, 4000, seed=8), RegressionBasis(3))
+        builds = self._count_builds(monkeypatch)
+        refined = ctx.with_basis(RegressionBasis(4))
+        aux = np.tanh(ctx.ensemble.values[:, 3, 0])
+        for _ in range(2):
+            ctx.projector(5), ctx.projector(5, aux), refined.projector(5)
+            ctx.with_basis(RegressionBasis(4)).projector(5)
+            ctx.block(0, 2000).projector(5), ctx.block(2000, 4000).projector(5)
+        # degree 3, degree 3 with aux, degree 4, and the two halves
+        assert builds == [(4000, 4), (4000, 10), (4000, 5), (2000, 4), (2000, 4)]
+
+    def test_cached_projector_fits_bit_for_bit(self):
+        grid = TimeGrid(1.0, 10)
+        ens = simulate(grid, 1, 3000, seed=5)
+        ctx = LsmcContext(grid, ens, RegressionBasis(4))
+        target = np.sin(ens.values[:, 10, 0])
+        first = ctx.projector(6).fitted(target)
+        again = ctx.projector(6).fitted(target)
+        fresh = LsmcContext(grid, ens, RegressionBasis(4)).projector(6).fitted(target)
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(again, fresh)
+        ctx.block(0, 1000).projector(6)
+        # rows [1000, 2000) of the root, reached through a block of a block
+        block = ctx.block(1000, 3000).block(0, 1000).projector(6).fitted(target[1000:2000])
+        alone = LsmcContext(grid, stochastic.path_block(ens, 1000, 2000), ctx.basis)
+        np.testing.assert_array_equal(block, alone.projector(6).fitted(target[1000:2000]))
+
+
 class TestRegressionBasis:
     def test_design_columns(self):
         basis = RegressionBasis(2)
@@ -229,6 +272,23 @@ class TestRegressionBasis:
         # constant, x, y, x^2, xy, y^2
         assert phi.shape == (2, 6)
         np.testing.assert_allclose(phi[0], [1, 1, 2, 1, 2, 4])
+
+    @pytest.mark.parametrize("k, degree", [(1, 4), (2, 5), (3, 3), (0, 4)])
+    def test_design_matches_column_products(self, k, degree):
+        # reference: each monomial multiplied out left to right, then stacked
+        from itertools import combinations_with_replacement
+
+        x = np.random.default_rng(k).standard_normal((500, k))
+        cols = [np.ones(500)]
+        for deg in range(1, degree + 1):
+            for combo in combinations_with_replacement(range(k), deg):
+                col = x[:, combo[0]].copy()
+                for j in combo[1:]:
+                    col *= x[:, j]
+                cols.append(col)
+        phi = RegressionBasis(degree).design(x)
+        np.testing.assert_array_equal(phi, np.column_stack(cols))
+        assert phi.flags.c_contiguous
 
     def test_validation(self):
         with pytest.raises(ValueError):
