@@ -20,7 +20,6 @@ from .bsde import (
     Driver,
     DriverFamily,
     NonFiniteError,
-    SolveOptions,
     check_increasing,
     default_registry_labels,
     driver_from_label,

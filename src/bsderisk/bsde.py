@@ -8,9 +8,9 @@ refinement of the y-argument.  At each step i (maturity m down to `stop`):
     Y_i   = Yhat + g(t_i, y*, Z_i) * dt
 
 where Pi_i is the least-squares projection at node i, y* starts at Yhat and
-is refined by fixed-point passes when the driver depends on y, and |Z_i| is
-clipped componentwise before driver evaluation (tail guard for the quadratic
-drivers, inactive for Lipschitz ones at desk scale).
+is refined by PICARD_ITERS fixed-point passes when the driver depends on y,
+and |Z_i| is clipped componentwise at Z_CLIP before driver evaluation (tail
+guard for the quadratic drivers, inactive for Lipschitz ones at desk scale).
 
 Centering the Z-regressand on Pi_i[Y_{i+1}] estimates the same conditional
 expectation (the centering term has zero conditional mean) and makes the
@@ -35,7 +35,6 @@ from .stochastic import LsmcContext, RandomField, label_floats
 __all__ = [
     "Driver",
     "DriverFamily",
-    "SolveOptions",
     "BSDESolution",
     "DomainGuardViolation",
     "NonFiniteError",
@@ -46,10 +45,16 @@ __all__ = [
     "shifted",
     "default_registry_labels",
     "EPS_DOM",
+    "PICARD_ITERS",
+    "Z_CLIP",
 ]
 
 # Domain-guard margin for the quadratic generator: 1 + (1-q) y >= EPS_DOM.
 EPS_DOM = 1e-3
+# Fixed-point passes on the y-argument of a y-dependent driver.
+PICARD_ITERS = 3
+# Componentwise |Z| bound before the driver is evaluated.
+Z_CLIP = 10.0
 
 
 class DomainGuardViolation(RuntimeError):
@@ -125,12 +130,6 @@ def shifted(driver: Driver, a: float, label: Optional[str] = None) -> Driver:
     )
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    picard_iters: int = 3
-    z_clip: float = 10.0
-
-
 @dataclass
 class BSDESolution:
     """Backward solution on indices [stop, maturity].
@@ -162,7 +161,6 @@ def solve(
     terminal: RandomField,
     maturity: int,
     ctx: LsmcContext,
-    options: SolveOptions = SolveOptions(),
     stop: int = 0,
     aux: Optional[np.ndarray] = None,
 ) -> BSDESolution:
@@ -211,10 +209,10 @@ def solve(
             resid = Y[i + 1] - yhat
             z_i = proj.fitted(resid[:, None] * ens.increments[:, i, :]) / dt
             Z[i] = z_i
-        zc = np.clip(z_i, -options.z_clip, options.z_clip)
+        zc = np.clip(z_i, -Z_CLIP, Z_CLIP)
         ystar = yhat
         if driver.depends_on_y:
-            for _ in range(options.picard_iters):
+            for _ in range(PICARD_ITERS):
                 ystar = yhat + drive(t_i, ystar, zc, i) * dt
                 picard_total += 1
         Y[i] = yhat + drive(t_i, ystar, zc, i) * dt

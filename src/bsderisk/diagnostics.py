@@ -1,16 +1,16 @@
 """Axiom and horizon-risk verification harness.
 
-Every check produces a PropertyReport whose verdict follows one rule:
-pass iff max_violation <= tolerance and violation_fraction <= cap, where the
-fraction counts paths violating beyond tolerance/5.  Exact identities (cash
-additivity of y-free generators, normalization of closed forms) use hard
-tolerances and cap 0.  Monte Carlo comparisons default their tolerance to a
-basis-refinement probe: the same quantity is recomputed with the polynomial
-degree raised by one, and the per-path deviation sets the numerical noise
-scale.  Pathwise inequality checks therefore carry a violation-fraction cap
-(regression noise breaks pathwise comparison theorems that hold in the
-continuum) while mean-level violations are judged against Monte Carlo
-standard errors.
+Every check produces a PropertyReport, and the verdict policy is fixed:
+no check takes a tolerance or a cap.  Exact identities are judged at a hard
+tolerance with no violating path allowed: CASH_TOL for cash additivity under
+constant shifts, ZERO_TOL for rho(0) (normalization, rho0_nonpositive).
+Monte Carlo comparisons size their tolerance as NOISE_MULT times a
+basis-refinement probe (the same quantity recomputed with the polynomial
+degree raised by one; the spread of the difference sets the numerical noise
+scale) and pass when at most a FRACTION_CAP share of paths violates it and
+at most FRACTION_CAP/10 violates HARD_MULT times it: regression noise breaks
+pathwise comparison theorems that hold in the continuum.  Mean-level
+violations are judged against Monte Carlo standard errors.
 
 The horizon-risk correction gamma(t,u,v,X) = rho_{tv}(X) - rho_{tu}(X) is
 computed twice: directly, and through the equivalent change-of-measure
@@ -24,13 +24,14 @@ exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .bsde import Driver, SolveOptions, solve
+from .bsde import Driver, solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
 from .stochastic import LsmcContext, RandomField, block_stderr, claim_from_label
 
@@ -57,7 +58,12 @@ __all__ = [
     "reports_to_csv",
 ]
 
-FRACTION_CAP = 1e-3  # default share of paths allowed beyond tolerance/5
+# The verdict policy; no check takes a tolerance or a cap.
+CASH_TOL = 1e-8  # exact: cash additivity under constant shifts (solver round-off)
+ZERO_TOL = 1e-10  # exact: rho_{tu}(0), the zero claim being deterministic
+NOISE_MULT = 4.0  # Monte Carlo tolerance: NOISE_MULT x the degree+1 probe's noise scale
+FRACTION_CAP = 1e-3  # Monte Carlo: share of paths allowed beyond tolerance,
+HARD_MULT = 5.0  # and FRACTION_CAP/10 beyond HARD_MULT x tolerance
 
 
 class DegenerateWeights(RuntimeError):
@@ -110,9 +116,6 @@ def _sig9(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-HARD_MULT = 5.0  # no path may violate beyond HARD_MULT * tolerance
-
-
 def _report(
     ctx: LsmcContext,
     name: str,
@@ -120,20 +123,20 @@ def _report(
     params: dict,
     violations: np.ndarray,
     tolerance: float,
-    cap: float,
+    exact: bool = False,
     witness: Optional[dict] = None,
     details: Optional[dict] = None,
 ) -> PropertyReport:
-    """Verdict rule: at most a `cap` fraction of paths may violate beyond
-    `tolerance`, and at most cap/10 beyond HARD_MULT * tolerance (polynomial
-    fits throw occasional single-path tail artifacts that say nothing about
-    the property).  Exact checks use cap = 0, which reduces to the plain
-    max <= tolerance."""
+    """Verdict rule: an exact check passes iff max violation <= tolerance.
+    A Monte Carlo check lets at most a FRACTION_CAP share of paths violate
+    beyond `tolerance`, and at most FRACTION_CAP/10 beyond HARD_MULT *
+    tolerance (polynomial fits throw occasional single-path tail artifacts
+    that say nothing about the property)."""
     v = np.asarray(violations, dtype=float)
     max_v = float(np.max(v)) if v.size else 0.0
     frac = float(np.mean(v > tolerance)) if v.size else 0.0
     frac_hard = float(np.mean(v > HARD_MULT * tolerance)) if v.size else 0.0
-    ok = (max_v <= tolerance) if cap == 0.0 else (frac <= cap and frac_hard <= cap / 10.0)
+    ok = (max_v <= tolerance) if exact else (frac <= FRACTION_CAP and frac_hard <= FRACTION_CAP / 10.0)
     if witness is None and v.size and not ok:
         p = int(np.argmax(v))
         witness = {"path": p, "violation": _sig9(max_v)}
@@ -157,27 +160,18 @@ def _refined(ctx: LsmcContext) -> LsmcContext:
     return ctx.with_basis(replace(ctx.basis, degree=ctx.basis.degree + 1))
 
 
-def noise_sigma(
-    ctx: LsmcContext,
-    measure: RiskMeasure,
-    claim: ClaimLike,
-    t: int,
-    u: int,
-    aux: Optional[np.ndarray] = None,
-) -> float:
-    """Per-path numerical noise scale of one evaluation.
-
-    Recomputes the value with the basis degree raised by one; the spread of
-    that difference measures the basis-resolution error, and the standard
-    error of the mean proxies the coefficient-sampling noise."""
-    a = measure.evaluate(ctx, t, claim, maturity=u, aux=aux)
-    b = measure.evaluate(_refined(ctx), t, claim, maturity=u, aux=aux)
-    diff = a.values - b.values
-    return float(np.std(diff) + abs(np.mean(diff)) + a.stderr() + 1e-12)
+def _spread(diff: np.ndarray, stderr: float) -> float:
+    """Noise scale from a degree+1 probe: the spread of the difference
+    measures the basis-resolution error, and the standard error of the mean
+    proxies the coefficient-sampling noise."""
+    return float(np.std(diff) + abs(np.mean(diff)) + stderr + 1e-12)
 
 
-def _auto_tol(sigma: float) -> float:
-    return 4.0 * sigma
+def noise_sigma(ctx: LsmcContext, measure: RiskMeasure, claim: ClaimLike, t: int, u: int) -> float:
+    """Per-path numerical noise scale of one evaluation, by the degree+1 probe."""
+    a = measure.evaluate(ctx, t, claim, maturity=u)
+    b = measure.evaluate(_refined(ctx), t, claim, maturity=u)
+    return _spread(a.values - b.values, a.stderr())
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,6 @@ def gamma_via_premium_measure(
     t: int,
     u: int,
     v: int,
-    options: SolveOptions = SolveOptions(),
 ) -> LongevityResult:
     """Horizon-risk correction through the equivalent premium measure.
 
@@ -246,8 +239,8 @@ def gamma_via_premium_measure(
     n, d, dt = ens.n_paths, ens.dim, grid.dt
     x = field.values
 
-    sol_u = solve(driver, RandomField(field.index, -x), u, ctx, options=options, stop=t)
-    sol_v = solve(driver, RandomField(field.index, -x), v, ctx, options=options, stop=t)
+    sol_u = solve(driver, RandomField(field.index, -x), u, ctx, stop=t)
+    sol_v = solve(driver, RandomField(field.index, -x), v, ctx, stop=t)
 
     log_w = np.zeros(n)
     dy_int = np.zeros(n)
@@ -348,42 +341,31 @@ def check_cash_additivity(
     claim: ClaimLike,
     t: int,
     u: int,
-    shifts=None,
-    tolerance: float = 1e-8,
-    field_tolerance: Optional[float] = None,
-    cap: float = 0.0,
 ) -> PropertyReport:
-    """Equality rho(X+m) = rho(X) - m over the shift grid.
+    """Equality rho(X+m) = rho(X) - m over the default shift grid.
 
-    Constant shifts are judged at the hard tolerance: for cash-additive
-    constructions the engine reproduces them exactly up to solver round-off.
-    Random F_t-measurable shifts join the regression basis on both sides and
-    are judged at the Monte Carlo noise scale (basis products are only
+    Constant shifts are judged at CASH_TOL: for cash-additive constructions
+    the engine reproduces them exactly up to solver round-off.  The random
+    F_t-measurable shift joins the regression basis on both sides and is
+    judged at the Monte Carlo noise scale (basis products are only
     approximated).  The reported tolerance/max_violation refer to the
     constant shifts, which carry the pass/fail signal.
     """
-    shifts = shifts or default_shifts(ctx, t)
-    gaps = _shift_gaps(ctx, measure, claim, t, u, shifts)
-    const_v = [np.abs(g) for (label, g, m) in gaps if np.isscalar(m) or np.ndim(m) == 0]
-    field_gaps = [(label, g) for (label, g, m) in gaps if not (np.isscalar(m) or np.ndim(m) == 0)]
+    gaps = _shift_gaps(ctx, measure, claim, t, u, default_shifts(ctx, t))
+    const_v = [np.abs(g) for (label, g, m) in gaps if np.ndim(m) == 0]
     details = {f"mean_gap[{label}]": _sig9(float(np.mean(g))) for label, g, _ in gaps}
-    field_ok = True
-    if field_gaps:
-        if field_tolerance is None:
-            field_tolerance = _auto_tol(noise_sigma(ctx, measure, claim, t, u))
-        worst_field = max(float(np.max(np.abs(g))) for _, g in field_gaps)
-        details["field_tolerance"] = _sig9(field_tolerance)
-        details["field_max_violation"] = _sig9(worst_field)
-        field_ok = worst_field <= field_tolerance
-    all_const = np.concatenate(const_v) if const_v else np.zeros(1)
+    field_tolerance = NOISE_MULT * noise_sigma(ctx, measure, claim, t, u)
+    worst_field = max(float(np.max(np.abs(g))) for (label, g, m) in gaps if np.ndim(m) != 0)
+    details["field_tolerance"] = _sig9(field_tolerance)
+    details["field_max_violation"] = _sig9(worst_field)
     worst = max(gaps, key=lambda item: float(np.max(np.abs(item[1]))))
     p = int(np.argmax(np.abs(worst[1])))
     witness = {"shift": worst[0], "path": p, "gap": _sig9(float(worst[1][p]))}
     rep = _report(
-        ctx, "cash_additivity", measure.label, {"t": t, "u": u}, all_const, tolerance, cap,
-        witness=witness, details=details,
+        ctx, "cash_additivity", measure.label, {"t": t, "u": u}, np.concatenate(const_v), CASH_TOL,
+        exact=True, witness=witness, details=details,
     )
-    rep.verdict = rep.verdict and field_ok
+    rep.verdict = rep.verdict and worst_field <= field_tolerance
     return rep
 
 
@@ -394,23 +376,21 @@ def check_cash_subadditivity(
     t: int,
     u: int,
     shifts=None,
-    tolerance: Optional[float] = None,
-    cap: float = FRACTION_CAP,
 ) -> PropertyReport:
-    """One-sided rho(X+m) >= rho(X) - m for m >= 0 over the shift grid."""
+    """One-sided rho(X+m) >= rho(X) - m for m >= 0 over the shift grid
+    (default_shifts unless `shifts` is given)."""
     shifts = shifts or default_shifts(ctx, t)
     for label, m in shifts:
         vals = m.values if isinstance(m, RandomField) else m
         if np.any(np.asarray(vals) < 0.0):
             raise ValueError(f"cash subadditivity needs m >= 0, shift {label!r} is negative")
-    if tolerance is None:
-        tolerance = _auto_tol(noise_sigma(ctx, measure, claim, t, u))
+    tolerance = NOISE_MULT * noise_sigma(ctx, measure, claim, t, u)
     gaps = _shift_gaps(ctx, measure, claim, t, u, shifts)
     violations = np.concatenate([np.maximum(0.0, -g) for _, g, _ in gaps])
     details = {f"mean_gap[{label}]": _sig9(float(np.mean(g))) for label, g, _ in gaps}
     return _report(
-        ctx, "cash_subadditivity", measure.label, {"t": t, "u": u}, violations,
-        tolerance, cap, details=details,
+        ctx, "cash_subadditivity", measure.label, {"t": t, "u": u}, violations, tolerance,
+        details=details,
     )
 
 
@@ -424,7 +404,6 @@ def check_normalization(
     ctx: LsmcContext,
     measure: RiskMeasure,
     tu_pairs: Sequence[tuple[int, int]],
-    tolerance: float = 1e-10,
 ) -> PropertyReport:
     """|rho_{tu}(0)| at every (t, u): the zero claim is deterministic, so a
     normalized construction returns exactly zero (no Monte Carlo noise)."""
@@ -437,7 +416,7 @@ def check_normalization(
     witness = {"t": worst[1], "u": worst[2], "rho0": _sig9(worst[0])} if worst else None
     return _report(
         ctx, "normalization", measure.label, {"pairs": list(map(list, tu_pairs))},
-        np.asarray(violations), tolerance, 0.0, witness=witness,
+        np.asarray(violations), ZERO_TOL, exact=True, witness=witness,
     )
 
 
@@ -445,7 +424,6 @@ def check_nonpositive_at_zero(
     ctx: LsmcContext,
     measure: RiskMeasure,
     tu_pairs: Sequence[tuple[int, int]],
-    tolerance: float = 1e-10,
 ) -> PropertyReport:
     """rho_{tu}(0) <= 0 at every (t, u) (premise of the sub-consistency law)."""
     violations = [
@@ -453,7 +431,7 @@ def check_nonpositive_at_zero(
     ]
     return _report(
         ctx, "rho0_nonpositive", measure.label, {"pairs": list(map(list, tu_pairs))},
-        np.asarray(violations), tolerance, 0.0,
+        np.asarray(violations), ZERO_TOL, exact=True,
     )
 
 
@@ -463,8 +441,7 @@ def _gamma_noise(ctx, measure, field, t, u, v) -> float:
     would badly overstate it."""
     a = gamma(ctx, measure, field, t, u, v)
     b = gamma(_refined(ctx), measure, field, t, u, v)
-    diff = a.gamma.values - b.gamma.values
-    return float(np.std(diff) + abs(np.mean(diff)) + a.gamma_stderr + 1e-12)
+    return _spread(a.gamma.values - b.gamma.values, a.gamma_stderr)
 
 
 def check_restriction(
@@ -473,14 +450,11 @@ def check_restriction(
     claim: ClaimLike,
     t: int,
     v_grid: Sequence[int],
-    tolerance: Optional[float] = None,
-    cap: float = FRACTION_CAP,
 ) -> PropertyReport:
     """rho_{tu}(X) = rho_{tv}(X) for all v >= u in the grid (pathwise)."""
     field = _terminal(ctx, claim)
     u = field.index
-    if tolerance is None:
-        tolerance = max(_auto_tol(_gamma_noise(ctx, measure, field, t, u, max(v_grid))), 1e-10)
+    tolerance = max(NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, max(v_grid)), ZERO_TOL)
     violations, details = [], {}
     for v in v_grid:
         res = gamma(ctx, measure, field, t, u, v)
@@ -488,7 +462,7 @@ def check_restriction(
         details[f"gap_mean[v={v}]"] = _sig9(res.gamma_mean)
     return _report(
         ctx, "restriction", measure.label, {"t": t, "u": u, "v_grid": list(v_grid)},
-        np.concatenate(violations), tolerance, cap, details=details,
+        np.concatenate(violations), tolerance, details=details,
     )
 
 
@@ -499,14 +473,11 @@ def check_longevity(
     t: int,
     u: int,
     v_grid: Sequence[int],
-    tolerance: Optional[float] = None,
-    cap: float = FRACTION_CAP,
 ) -> PropertyReport:
     """gamma(t,u,v,X) >= 0 pathwise over the maturity grid; the mean must
     also clear -2 standard errors."""
     field = _terminal(ctx, claim)
-    if tolerance is None:
-        tolerance = _auto_tol(_gamma_noise(ctx, measure, field, t, u, max(v_grid)))
+    tolerance = NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, max(v_grid))
     violations, details, mean_ok = [], {}, True
     for v in v_grid:
         res = gamma(ctx, measure, field, t, u, v)
@@ -517,7 +488,7 @@ def check_longevity(
             mean_ok = False
     rep = _report(
         ctx, "h_longevity", measure.label, {"t": t, "u": u, "v_grid": list(v_grid)},
-        np.concatenate(violations), tolerance, cap, details=details,
+        np.concatenate(violations), tolerance, details=details,
     )
     rep.verdict = rep.verdict and mean_ok
     return rep
@@ -529,25 +500,23 @@ def check_monotonicity(
     claim_pairs: Sequence[tuple[ClaimLike, ClaimLike]],
     t: int,
     u: Optional[int] = None,
-    tolerance: Optional[float] = None,
-    cap: float = FRACTION_CAP,
 ) -> PropertyReport:
-    """X1 <= X2 pathwise implies rho(X1) >= rho(X2) pathwise."""
-    violations = []
-    tol = tolerance
+    """X1 <= X2 pathwise implies rho(X1) >= rho(X2) pathwise; the tolerance
+    is probed on the first pair."""
+    violations, tol = [], None
     for c1, c2 in claim_pairs:
         f1, f2 = _terminal(ctx, c1), _terminal(ctx, c2)
         if np.any(f1.values > f2.values + 1e-12):
             raise ValueError("claim pair is not pathwise ordered")
         uu = u if u is not None else max(f1.index, f2.index)
         if tol is None:
-            tol = _auto_tol(noise_sigma(ctx, measure, f1, t, uu))
+            tol = NOISE_MULT * noise_sigma(ctx, measure, f1, t, uu)
         r1 = measure.evaluate(ctx, t, f1, maturity=uu)
         r2 = measure.evaluate(ctx, t, f2, maturity=uu)
         violations.append(np.maximum(0.0, r2.values - r1.values))
     return _report(
         ctx, "monotonicity", measure.label, {"t": t, "pairs": len(claim_pairs)},
-        np.concatenate(violations), tol, cap,
+        np.concatenate(violations), tol,
     )
 
 
@@ -555,20 +524,18 @@ def check_convexity(
     ctx: LsmcContext,
     measure: RiskMeasure,
     claim_pairs: Sequence[tuple[ClaimLike, ClaimLike]],
-    lambdas: Sequence[float] = (0.25, 0.5, 0.75),
     t: int = 0,
     u: Optional[int] = None,
-    tolerance: Optional[float] = None,
-    cap: float = FRACTION_CAP,
 ) -> PropertyReport:
-    """rho(lam X1 + (1-lam) X2) <= lam rho(X1) + (1-lam) rho(X2) + tol."""
-    violations = []
-    tol = tolerance
+    """rho(lam X1 + (1-lam) X2) <= lam rho(X1) + (1-lam) rho(X2) + tol at
+    lam = 0.25, 0.5, 0.75; the tolerance is probed on the first pair."""
+    lambdas = (0.25, 0.5, 0.75)
+    violations, tol = [], None
     for c1, c2 in claim_pairs:
         f1, f2 = _terminal(ctx, c1), _terminal(ctx, c2)
         uu = u if u is not None else max(f1.index, f2.index)
         if tol is None:
-            tol = _auto_tol(noise_sigma(ctx, measure, f1, t, uu))
+            tol = NOISE_MULT * noise_sigma(ctx, measure, f1, t, uu)
         r1 = measure.evaluate(ctx, t, f1, maturity=uu)
         r2 = measure.evaluate(ctx, t, f2, maturity=uu)
         for lam in lambdas:
@@ -577,7 +544,7 @@ def check_convexity(
             violations.append(np.maximum(0.0, rm.values - lam * r1.values - (1 - lam) * r2.values))
     return _report(
         ctx, "convexity", measure.label, {"t": t, "lambdas": list(lambdas)},
-        np.concatenate(violations), tol, cap,
+        np.concatenate(violations), tol,
     )
 
 
@@ -589,8 +556,6 @@ def check_time_consistency(
     s: int,
     t: int,
     u: int,
-    tolerance: Optional[float] = None,
-    cap: float = FRACTION_CAP,
 ) -> PropertyReport:
     """Nesting relations over s <= t <= u.
 
@@ -610,11 +575,9 @@ def check_time_consistency(
     field = _terminal(ctx, claim)
     params = {"kind": kind, "s": s, "t": t, "u": u}
     rho_su = measure.evaluate(ctx, s, field, maturity=u)
-    if tolerance is None:
-        # nested evaluations carry regression/clamp noise the direct probe
-        # cannot see, so the auto tolerance is floored at 0.5% of scale
-        sigma = noise_sigma(ctx, measure, field, s, u)
-        tolerance = max(_auto_tol(sigma), 5e-3 * (1.0 + abs(rho_su.mean())))
+    # nested evaluations carry regression/clamp noise the direct probe
+    # cannot see, so the tolerance is floored at 0.5% of scale
+    tolerance = max(NOISE_MULT * noise_sigma(ctx, measure, field, s, u), 5e-3 * (1.0 + abs(rho_su.mean())))
 
     if kind in ("strong", "sub"):
         inner = measure.evaluate(ctx, t, field, maturity=u)
@@ -622,7 +585,7 @@ def check_time_consistency(
         diff = outer.values - rho_su.values
         violations = np.abs(diff) if kind == "strong" else np.maximum(0.0, diff)
         details = {"lhs_mean": _sig9(float(np.mean(outer.values))), "rhs_mean": _sig9(rho_su.mean())}
-        return _report(ctx, f"tc_{kind}", measure.label, params, violations, tolerance, cap, details=details)
+        return _report(ctx, f"tc_{kind}", measure.label, params, violations, tolerance, details=details)
 
     if kind == "weak":
         inner = measure.evaluate(ctx, t, field, maturity=u)
@@ -636,7 +599,7 @@ def check_time_consistency(
             "rhs_mean": _sig9(rhs_mean),
             "ratio": _sig9(float(np.mean(outer.values)) / rhs_mean) if abs(rhs_mean) > 1e-14 else None,
         }
-        return _report(ctx, "tc_weak", measure.label, params, np.abs(diff), tolerance, cap, details=details)
+        return _report(ctx, "tc_weak", measure.label, params, np.abs(diff), tolerance, details=details)
 
     if kind == "order":
         if measure.is_cash_additive:
@@ -650,8 +613,8 @@ def check_time_consistency(
                 violations.append(np.abs(d_out - d_in))
                 details[f"shift_gap[c={c:g}]"] = _sig9(float(np.mean(np.abs(d_out - d_in))))
             return _report(
-                ctx, "tc_order", measure.label, params, np.concatenate(violations),
-                tolerance, cap, details=details,
+                ctx, "tc_order", measure.label, params, np.concatenate(violations), tolerance,
+                details=details,
             )
         # soft probe: projected twin, gated on inner agreement
         proj = ctx.projector(field.index)
@@ -661,14 +624,14 @@ def check_time_consistency(
         gate = float(np.max(np.abs(inner_a.values - inner_b.values)))
         if gate > tolerance:
             return _report(
-                ctx, "tc_order", measure.label, params, np.zeros(1), tolerance, cap,
+                ctx, "tc_order", measure.label, params, np.zeros(1), tolerance,
                 details={"note": "no admissible equal-inner pair (soft probe gated out)",
                          "inner_gate": _sig9(gate)},
             )
         outer_b = measure.evaluate(ctx, s, twin, maturity=u)
         return _report(
             ctx, "tc_order", measure.label, params, np.abs(outer_b.values - rho_su.values),
-            tolerance, cap, details={"inner_gate": _sig9(gate)},
+            tolerance, details={"inner_gate": _sig9(gate)},
         )
 
     raise ValueError(f"unknown time-consistency kind {kind!r}")
@@ -757,24 +720,11 @@ def run_taxonomy(
     return reports, failures
 
 
-
 # ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------
 
-CSV_FIELDS = [
-    "property",
-    "construction",
-    "params",
-    "verdict",
-    "tolerance",
-    "max_violation",
-    "violation_fraction",
-    "witness",
-    "seed",
-    "n_paths",
-    "n_steps",
-]
+CSV_FIELDS = [f.name for f in fields(PropertyReport) if f.name != "details"]
 
 
 def reports_to_json_lines(reports: Sequence[PropertyReport]) -> str:
@@ -782,8 +732,6 @@ def reports_to_json_lines(reports: Sequence[PropertyReport]) -> str:
 
 
 def reports_to_csv(reports: Sequence[PropertyReport]) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
     writer.writeheader()

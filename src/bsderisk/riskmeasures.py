@@ -24,7 +24,6 @@ from .bsde import (
     EPS_DOM,
     Driver,
     DriverFamily,
-    SolveOptions,
     NonFiniteError,
     driver_from_label,
     family_from_label,
@@ -72,6 +71,12 @@ def _safe_ln_q(field: RandomField, q: float) -> RandomField:
             f"(min fitted value {float(np.min(vals))}); enlarge the basis or path count"
         )
     return RandomField(field.index, np.asarray(tsallis.ln_q(vals, q)))
+
+
+def _exact(x: float) -> str:
+    """x in %g where that reads back as x, else its exact repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 class RiskMeasure:
@@ -129,7 +134,6 @@ class DriverMeasure(RiskMeasure):
 
     driver: Union[Driver, DriverFamily]
     beta: Optional[float] = None
-    options: SolveOptions = SolveOptions()
     label: str = ""
 
     def __post_init__(self):
@@ -153,7 +157,7 @@ class DriverMeasure(RiskMeasure):
             terminal = -field
         else:
             terminal = RandomField(field.index, _positive_part_of_loss(field.values, self.beta))
-        sol = solve(driver, terminal, maturity, ctx, options=self.options, stop=t_index, aux=aux)
+        sol = solve(driver, terminal, maturity, ctx, stop=t_index, aux=aux)
         return sol.field_at(t_index)
 
 
@@ -197,17 +201,17 @@ class CertaintyEquivalent(RiskMeasure):
         if self.beta is None:
             if self.a is not None:
                 raise ValueError("a translation rate needs the losses transform (set beta)")
-            self.label = "entropic" if self.q == 1.0 else f"qent_closed:{self.q:g}"
+            self.label = "entropic" if self.q == 1.0 else f"qent_closed:{_exact(self.q)}"
         elif self.beta < 0.0:
             raise ValueError(f"acceptable loss level beta must be >= 0, got {self.beta}")
         elif self.a is None:
-            self.label = f"qent:{self.q:g},{self.beta:g}"
+            self.label = f"qent:{_exact(self.q)},{_exact(self.beta)}"
         elif callable(self.a):
-            self.label = f"qent_tr:{self.q:g},{self.beta:g},a(t)"
+            self.label = f"qent_tr:{_exact(self.q)},{_exact(self.beta)},a(t)"
         elif self.a < 0.0:
             raise ValueError(f"translation rate must be >= 0, got {self.a}")
         else:
-            self.label = f"qent_tr:{self.q:g},{self.beta:g},{self.a:g}"
+            self.label = f"qent_tr:{_exact(self.q)},{_exact(self.beta)},{_exact(self.a)}"
         self.is_cash_additive = self.beta is None and self.q == 1.0
 
     def _rate(self, t: float) -> float:
@@ -248,7 +252,7 @@ class DiscountedMeasure(RiskMeasure):
         if not self.base.is_cash_additive:
             raise ValueError(f"discounted wrapper requires a cash-additive base, got {self.base.label}")
         rates = np.asarray(self.curve.rates)
-        tag = f"{rates[0]:g}" if np.all(rates == rates[0]) else "curve"
+        tag = _exact(float(rates[0])) if np.all(rates == rates[0]) else "curve"
         self.label = f"discounted:{self.base.label},{tag}"
         self.is_cash_additive = False
 
@@ -256,12 +260,6 @@ class DiscountedMeasure(RiskMeasure):
         d = self.curve.factor(t_index, maturity)
         scaled = RandomField(field.index, d * field.values)
         return self.base._evaluate(ctx, t_index, scaled, maturity, aux)
-
-
-def _exact(x: float) -> str:
-    """x in %g where that reads back as x, else its exact repr."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(x)
 
 
 def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:

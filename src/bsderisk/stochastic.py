@@ -138,27 +138,6 @@ class RandomField:
     def stderr(self) -> float:
         return float(np.std(self.values) / np.sqrt(self.n_paths))
 
-    def _combine(self, other, op):
-        if isinstance(other, RandomField):
-            return RandomField(max(self.index, other.index), op(self.values, other.values))
-        return RandomField(self.index, op(self.values, float(other)))
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: np.subtract(b, a))
-
-    def __mul__(self, other):
-        return self._combine(other, np.multiply)
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return RandomField(self.index, -self.values)
 
@@ -287,10 +266,6 @@ class DiscountCurve:
         if i > j:
             raise ValueError(f"discount factor needs i <= j, got ({i}, {j})")
         return float(np.exp(-(self._cum[j] - self._cum[i])))
-
-    def rate_at(self, i: int) -> float:
-        """Short rate on [t_i, t_{i+1})."""
-        return float(self.rates[min(i, self.grid.n_steps - 1)])
 
 
 class _Projector:
@@ -521,18 +496,18 @@ def path_block(ensemble: PathEnsemble, start: int, stop: int) -> PathEnsemble:
     )
 
 
-def block_stderr(ctx: LsmcContext, estimate, n_blocks: int = 8) -> float:
+def block_stderr(ctx: LsmcContext, estimate) -> float:
     """Monte Carlo standard error of a scalar estimator by block splitting.
 
     `estimate(sub, rows)` maps a context on one block of paths, and the
     slice of the parent's path rows it holds, to a float; rows lets a caller
-    cut its own per-path arrays to the block.  It is re-run on n_blocks
-    contiguous sub-ensembles and the spread of the block estimates scales
-    down to the full-sample error.  Deterministic: the partition ignores the
-    worker count.  The block contexts share ctx's factor cache, so repeated
+    cut its own per-path arrays to the block.  It is re-run on 8 contiguous
+    sub-ensembles and the spread of the block estimates scales down to the
+    full-sample error.  Deterministic: the partition ignores the worker
+    count.  The block contexts share ctx's factor cache, so repeated
     calls on one parent factorise each block's normal systems once.
     """
-    n = ctx.ensemble.n_paths
+    n, n_blocks = ctx.ensemble.n_paths, 8
     edges = np.linspace(0, n, n_blocks + 1, dtype=int)
     vals = []
     for k in range(n_blocks):

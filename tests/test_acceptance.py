@@ -58,13 +58,7 @@ def test_criterion_1_entropic_cross_validation():
 
 def test_criterion_2_q_entropic_cross_validation(ctx50, b1):
     loss = np.maximum(-(b1 + 0.5), 0.0)
-    sol = solve(
-        driver_from_label("q_entropic:0.5"),
-        RandomField(50, loss),
-        50,
-        ctx50,
-        options=br.SolveOptions(z_clip=10.0),
-    )
+    sol = solve(driver_from_label("q_entropic:0.5"), RandomField(50, loss), 50, ctx50)
     closed = measure_from_label("qent:0.5,0.5", ctx50.grid).evaluate(
         ctx50, 0, claim_from_label("brownian", 50)
     )

@@ -8,7 +8,6 @@ from bsderisk import (
     NonFiniteError,
     RandomField,
     RegressionBasis,
-    SolveOptions,
     TimeGrid,
     check_increasing,
     default_registry_labels,
@@ -18,6 +17,7 @@ from bsderisk import (
     simulate,
     solve,
 )
+from bsderisk import bsde
 
 from conftest import stderr
 
@@ -105,9 +105,8 @@ class TestQuadraticDriver:
         b = ctx20.ensemble.values[:, 20, 0]
         term = RandomField(20, b)
         base = solve(driver_from_label("quad_z"), term, 20, ctx20).field_at(0).mean()
-        tight = solve(
-            driver_from_label("quad_z"), term, 20, ctx20, options=SolveOptions(z_clip=0.1)
-        ).field_at(0).mean()
+        monkeypatch.setattr(bsde, "Z_CLIP", 0.1)
+        tight = solve(driver_from_label("quad_z"), term, 20, ctx20).field_at(0).mean()
         assert abs(base - 0.5) < abs(tight - 0.5)
 
     def test_non_finite_aborts(self, ctx20):

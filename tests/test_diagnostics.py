@@ -34,7 +34,9 @@ from bsderisk import (
 )
 from bsderisk import cli, riskmeasures, stochastic
 from bsderisk.diagnostics import (
+    FRACTION_CAP,
     check_nonpositive_at_zero,
+    noise_sigma,
     reports_to_csv,
     reports_to_json_lines,
 )
@@ -199,6 +201,46 @@ class TestNormalizationChecks:
         assert check_nonpositive_at_zero(ctx20, good, [(0, 20)]).verdict
         bad = measure_from_label("qent_tr:0.5,0,0.2", ctx20.grid)
         assert not check_nonpositive_at_zero(ctx20, bad, [(0, 20)]).verdict
+
+
+class _OnePathBump(riskmeasures.RiskMeasure):
+    """The mean measure plus bump * (1 + mean of X) on path 0 alone."""
+
+    label = "one_path_bump"
+
+    def __init__(self, bump):
+        self.bump = bump
+
+    def _evaluate(self, ctx, t_index, field, maturity, aux):
+        rho = ctx.cond_expect(-field, t_index, aux=aux).values.copy()
+        rho[0] += self.bump * (1.0 + np.mean(field.values))
+        return RandomField(t_index, rho)
+
+
+class TestVerdictPolicy:
+    """The tolerances and caps are fixed behaviour, not arguments."""
+
+    def test_exact_check_tolerances(self, ctx20):
+        m = measure_from_label("driver:quad_z", ctx20.grid)
+        claim = claim_from_label("brownian", 20)
+        assert check_cash_additivity(ctx20, m, claim, 10, 20).tolerance == 1e-8
+        assert check_normalization(ctx20, m, [(0, 10), (10, 20)]).tolerance == 1e-10
+        assert check_nonpositive_at_zero(ctx20, m, [(0, 10), (10, 20)]).tolerance == 1e-10
+
+    def test_exact_checks_allow_no_violating_path(self, ctx20):
+        # one path of 10k off by 1e-7: within a Monte Carlo cap, but exact checks have cap 0
+        m = _OnePathBump(1e-7)
+        rep = check_cash_additivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
+        assert 1e-8 < rep.max_violation and 0.0 < rep.violation_fraction <= FRACTION_CAP
+        assert not rep.verdict
+        assert not check_normalization(ctx20, _OnePathBump(2e-10), [(0, 20)]).verdict
+        assert check_normalization(ctx20, _OnePathBump(0.5e-10), [(0, 20)]).verdict
+
+    def test_monte_carlo_tolerance_is_four_probe_scales(self, ctx20):
+        m = measure_from_label("driver:csa_example", ctx20.grid)
+        claim = claim_from_label("brownian", 20)
+        rep = check_cash_subadditivity(ctx20, m, claim, 10, 20)
+        assert rep.tolerance == 4 * noise_sigma(ctx20, m, claim, 10, 20)
 
 
 class TestRestrictionCheck:

@@ -241,6 +241,10 @@ class TestConstructionStrings:
             "family_losses:translated_family:0.5,0.1",
             "discounted:mean,0.1",
             "discounted:entropic,0.05",
+            "qent:0.5,0.30000001",
+            "qent_tr:0.5,0,0.10000001",
+            "qent_closed:0.1234567",
+            "discounted:mean,0.10000001",
         ],
     )
     def test_round_trip(self, label):
