@@ -1,7 +1,7 @@
 """Monte Carlo engine and verification harness for dynamic risk measures
 driven by backward stochastic differential equations."""
 
-from .tsallis import DomainError, QIndex, exp_q, ln_q
+from .tsallis import DomainError, exp_q, ln_q
 from .stochastic import (
     Claim,
     DiscountCurve,
@@ -24,6 +24,7 @@ from .bsde import (
     default_registry_labels,
     driver_from_label,
     family_from_label,
+    q_entropic,
     shifted,
     solve,
 )

@@ -30,7 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .stochastic import LsmcContext, RandomField, label_floats
+from . import tsallis
+from .stochastic import LsmcContext, RandomField, label_floats, label_number
 
 __all__ = [
     "Driver",
@@ -43,14 +44,12 @@ __all__ = [
     "driver_from_label",
     "family_from_label",
     "shifted",
+    "q_entropic",
     "default_registry_labels",
-    "EPS_DOM",
     "PICARD_ITERS",
     "Z_CLIP",
 ]
 
-# Domain-guard margin for the quadratic generator: 1 + (1-q) y >= EPS_DOM.
-EPS_DOM = 1e-3
 # Fixed-point passes on the y-argument of a y-dependent driver.
 PICARD_ITERS = 3
 # Componentwise |Z| bound before the driver is evaluated.
@@ -122,7 +121,7 @@ def shifted(driver: Driver, a: float, label: Optional[str] = None) -> Driver:
     """Driver with a constant added to the generator."""
     return Driver(
         fn=lambda t, y, z: driver.fn(t, y, z) + a,
-        label=label or f"{driver.label}+{a:g}",
+        label=label or f"{driver.label}+{label_number(a)}",
         depends_on_y=driver.depends_on_y,
         domain_guard=driver.domain_guard,
         nonneg_at_z0=driver.nonneg_at_z0 and a >= 0.0,
@@ -270,21 +269,25 @@ def check_increasing(
 # Driver registry
 # ---------------------------------------------------------------------------
 
-def _q_entropic_fn(q: float):
-    omq = 1.0 - q
+def q_entropic(label: str, q: float, a: float = 0.0) -> Driver:
+    """The q-entropic generator g = q|z|^2 / (2(1 + (1-q)y)), plus a constant a.
 
-    def fn(t, y, z):
-        denom = 1.0 + omq * y
-        return 0.5 * q * np.sum(z * z, axis=1) / denom
-
-    return fn
-
-
-def _q_entropic_guard(q: float):
-    omq = 1.0 - q
-    if abs(omq) < 1e-12:
-        return None
-    return lambda y: 1.0 + omq * y >= EPS_DOM
+    q must lie in (0,1] (the error names label).  Away from the classical
+    limit g depends on y and is guarded on tsallis.in_domain; at it, g is
+    q|z|^2/2, y-free and unguarded.
+    """
+    tsallis.check_q(label, q)
+    classical = tsallis.is_classical(q)
+    omq = 0.0 if classical else 1.0 - q
+    drv = Driver(
+        lambda t, y, z: 0.5 * q * np.sum(z * z, axis=1) / (1.0 + omq * y),
+        label,
+        depends_on_y=not classical,
+        domain_guard=None if classical else (lambda y: tsallis.in_domain(y, q)),
+        nonneg_at_z0=True,
+        zero_at_z0=True,
+    )
+    return shifted(drv, a, label) if a else drv
 
 
 def driver_from_label(label: str) -> Driver:
@@ -324,26 +327,9 @@ def driver_from_label(label: str) -> Driver:
             zero_at_z0=(shift == 0.0 and r == 0.0),
         )
     if name == "q_entropic":
-        (q,) = label_floats(label, arg, 1)
-        return Driver(
-            _q_entropic_fn(q),
-            label,
-            depends_on_y=abs(1.0 - q) > 1e-12,
-            domain_guard=_q_entropic_guard(q),
-            nonneg_at_z0=True,
-            zero_at_z0=True,
-        )
+        return q_entropic(label, *label_floats(label, arg, 1))
     if name == "q_entropic_translated":
-        q, a = label_floats(label, arg, 2)
-        base = _q_entropic_fn(q)
-        return Driver(
-            lambda t, y, z: base(t, y, z) + a,
-            label,
-            depends_on_y=abs(1.0 - q) > 1e-12,
-            domain_guard=_q_entropic_guard(q),
-            nonneg_at_z0=a >= 0.0,
-            zero_at_z0=a == 0.0,
-        )
+        return q_entropic(label, *label_floats(label, arg, 2))
     raise KeyError(f"unknown driver label {label!r}")
 
 
@@ -352,20 +338,10 @@ def family_from_label(label: str) -> DriverFamily:
     name, _, arg = label.partition(":")
     if name == "translated_family":
         q, alpha = label_floats(label, arg, 2)
-
-        def member(u_time: float, q=q, alpha=alpha) -> Driver:
-            base = _q_entropic_fn(q)
-            a_u = alpha * u_time
-            return Driver(
-                lambda t, y, z: base(t, y, z) + a_u,
-                f"translated_family:{q:g},{alpha:g}@u={u_time:g}",
-                depends_on_y=abs(1.0 - q) > 1e-12,
-                domain_guard=_q_entropic_guard(q),
-                nonneg_at_z0=alpha >= 0.0,
-                zero_at_z0=alpha == 0.0,
-            )
-
-        return DriverFamily(member, label)
+        tsallis.check_q(label, q)
+        return DriverFamily(
+            lambda u_time: q_entropic(f"{label}@u={label_number(u_time)}", q, alpha * u_time), label
+        )
     raise KeyError(f"unknown family label {label!r}")
 
 

@@ -46,10 +46,10 @@ from .stochastic import (
     LsmcContext,
     RegressionBasis,
     TimeGrid,
-    block_stderr,
     claim_from_label,
     ensemble_to_csv,
     ensemble_to_npz,
+    estimate_stderr,
     simulate,
 )
 
@@ -169,16 +169,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**values)
 
 
-def _estimate_stderr(ctx, measure, claim, t, u, rho) -> float:
-    """MC error of the reported estimate: the cross-sectional spread at
-    interior nodes, a block-split error at the root (constant field)."""
-    if t > 0:
-        return rho.stderr()
-    return block_stderr(
-        ctx, lambda sub, rows: measure.evaluate(sub, t, claim, maturity=u).mean()
-    )
-
-
 def _sweep_row(axis, value, measure, claim, t, u, v, estimate, stderr, cfg) -> str:
     """One CSV row; fields with commas (measure labels) are quoted."""
     cells = [
@@ -215,7 +205,8 @@ def run_evaluate(cfg: RunConfig) -> tuple[str, str, Optional[str]]:
     measure = measure_from_label(cfg.measure, ctx.grid)
     claim = claim_from_label(cfg.claim, u)
     rho = measure.evaluate(ctx, t, claim, maturity=u)
-    est, se = rho.mean(), _estimate_stderr(ctx, measure, claim, t, u, rho)
+    est = rho.mean()
+    se = estimate_stderr(ctx, rho, lambda sub, rows: measure.evaluate(sub, t, claim, maturity=u).mean())
     lines = [
         f"measure={cfg.measure} claim={cfg.claim} t={_fmt(cfg.t)} u={_fmt(cfg.u)}",
         f"estimate = {_fmt(est)} +- {_fmt(se)} (seed={cfg.seed} paths={cfg.n_paths} steps={cfg.n_steps})",
@@ -258,7 +249,10 @@ def run_sweep(cfg: RunConfig) -> str:
         claim = claim_from_label(cfg.claim, u)
         if cfg.metric == "value":
             rho = measure.evaluate(ctx, t, claim, maturity=u)
-            est, se = rho.mean(), _estimate_stderr(ctx, measure, claim, t, u, rho)
+            est = rho.mean()
+            se = estimate_stderr(
+                ctx, rho, lambda sub, rows: measure.evaluate(sub, t, claim, maturity=u).mean()
+            )
         elif cfg.metric == "weak_ratio":
             rep = check_time_consistency(ctx, measure, "weak", claim, s, t, u)
             est, se = rep.details.get("ratio") or float("nan"), 0.0

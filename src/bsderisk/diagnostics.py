@@ -33,7 +33,7 @@ import numpy as np
 
 from .bsde import Driver, solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
-from .stochastic import LsmcContext, RandomField, block_stderr, claim_from_label
+from .stochastic import LsmcContext, RandomField, claim_from_label, estimate_stderr
 
 __all__ = [
     "PropertyReport",
@@ -185,7 +185,6 @@ def gamma(
     t: int,
     u: int,
     v: int,
-    aux: Optional[np.ndarray] = None,
 ) -> LongevityResult:
     """Correction term rho_{tv}(X) - rho_{tu}(X) for an F_u-measurable claim.
 
@@ -196,21 +195,17 @@ def gamma(
     field = _terminal(ctx, claim)
     if not (t <= field.index <= u <= v <= ctx.grid.n_steps):
         raise ValueError(f"need t <= claim index <= u <= v, got ({t}, {field.index}, {u}, {v})")
-    rho_u = measure.evaluate(ctx, t, field, maturity=u, aux=aux)
-    rho_v = measure.evaluate(ctx, t, field, maturity=v, aux=aux)
+    rho_u = measure.evaluate(ctx, t, field, maturity=u)
+    rho_v = measure.evaluate(ctx, t, field, maturity=v)
     g = RandomField(t, rho_v.values - rho_u.values)
-    if t == 0:
-        # the root-node field is constant; block-split for the estimator error
-        def block_gamma(sub, rows):
-            sub_field = RandomField(field.index, field.values[rows])
-            sub_aux = aux[rows] if aux is not None else None
-            du = measure.evaluate(sub, t, sub_field, maturity=u, aux=sub_aux)
-            dv = measure.evaluate(sub, t, sub_field, maturity=v, aux=sub_aux)
-            return np.mean(dv.values - du.values)
 
-        se = block_stderr(ctx, block_gamma)
-    else:
-        se = g.stderr()
+    def block_gamma(sub, rows):
+        sub_field = RandomField(field.index, field.values[rows])
+        du = measure.evaluate(sub, t, sub_field, maturity=u)
+        dv = measure.evaluate(sub, t, sub_field, maturity=v)
+        return np.mean(dv.values - du.values)
+
+    se = estimate_stderr(ctx, g, block_gamma)
     return LongevityResult(gamma=g, gamma_mean=g.mean(), gamma_stderr=se)
 
 

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import tsallis
 from .bsde import (
-    EPS_DOM,
     Driver,
     DriverFamily,
     NonFiniteError,
     driver_from_label,
     family_from_label,
+    q_entropic,
     solve,
 )
 from .stochastic import (
@@ -37,6 +37,7 @@ from .stochastic import (
     TimeGrid,
     digest,
     label_floats,
+    label_number,
 )
 from .tsallis import DomainError
 
@@ -64,19 +65,13 @@ def _positive_part_of_loss(values: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _safe_ln_q(field: RandomField, q: float) -> RandomField:
-    vals = field.values
-    if np.any(vals <= 0.0) and (q >= 1.0 or np.any(vals < 0.0)):
+    try:
+        return RandomField(field.index, np.asarray(tsallis.ln_q(field.values, q)))
+    except DomainError as exc:
         raise NonFiniteError(
-            "conditional expectation left the deformed-log domain "
-            f"(min fitted value {float(np.min(vals))}); enlarge the basis or path count"
-        )
-    return RandomField(field.index, np.asarray(tsallis.ln_q(vals, q)))
-
-
-def _exact(x: float) -> str:
-    """x in %g where that reads back as x, else its exact repr."""
-    short = f"{x:g}"
-    return short if float(short) == x else repr(x)
+            f"conditional expectation left the deformed-log domain ({exc}); "
+            "enlarge the basis or path count"
+        ) from exc
 
 
 class RiskMeasure:
@@ -178,7 +173,7 @@ class CertaintyEquivalent(RiskMeasure):
     The terminal transform T is chosen by beta:
 
     - beta None: T(X) = -X.  q = 1 is the classical entropic measure, the
-      only cash-additive member; q in (0,1) requires -X >= 1/(q-1) + eps
+      only cash-additive member; q in (0,1) requires tsallis.in_domain(-X, q)
       pathwise and raises DomainError otherwise, which is the reason the
       losses transform exists.
     - beta >= 0: T(X) = (X+beta)^- + integral_t^u a(s) ds, defined for every
@@ -187,32 +182,31 @@ class CertaintyEquivalent(RiskMeasure):
       makes longer horizons carry a nonnegative premium through the
       integral bound.
 
-    q = 1 takes the classical exp/log branch of the deformed pair.
+    q must lie in (0,1]; q within tsallis.Q_ONE_TOL of 1 takes the classical
+    exp/log branch of the deformed pair.
     """
 
     q: float
     beta: Optional[float] = None
     a: Optional[Union[float, Callable[[float], float]]] = None
-    eps: float = EPS_DOM
 
     def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must lie in (0,1], got {self.q}")
         if self.beta is None:
             if self.a is not None:
                 raise ValueError("a translation rate needs the losses transform (set beta)")
-            self.label = "entropic" if self.q == 1.0 else f"qent_closed:{_exact(self.q)}"
+            self.label = "entropic" if self.q == 1.0 else f"qent_closed:{label_number(self.q)}"
         elif self.beta < 0.0:
             raise ValueError(f"acceptable loss level beta must be >= 0, got {self.beta}")
         elif self.a is None:
-            self.label = f"qent:{_exact(self.q)},{_exact(self.beta)}"
+            self.label = f"qent:{label_number(self.q)},{label_number(self.beta)}"
         elif callable(self.a):
-            self.label = f"qent_tr:{_exact(self.q)},{_exact(self.beta)},a(t)"
+            self.label = f"qent_tr:{label_number(self.q)},{label_number(self.beta)},a(t)"
         elif self.a < 0.0:
             raise ValueError(f"translation rate must be >= 0, got {self.a}")
         else:
-            self.label = f"qent_tr:{_exact(self.q)},{_exact(self.beta)},{_exact(self.a)}"
-        self.is_cash_additive = self.beta is None and self.q == 1.0
+            self.label = f"qent_tr:{label_number(self.q)},{label_number(self.beta)},{label_number(self.a)}"
+        tsallis.check_q(self.label, self.q)
+        self.is_cash_additive = self.beta is None and tsallis.is_classical(self.q)
 
     def _rate(self, t: float) -> float:
         r = self.a(t) if callable(self.a) else float(self.a)
@@ -223,10 +217,10 @@ class CertaintyEquivalent(RiskMeasure):
     def _evaluate(self, ctx, t_index, field, maturity, aux):
         if self.beta is None:
             arg = -field.values
-            if self.q < 1.0:  # exp_q's domain; at q = 1 there is none and 1/(q-1) is undefined
-                bound = 1.0 / (self.q - 1.0) + self.eps
-                if np.any(arg < bound):
-                    raise DomainError("exp_q", float(np.min(arg)), self.q, f"-X >= {bound}")
+            if not tsallis.is_classical(self.q) and not np.all(tsallis.in_domain(arg, self.q)):
+                raise DomainError(
+                    "exp_q", float(np.min(arg)), self.q, f"1 + (1-q)(-X) >= {tsallis.EPS_DOM}"
+                )
         else:
             arg = _positive_part_of_loss(field.values, self.beta)
             if self.a is not None:
@@ -252,7 +246,7 @@ class DiscountedMeasure(RiskMeasure):
         if not self.base.is_cash_additive:
             raise ValueError(f"discounted wrapper requires a cash-additive base, got {self.base.label}")
         rates = np.asarray(self.curve.rates)
-        tag = _exact(float(rates[0])) if np.all(rates == rates[0]) else "curve"
+        tag = label_number(float(rates[0])) if np.all(rates == rates[0]) else "curve"
         self.label = f"discounted:{self.base.label},{tag}"
         self.is_cash_additive = False
 
@@ -285,11 +279,9 @@ def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
         return CertaintyEquivalent(q)
     if name == "qent_bsde":
         q, beta = label_floats(label, arg, 2)
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"{label!r}: q must lie in (0,1], got {q}")
-        return DriverMeasure(
-            driver_from_label(f"q_entropic:{_exact(q)}"), beta, label=f"qent_bsde:{_exact(q)},{_exact(beta)}"
-        )
+        q_s = label_number(tsallis.check_q(label, q))
+        label = f"qent_bsde:{q_s},{label_number(beta)}"
+        return DriverMeasure(q_entropic(f"q_entropic:{q_s}", q), beta, label=label)
     if name == "driver":
         return DriverMeasure(driver_from_label(arg))
     if name == "family":

@@ -34,6 +34,7 @@ __all__ = [
     "simulate",
     "claim_from_label",
     "label_floats",
+    "label_number",
     "ensemble_to_csv",
     "ensemble_from_csv",
     "ensemble_to_npz",
@@ -177,6 +178,13 @@ def label_floats(label: str, arg: str, n: int) -> list[float]:
     if len(values) != n:
         raise ValueError(f"malformed label {label!r}: expected {n} comma-separated number(s)")
     return values
+
+
+def label_number(x: float) -> str:
+    """x as a label writes it: %g where that reads back as x, else its exact
+    repr, so that label_floats recovers x and distinct numbers stay distinct."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
 
 
 def claim_from_label(label: str, maturity: int) -> Claim:
@@ -387,7 +395,7 @@ class LsmcContext:
     ensemble: PathEnsemble
     basis: RegressionBasis = field(default_factory=RegressionBasis)
     workers: int = 1
-    fallback_count: int = 0
+    fallback_count: int = field(default=0, init=False)
     rows: tuple = field(init=False, compare=False)
     _reuse: _Reuse = field(default_factory=_Reuse, init=False, repr=False, compare=False)
 
@@ -514,6 +522,16 @@ def block_stderr(ctx: LsmcContext, estimate) -> float:
         rows = slice(edges[k], edges[k + 1])
         vals.append(float(estimate(ctx.block(rows.start, rows.stop), rows)))
     return float(np.std(vals) / np.sqrt(n_blocks))
+
+
+def estimate_stderr(ctx: LsmcContext, field: RandomField, estimate) -> float:
+    """Monte Carlo standard error of field.mean(): the cross-sectional one at
+    an interior node, block_stderr(ctx, estimate) at the root, where the
+    field is constant and estimate(sub, rows) recomputes the mean on a block.
+    """
+    if field.index > 0:
+        return field.stderr()
+    return block_stderr(ctx, estimate)
 
 
 # ---------------------------------------------------------------------------

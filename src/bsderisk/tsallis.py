@@ -6,19 +6,24 @@ For deformation index q != 1,
 
 and the classical exp/ln are recovered as q -> 1.  Both maps are strictly
 increasing on their domains and mutually inverse where defined.
+
+The q-entropic risk measure on losses is built from this pair and from the
+generator q|z|^2 / (2(1 + (1-q)y)); its rules live here once: q ranges over
+(0,1] (`check_q`), q within Q_ONE_TOL of 1 is classical (`is_classical`), and
+a value x is admissible when 1 + (1-q)x >= EPS_DOM (`in_domain`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["QIndex", "DomainError", "exp_q", "ln_q"]
+__all__ = ["DomainError", "exp_q", "ln_q", "is_classical", "check_q", "in_domain", "Q_ONE_TOL", "EPS_DOM"]
 
 # Below this distance from q = 1 the classical branch is used; the deformed
 # formula cancels catastrophically as 1-q -> 0.
-_Q_ONE_TOL = 1e-8
+Q_ONE_TOL = 1e-8
+# Margin of the q-entropic domain: x is admissible when 1 + (1-q) x >= EPS_DOM.
+EPS_DOM = 1e-3
 
 
 class DomainError(ValueError):
@@ -32,25 +37,29 @@ class DomainError(ValueError):
         super().__init__(f"{func}: x={x!r} outside domain for q={q} (requires {bound})")
 
 
-@dataclass(frozen=True)
-class QIndex:
-    """Deformation index q > 0 with its coefficient 1-q kept consistent."""
-
-    q: float
-    one_minus_q: float = field(init=False)
-
-    def __post_init__(self):
-        if not (self.q > 0.0 and np.isfinite(self.q)):
-            raise ValueError(f"q must be a positive finite real, got {self.q}")
-        object.__setattr__(self, "one_minus_q", 1.0 - self.q)
-
-    @property
-    def is_classical(self) -> bool:
-        return abs(self.one_minus_q) < _Q_ONE_TOL
+def is_classical(q: float) -> bool:
+    """Whether q is close enough to 1 to take the classical exp/ln branch."""
+    return abs(1.0 - q) < Q_ONE_TOL
 
 
-def _as_qindex(q) -> QIndex:
-    return q if isinstance(q, QIndex) else QIndex(float(q))
+def check_q(label: str, q: float) -> float:
+    """q of a q-entropic construction, which must lie in (0,1]; the error
+    names the label."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"{label!r}: q must lie in (0,1], got {q}")
+    return q
+
+
+def in_domain(x, q: float):
+    """1 + (1-q) x >= EPS_DOM, elementwise: the q-entropic domain with margin."""
+    return 1.0 + (1.0 - q) * x >= EPS_DOM
+
+
+def _positive(q) -> float:
+    q = float(q)
+    if not (q > 0.0 and np.isfinite(q)):
+        raise ValueError(f"q must be a positive finite real, got {q}")
+    return q
 
 
 def exp_q(x, q):
@@ -59,23 +68,20 @@ def exp_q(x, q):
     Domain: for q in (0,1) requires x >= 1/(q-1) (boundary included, value 0);
     for q > 1 requires x < 1/(q-1); any x for q = 1.
     """
-    qi = _as_qindex(q)
+    q = _positive(q)
     x = np.asarray(x, dtype=float)
-    if qi.is_classical:
+    if is_classical(q):
         out = np.exp(x)
         return out if out.ndim else float(out)
-    omq = qi.one_minus_q
+    omq = 1.0 - q
     base = 1.0 + omq * x
-    if qi.q < 1.0:
-        bad = base < 0.0
-        if np.any(bad):
+    if q < 1.0:
+        if np.any(base < 0.0):
             xb = float(np.min(x)) if x.ndim else float(x)
-            raise DomainError("exp_q", xb, qi.q, f"x >= {1.0 / (qi.q - 1.0)}")
-    else:
-        bad = base <= 0.0
-        if np.any(bad):
-            xb = float(np.max(x)) if x.ndim else float(x)
-            raise DomainError("exp_q", xb, qi.q, f"x < {1.0 / (qi.q - 1.0)}")
+            raise DomainError("exp_q", xb, q, f"x >= {1.0 / (q - 1.0)}")
+    elif np.any(base <= 0.0):
+        xb = float(np.max(x)) if x.ndim else float(x)
+        raise DomainError("exp_q", xb, q, f"x < {1.0 / (q - 1.0)}")
     out = base ** (1.0 / omq)
     return out if out.ndim else float(out)
 
@@ -83,21 +89,19 @@ def exp_q(x, q):
 def ln_q(x, q):
     """Deformed logarithm, inverse of exp_q on the shared domain.
 
-    Domain: x >= 0 for q in (0,1); x > 0 for q >= 1.
+    Domain: x >= 0 for q in (0,1); x > 0 for q >= 1 and in the classical branch.
     """
-    qi = _as_qindex(q)
+    q = _positive(q)
     x = np.asarray(x, dtype=float)
-    if qi.is_classical:
+    classical = is_classical(q)
+    if classical or q > 1.0:
         if np.any(x <= 0.0):
-            raise DomainError("ln_q", float(np.min(x)), qi.q, "x > 0")
+            raise DomainError("ln_q", float(np.min(x)), q, "x > 0")
+    elif np.any(x < 0.0):
+        raise DomainError("ln_q", float(np.min(x)), q, "x >= 0")
+    if classical:
         out = np.log(x)
-        return out if out.ndim else float(out)
-    if qi.q < 1.0:
-        if np.any(x < 0.0):
-            raise DomainError("ln_q", float(np.min(x)), qi.q, "x >= 0")
     else:
-        if np.any(x <= 0.0):
-            raise DomainError("ln_q", float(np.min(x)), qi.q, "x > 0")
-    omq = qi.one_minus_q
-    out = (x**omq - 1.0) / omq
+        omq = 1.0 - q
+        out = (x**omq - 1.0) / omq
     return out if out.ndim else float(out)

@@ -202,6 +202,20 @@ class TestRegistry:
         assert drv(0.0, np.zeros(2), np.zeros((2, 1)))[0] == pytest.approx(0.1)
         assert drv.nonneg_at_z0 and not drv.zero_at_z0
 
+    def test_labels_tell_numbers_apart(self):
+        zero = driver_from_label("zero")
+        assert [shifted(zero, a).label for a in (0.1, 0.10000001)] == ["zero+0.1", "zero+0.10000001"]
+        # the verify bundle's gamma_cross construction keeps its bytes
+        assert shifted(driver_from_label("csa_example"), 0.1).label == "csa_example+0.1"
+        members = [
+            family_from_label(label).at(0.3).label
+            for label in ("translated_family:0.1234567,0.10000001", "translated_family:0.123457,0.1")
+        ]
+        assert members == [
+            "translated_family:0.1234567,0.10000001@u=0.3",
+            "translated_family:0.123457,0.1@u=0.3",
+        ]
+
     def test_flag_verification_catches_lies(self):
         liar = Driver(lambda t, y, z: np.ones(y.shape), "liar", zero_at_z0=True)
         with pytest.raises(AssertionError):

@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion against the source tree."""
+"""Every script under demos/, and README's library tour, runs to completion
+against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +13,20 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(script):
+def _run(args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(script):
+    _run([str(script)])
+
+
+def test_readme_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks, "README has no python block"
+    _run(["-c", "\n".join(blocks)])

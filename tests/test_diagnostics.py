@@ -76,21 +76,18 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(ctx50, m, claim_from_label("brownian", 25), 0, 20, 50)
 
-    @pytest.mark.parametrize("with_aux", [False, True])
-    def test_root_stderr_is_eight_block_split(self, ctx50, with_aux):
+    def test_root_stderr_is_eight_block_split(self, ctx50):
         m = measure_from_label("qent_tr:0.5,0,0.2", ctx50.grid)
         claim = claim_from_label("brownian", 25)
-        aux = ctx50.ensemble.values[:, 25, 0] if with_aux else None
-        res = gamma(ctx50, m, claim, 0, 25, 50, aux=aux)
+        res = gamma(ctx50, m, claim, 0, 25, 50)
         x = claim.evaluate(ctx50.ensemble).values
         edges = np.linspace(0, x.size, 9, dtype=int)
         means = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             sub = LsmcContext(ctx50.grid, path_block(ctx50.ensemble, lo, hi), ctx50.basis)
             block = RandomField(25, x[lo:hi])
-            a = aux[lo:hi] if with_aux else None
-            du = m.evaluate(sub, 0, block, maturity=25, aux=a)
-            dv = m.evaluate(sub, 0, block, maturity=50, aux=a)
+            du = m.evaluate(sub, 0, block, maturity=25)
+            dv = m.evaluate(sub, 0, block, maturity=50)
             means.append(float(np.mean(dv.values - du.values)))
         assert res.gamma_stderr > 0.0
         assert res.gamma_stderr == float(np.std(means) / np.sqrt(8))

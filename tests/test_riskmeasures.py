@@ -9,14 +9,19 @@ from bsderisk import (
     Claim,
     DiscountCurve,
     DiscountedMeasure,
+    DomainGuardViolation,
     DriverMeasure,
+    LsmcContext,
     MeanMeasure,
     RandomField,
+    RegressionBasis,
     TimeGrid,
     claim_from_label,
     driver_from_label,
     family_from_label,
     measure_from_label,
+    simulate,
+    tsallis,
 )
 from bsderisk.tsallis import DomainError
 
@@ -82,10 +87,28 @@ class TestQEntropicClosed:
         rho = CertaintyEquivalent(0.5).evaluate(ctx50, 0, claim_from_label("const:1.5", 50))
         assert rho.mean() == pytest.approx(-1.5, abs=1e-12)
 
-    def test_boundary_constant(self, ctx50):
+    def test_boundary_constant(self, ctx50, monkeypatch):
         # with the margin disabled the domain boundary itself is admissible
-        rho = CertaintyEquivalent(0.5, eps=0.0).evaluate(ctx50, 0, claim_from_label("const:2", 50))
+        monkeypatch.setattr(tsallis, "EPS_DOM", 0.0)
+        rho = CertaintyEquivalent(0.5).evaluate(ctx50, 0, claim_from_label("const:2", 50))
         assert rho.mean() == pytest.approx(-2.0, abs=1e-12)
+
+    def test_domain_margin_matches_the_driver_guard(self):
+        # both routes admit -X exactly where 1 + (1-q)(-X) >= EPS_DOM
+        grid = TimeGrid(1.0, 10)
+        ctx = LsmcContext(grid, simulate(grid, 1, 2000, seed=5), RegressionBasis(2))
+        closed = measure_from_label("qent_closed:0.5", grid)
+        backward = measure_from_label("driver:q_entropic:0.5", grid)
+        outside = claim_from_label("const:1.9985", 10)  # 1 + 0.5 * -1.9985 = 0.00075
+        with pytest.raises(DomainError):
+            closed.evaluate(ctx, 0, outside)
+        with pytest.raises(DomainGuardViolation):
+            backward.evaluate(ctx, 0, outside)
+        inside = claim_from_label("const:1.99", 10)
+        a = closed.evaluate(ctx, 0, inside).mean()
+        b = backward.evaluate(ctx, 0, inside).mean()
+        assert a == pytest.approx(-1.99, abs=1e-12)
+        assert b == pytest.approx(a, abs=1e-12)
 
     def test_near_one_matches_entropic(self, ctx50, b1):
         clipped = Claim(50, lambda p: np.clip(p[:, -1, 0], -0.9, 3.0), "clipped")
@@ -305,7 +328,11 @@ class TestConstructionStrings:
             ("claim", "const:x"),
             ("driver", "linear_y"),
             ("driver", "q_entropic_translated:0.5"),
+            ("driver", "q_entropic:-2"),
+            ("driver", "q_entropic:1.5"),
+            ("driver", "q_entropic_translated:0,0.1"),
             ("family", "translated_family:0.5,a"),
+            ("family", "translated_family:-1,0.4"),
             ("measure", "qent:abc"),
             ("measure", "qent_tr:0.5,0"),
             ("measure", "qent_closed:"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsderisk.tsallis import DomainError, QIndex, exp_q, ln_q
+from bsderisk.tsallis import DomainError, exp_q, is_classical, ln_q
 
 
 def test_exp_q_at_zero_is_one():
@@ -62,14 +62,15 @@ def test_domain_error_carries_context():
 
 
 def test_qindex_validation():
-    with pytest.raises(ValueError):
-        QIndex(0.0)
-    with pytest.raises(ValueError):
-        QIndex(-1.0)
-    qi = QIndex(0.25)
-    assert qi.one_minus_q == pytest.approx(0.75)
-    assert not qi.is_classical
-    assert QIndex(1.0 + 1e-9).is_classical
+    # q must be a positive finite real; within Q_ONE_TOL of 1 it is classical
+    for q in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            exp_q(1.0, q)
+        with pytest.raises(ValueError):
+            ln_q(1.0, q)
+    assert exp_q(1.0, 0.25) == pytest.approx(1.75 ** (1.0 / 0.75))  # 1 - q = 0.75
+    assert not is_classical(0.25)
+    assert is_classical(1.0 + 1e-9)
 
 
 def test_elementwise_arrays():
