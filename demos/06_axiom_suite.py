@@ -1,14 +1,16 @@
 """Run the full axiom-verification suite and print the verdict matrix.
 
-Each construction is checked for normalization, restriction, the horizon
-sign law, and the four consistency notions; the implication audit then
-confirms that no construction passes the premises of a consistency law and
-fails its conclusion.  Structural failures (a discounted wrapper is not
+Each construction is checked for the properties in
+`bsderisk.diagnostics.PROPERTIES`: normalization, rho(0) <= 0, restriction,
+the horizon sign law, and the four consistency notions; the implication
+audit then confirms that no construction passes the premises of a
+consistency law and fails its conclusion.  Structural failures (a discounted wrapper is not
 cash additive, a translated family is not normalized, ...) are expected and
 audited as such.
 """
 
 from bsderisk.cli import RunConfig, run_verify
+from bsderisk.diagnostics import PROPERTIES
 
 cfg = RunConfig(
     n_paths=10_000, n_steps=20, s=0.0, t=0.5, u=0.75, v=1.0, seed=123,
@@ -16,16 +18,17 @@ cfg = RunConfig(
 )
 reports, summary = run_verify(cfg)
 
-properties = ["normalization", "restriction", "h_longevity", "tc_strong", "tc_weak", "tc_sub", "tc_order"]
 table = {}
 for r in reports:
     table[(r.construction, r.property)] = "pass" if r.verdict else "FAIL"
 
-constructions = sorted({r.construction for r in reports if r.property in properties})
+constructions = sorted({r.construction for r in reports if r.property in PROPERTIES})
 width = max(len(c) for c in constructions) + 2
-print(f"{'construction':{width}s}" + "".join(f"{p.replace('tc_', ''):>13s}" for p in properties))
+heads = [p.removeprefix("tc_") for p in PROPERTIES]
+cells = [max(len(h), 4) + 2 for h in heads]
+print(f"{'construction':{width}s}" + "".join(f"{h:>{n}s}" for h, n in zip(heads, cells)))
 for c in constructions:
-    row = "".join(f"{table.get((c, p), '-'):>13s}" for p in properties)
+    row = "".join(f"{table.get((c, p), '-'):>{n}s}" for p, n in zip(PROPERTIES, cells))
     print(f"{c:{width}s}{row}")
 
 print()

@@ -23,26 +23,20 @@ import numpy as np
 
 from .bsde import driver_from_label, shifted
 from .diagnostics import (
+    EXPECTED_VERDICTS,  # re-exported: bench/test_bench.py reads cli.EXPECTED_VERDICTS
     PropertyReport,
-    check_cash_additivity,
-    check_cash_subadditivity,
-    check_convexity,
-    check_longevity,
-    check_monotonicity,
-    check_normalization,
-    check_nonpositive_at_zero,
-    check_restriction,
+    audit_expected,
+    check_premium_identity,
     check_time_consistency,
     gamma,
-    gamma_via_premium_measure,
     reports_to_csv,
     reports_to_json_lines,
+    run_check,
     run_taxonomy,
     taxonomy_rows,
 )
 from .riskmeasures import measure_from_label
 from .stochastic import (
-    Claim,
     LsmcContext,
     RegressionBasis,
     TimeGrid,
@@ -269,57 +263,14 @@ def run_sweep(cfg: RunConfig) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-# Expected verdict table for the standard suite, derived from the structure
-# of each construction: normalization <=> g(t,0,0) = 0, restriction <=>
-# g(t,y,0) = 0, h-longevity <=> g(t,y,0) >= 0 (the wrapper passes it here
-# because its taxonomy claim is nonnegative), strong consistency for a single
-# generator, sub consistency for increasing families.  Weak consistency only
-# sees the maturity-u member, so it holds for the translated losses
-# constructions (the translation integrals telescope) while failing for
-# discounting and for y-negative generator terms.
-EXPECTED_VERDICTS: dict[str, dict[str, bool]] = {
-    "driver:zero": dict(normalization=True, rho0_nonpositive=True, restriction=True,
-                        h_longevity=True, tc_strong=True, tc_weak=True, tc_sub=True, tc_order=True),
-    "driver:abs_z": dict(normalization=True, rho0_nonpositive=True, restriction=True,
-                         h_longevity=True, tc_strong=True, tc_weak=True, tc_sub=True, tc_order=True),
-    "driver:quad_z": dict(normalization=True, rho0_nonpositive=True, restriction=True,
-                          h_longevity=True, tc_strong=True, tc_weak=True, tc_sub=True, tc_order=True),
-    "driver:linear_y:0.1": dict(normalization=True, rho0_nonpositive=True, restriction=False,
-                                h_longevity=False, tc_strong=True, tc_weak=False, tc_sub=True,
-                                tc_order=True),
-    "driver:csa_example": dict(normalization=True, rho0_nonpositive=True, restriction=False,
-                               h_longevity=True, tc_strong=True, tc_weak=False, tc_sub=True,
-                               tc_order=True),
-    "driver:csa_example_shift": dict(normalization=False, rho0_nonpositive=False, restriction=False,
-                                     h_longevity=True, tc_strong=True, tc_weak=False, tc_sub=True,
-                                     tc_order=True),
-    "qent_bsde:0.5,0": dict(normalization=True, rho0_nonpositive=True, restriction=True,
-                            h_longevity=True, tc_strong=True, tc_weak=True, tc_sub=True,
-                            tc_order=True),
-    "qent:0.5,0": dict(normalization=True, rho0_nonpositive=True, restriction=True,
-                       h_longevity=True, tc_strong=True, tc_weak=True, tc_sub=True, tc_order=True),
-    "qent_tr:0.5,0,0.2": dict(normalization=False, rho0_nonpositive=False, restriction=False,
-                              h_longevity=True, tc_strong=True, tc_weak=True, tc_sub=True,
-                              tc_order=True),
-    "entropic": dict(normalization=True, rho0_nonpositive=True, restriction=True,
-                     h_longevity=True, tc_strong=True, tc_weak=True, tc_sub=True, tc_order=True),
-    "discounted:mean,0.1": dict(normalization=True, rho0_nonpositive=True, restriction=False,
-                                h_longevity=False, tc_strong=True, tc_weak=False, tc_sub=True,
-                                tc_order=True),
-    "family_losses:translated_family:0.5,0.4": dict(normalization=False, rho0_nonpositive=False,
-                                                    restriction=False, h_longevity=True,
-                                                    tc_strong=False, tc_weak=True, tc_sub=True,
-                                                    tc_order=True),
-}
-
-
 def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
     """Execute the requested checks; returns (reports, summary).
 
     The taxonomy check runs the full implication matrix over the standard
     construction registry and audits observed verdicts against the expected
     table.  Horizon-risk cross-checks compare the direct and premium-measure
-    gamma computations.  summary["ok"] is the exit-status signal.
+    gamma computations.  Any other name is one `run_check` on the configured
+    measure and claim.  summary["ok"] is the exit-status signal.
     """
     ctx = cfg.build()
     s, t, u, v = cfg.indices(ctx)
@@ -335,53 +286,19 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
             ]
             t_reports, implication_failures = run_taxonomy(ctx, rows, s, t, u, v)
             reports.extend(t_reports)
-            failures.extend(implication_failures)
-            observed = {(r.construction, r.property): r.verdict for r in t_reports}
-            for label, expected in EXPECTED_VERDICTS.items():
-                for prop, want in expected.items():
-                    got = observed.get((label, prop))
-                    if got is None:
-                        failures.append({"measure": label, "check": prop, "error": "not run"})
-                    elif got is not want:
-                        failures.append(
-                            {"measure": label, "check": prop, "expected": want, "observed": got}
-                        )
+            failures.extend(implication_failures + audit_expected(t_reports))
         elif name == "gamma_cross":
+            held = claim_from_label(cfg.claim, t)
             for drv in (
                 shifted(driver_from_label("csa_example"), 0.1),
                 driver_from_label("q_entropic_translated:1,0.1"),
             ):
-                held = claim_from_label(cfg.claim, t)
-                res = gamma_via_premium_measure(ctx, drv, held, s, t, u)
-                rel = abs(res.premium_value - res.gamma_mean) / max(abs(res.gamma_mean), 1e-12)
-                ok = rel <= 0.05 or abs(res.premium_value - res.gamma_mean) <= 0.02
-                ok = ok and 0.9 <= res.weight_mean <= 1.1
-                reports.append(
-                    PropertyReport(
-                        property="gamma_premium_identity",
-                        construction=f"driver:{drv.label}",
-                        params={"t": s, "u": t, "v": u},
-                        verdict=ok,
-                        tolerance=0.05,
-                        max_violation=rel,
-                        violation_fraction=0.0,
-                        witness=None,
-                        seed=cfg.seed,
-                        n_paths=cfg.n_paths,
-                        n_steps=cfg.n_steps,
-                        details={
-                            "gamma": f"{res.gamma_mean:.9g}",
-                            "premium": f"{res.premium_value:.9g}",
-                            "weight_mean": f"{res.weight_mean:.9g}",
-                            "ess": f"{res.ess:.9g}",
-                        },
-                    )
-                )
-                if not ok:
-                    failures.append({"measure": drv.label, "check": "gamma_premium_identity"})
+                rep = check_premium_identity(ctx, drv, held, s, t, u)
+                reports.append(rep)
+                if not rep.verdict:
+                    failures.append({"measure": drv.label, "check": rep.property})
         else:
-            measure = measure_from_label(cfg.measure, ctx.grid)
-            rep = _single_check(ctx, name, measure, claim, s, t, u, v)
+            rep = run_check(ctx, name, measure_from_label(cfg.measure, ctx.grid), claim, s, t, u, v)
             reports.append(rep)
             if not rep.verdict:
                 failures.append({"measure": cfg.measure, "check": name})
@@ -396,30 +313,6 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
         "n_steps": cfg.n_steps,
     }
     return reports, summary
-
-
-def _single_check(ctx, name, measure, claim, s, t, u, v) -> PropertyReport:
-    if name == "normalization":
-        return check_normalization(ctx, measure, [(s, t), (t, u)])
-    if name == "rho0_nonpositive":
-        return check_nonpositive_at_zero(ctx, measure, [(s, t), (t, u)])
-    if name == "restriction":
-        return check_restriction(ctx, measure, claim_from_label(claim.label, u), t, [v])
-    if name == "h_longevity":
-        return check_longevity(ctx, measure, claim_from_label(claim.label, t), s, t, [u, v])
-    if name == "cash_additivity":
-        return check_cash_additivity(ctx, measure, claim, t, u)
-    if name == "cash_subadditivity":
-        return check_cash_subadditivity(ctx, measure, claim, t, u)
-    if name in ("tc_strong", "tc_weak", "tc_sub", "tc_order"):
-        return check_time_consistency(ctx, measure, name.removeprefix("tc_"), claim, s, t, u)
-    if name == "monotonicity":
-        lower = Claim(u, lambda p: p[:, -1, 0] - 0.5, "brownian-0.5")
-        return check_monotonicity(ctx, measure, [(lower, claim)], t, u)
-    if name == "convexity":
-        other = claim_from_label("sin", u)
-        return check_convexity(ctx, measure, [(claim, other)], t=s, u=u)
-    raise ValueError(f"unknown check {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ degree raised by one; the spread of the difference sets the numerical noise
 scale) and pass when at most a FRACTION_CAP share of paths violates it and
 at most FRACTION_CAP/10 violates HARD_MULT times it: regression noise breaks
 pathwise comparison theorems that hold in the continuum.  Mean-level
-violations are judged against Monte Carlo standard errors.
+violations are judged against Monte Carlo standard errors, and the
+premium-measure identity at PREMIUM_REL / PREMIUM_ABS (WEIGHT_TOL on the
+importance weights).  `run_check` calls every check by name, and TAXONOMY
+holds the verify suite's constructions and expected verdicts.
 
 The horizon-risk correction gamma(t,u,v,X) = rho_{tv}(X) - rho_{tu}(X) is
 computed twice: directly, and through the equivalent change-of-measure
@@ -33,7 +36,7 @@ import numpy as np
 
 from .bsde import Driver, solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
-from .stochastic import LsmcContext, RandomField, claim_from_label, estimate_stderr
+from .stochastic import Claim, LsmcContext, RandomField, claim_from_label, estimate_stderr
 
 __all__ = [
     "PropertyReport",
@@ -50,10 +53,13 @@ __all__ = [
     "check_convexity",
     "check_longevity",
     "check_nonpositive_at_zero",
+    "check_premium_identity",
     "noise_sigma",
     "default_shifts",
     "taxonomy_rows",
+    "run_check",
     "run_taxonomy",
+    "audit_expected",
     "reports_to_json_lines",
     "reports_to_csv",
 ]
@@ -64,6 +70,9 @@ ZERO_TOL = 1e-10  # exact: rho_{tu}(0), the zero claim being deterministic
 NOISE_MULT = 4.0  # Monte Carlo tolerance: NOISE_MULT x the degree+1 probe's noise scale
 FRACTION_CAP = 1e-3  # Monte Carlo: share of paths allowed beyond tolerance,
 HARD_MULT = 5.0  # and FRACTION_CAP/10 beyond HARD_MULT x tolerance
+PREMIUM_REL = 0.05  # premium identity: relative gap to the direct gamma,
+PREMIUM_ABS = 0.02  # or absolute gap where gamma is small;
+WEIGHT_TOL = 0.1  # and the importance weights' mean within WEIGHT_TOL of 1
 
 
 class DegenerateWeights(RuntimeError):
@@ -86,19 +95,14 @@ class PropertyReport:
     details: dict = dfield(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "property": self.property,
-            "construction": self.construction,
-            "params": self.params,
-            "verdict": "pass" if self.verdict else "fail",
-            "tolerance": _sig9(self.tolerance),
-            "max_violation": _sig9(self.max_violation),
-            "violation_fraction": _sig9(self.violation_fraction),
-            "witness": self.witness,
-            "seed": self.seed,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-        }
+        out = {name: getattr(self, name) for name in CSV_FIELDS}
+        out["verdict"] = "pass" if self.verdict else "fail"
+        for name in ("tolerance", "max_violation", "violation_fraction"):
+            out[name] = _sig9(out[name])
+        return out
+
+
+CSV_FIELDS = [f.name for f in fields(PropertyReport) if f.name != "details"]
 
 
 @dataclass
@@ -439,6 +443,12 @@ def _gamma_noise(ctx, measure, field, t, u, v) -> float:
     return _spread(a.gamma.values - b.gamma.values, a.gamma_stderr)
 
 
+def _gamma_grid(ctx, measure, field, t, u, v_grid):
+    """Probe tolerance at max(v_grid), and (v, gamma(t,u,v,X)) per grid v."""
+    tolerance = NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, max(v_grid))
+    return tolerance, [(v, gamma(ctx, measure, field, t, u, v)) for v in v_grid]
+
+
 def check_restriction(
     ctx: LsmcContext,
     measure: RiskMeasure,
@@ -446,18 +456,15 @@ def check_restriction(
     t: int,
     v_grid: Sequence[int],
 ) -> PropertyReport:
-    """rho_{tu}(X) = rho_{tv}(X) for all v >= u in the grid (pathwise)."""
+    """rho_{tu}(X) = rho_{tv}(X) for all v >= u in the grid (pathwise), u
+    being the claim's index."""
     field = _terminal(ctx, claim)
     u = field.index
-    tolerance = max(NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, max(v_grid)), ZERO_TOL)
-    violations, details = [], {}
-    for v in v_grid:
-        res = gamma(ctx, measure, field, t, u, v)
-        violations.append(np.abs(res.gamma.values))
-        details[f"gap_mean[v={v}]"] = _sig9(res.gamma_mean)
+    tolerance, results = _gamma_grid(ctx, measure, field, t, u, v_grid)
     return _report(
         ctx, "restriction", measure.label, {"t": t, "u": u, "v_grid": list(v_grid)},
-        np.concatenate(violations), tolerance, details=details,
+        np.concatenate([np.abs(res.gamma.values) for _, res in results]), max(tolerance, ZERO_TOL),
+        details={f"gap_mean[v={v}]": _sig9(res.gamma_mean) for v, res in results},
     )
 
 
@@ -472,20 +479,19 @@ def check_longevity(
     """gamma(t,u,v,X) >= 0 pathwise over the maturity grid; the mean must
     also clear -2 standard errors."""
     field = _terminal(ctx, claim)
-    tolerance = NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, max(v_grid))
-    violations, details, mean_ok = [], {}, True
-    for v in v_grid:
-        res = gamma(ctx, measure, field, t, u, v)
-        violations.append(np.maximum(0.0, -res.gamma.values))
+    tolerance, results = _gamma_grid(ctx, measure, field, t, u, v_grid)
+    details = {}
+    for v, res in results:
         details[f"gamma_mean[v={v}]"] = _sig9(res.gamma_mean)
         details[f"gamma_stderr[v={v}]"] = _sig9(res.gamma_stderr)
-        if res.gamma_mean < -2.0 * res.gamma_stderr - 1e-12:
-            mean_ok = False
     rep = _report(
         ctx, "h_longevity", measure.label, {"t": t, "u": u, "v_grid": list(v_grid)},
-        np.concatenate(violations), tolerance, details=details,
+        np.concatenate([np.maximum(0.0, -res.gamma.values) for _, res in results]), tolerance,
+        details=details,
     )
-    rep.verdict = rep.verdict and mean_ok
+    rep.verdict = rep.verdict and not any(
+        res.gamma_mean < -2.0 * res.gamma_stderr - 1e-12 for _, res in results
+    )
     return rep
 
 
@@ -632,31 +638,103 @@ def check_time_consistency(
     raise ValueError(f"unknown time-consistency kind {kind!r}")
 
 
+def check_premium_identity(
+    ctx: LsmcContext, driver: Driver, claim: ClaimLike, t: int, u: int, v: int
+) -> PropertyReport:
+    """gamma(t,u,v,X) computed directly and through the premium measure
+    agree within PREMIUM_REL relative or PREMIUM_ABS absolute, and the
+    importance weights have mean within WEIGHT_TOL of 1."""
+    res = gamma_via_premium_measure(ctx, driver, claim, t, u, v)
+    gap = abs(res.premium_value - res.gamma_mean)
+    rel = gap / max(abs(res.gamma_mean), 1e-12)
+    ok = rel <= PREMIUM_REL or gap <= PREMIUM_ABS
+    ok = ok and 1.0 - WEIGHT_TOL <= res.weight_mean <= 1.0 + WEIGHT_TOL
+    return PropertyReport(
+        property="gamma_premium_identity", construction=f"driver:{driver.label}",
+        params={"t": t, "u": u, "v": v}, verdict=ok, tolerance=PREMIUM_REL, max_violation=rel,
+        violation_fraction=0.0, witness=None,
+        seed=ctx.ensemble.seed, n_paths=ctx.ensemble.n_paths, n_steps=ctx.grid.n_steps,
+        details={
+            "gamma": f"{res.gamma_mean:.9g}",
+            "premium": f"{res.premium_value:.9g}",
+            "weight_mean": f"{res.weight_mean:.9g}",
+            "ess": f"{res.ess:.9g}",
+        },
+    )
+
+
 # ---------------------------------------------------------------------------
-# Taxonomy matrix
+# The verify suite
 # ---------------------------------------------------------------------------
+
+def run_check(
+    ctx: LsmcContext, name: str, measure: RiskMeasure, claim: ClaimLike, s: int, t: int, u: int, v: int
+) -> PropertyReport:
+    """One named check over the window s <= t <= u <= v; `claim` is read at
+    u.  Restriction and h-longevity both read gamma(t, u, v, X).  The check
+    functions are looked up at call time, so rebinding a module attribute
+    reaches every caller."""
+    if name == "normalization":
+        return check_normalization(ctx, measure, [(s, t), (t, u)])
+    if name == "rho0_nonpositive":
+        return check_nonpositive_at_zero(ctx, measure, [(s, t), (t, u)])
+    if name == "restriction":
+        return check_restriction(ctx, measure, claim, t, [v])
+    if name == "h_longevity":
+        return check_longevity(ctx, measure, claim, t, u, [v])
+    if name == "cash_additivity":
+        return check_cash_additivity(ctx, measure, claim, t, u)
+    if name == "cash_subadditivity":
+        return check_cash_subadditivity(ctx, measure, claim, t, u)
+    if name in ("tc_strong", "tc_weak", "tc_sub", "tc_order"):
+        return check_time_consistency(ctx, measure, name.removeprefix("tc_"), claim, s, t, u)
+    if name == "monotonicity":
+        lower = Claim(u, lambda p: p[:, -1, 0] - 0.5, "brownian-0.5")
+        return check_monotonicity(ctx, measure, [(lower, claim)], t, u)
+    if name == "convexity":
+        return check_convexity(ctx, measure, [(claim, claim_from_label("sin", u))], t=s, u=u)
+    raise ValueError(f"unknown check {name!r}")
+
+
+# The taxonomy: its properties in report order, and each construction's claim
+# and the properties it is expected to fail (it passes the rest).  The
+# verdicts follow from the structure of each construction: normalization <=>
+# g(t,0,0) = 0, restriction <=> g(t,y,0) = 0, h-longevity <=> g(t,y,0) >= 0
+# (the discounted wrapper fails it on the sign-indefinite probe), strong
+# consistency for a single generator, sub consistency for increasing
+# families.  Weak consistency only sees the maturity-u member, so it holds
+# for the translated losses constructions (the translation integrals
+# telescope) while failing for discounting and for y-negative generator
+# terms.  Discount- and shift-sensitive constructions get a nonnegative claim
+# with a nonzero mean so consistency gaps cannot hide at zero; loss-based
+# constructions get the sign-indefinite claim their transform needs.
+PROPERTIES = (
+    "normalization", "rho0_nonpositive", "restriction", "h_longevity",
+    "tc_strong", "tc_weak", "tc_sub", "tc_order",
+)
+_UNNORMALIZED = ("normalization", "rho0_nonpositive", "restriction")  # failed where g(t,0,0) != 0
+TAXONOMY: dict[str, tuple[str, tuple[str, ...]]] = {
+    "driver:zero": ("call:-2", ()),
+    "driver:abs_z": ("call:-2", ()),
+    "driver:quad_z": ("call:-2", ()),
+    "driver:linear_y:0.1": ("call:-2", ("restriction", "h_longevity", "tc_weak")),
+    "driver:csa_example": ("call:-2", ("restriction", "tc_weak")),
+    "driver:csa_example_shift": ("call:-2", (*_UNNORMALIZED, "tc_weak")),
+    "qent_bsde:0.5,0": ("brownian", ()),
+    "qent:0.5,0": ("brownian", ()),
+    "qent_tr:0.5,0,0.2": ("brownian", _UNNORMALIZED),
+    "entropic": ("brownian", ()),
+    "discounted:mean,0.1": ("call:-2", ("restriction", "h_longevity", "tc_weak")),
+    "family_losses:translated_family:0.5,0.4": ("brownian", (*_UNNORMALIZED, "tc_strong")),
+}
+EXPECTED_VERDICTS: dict[str, dict[str, bool]] = {
+    label: {p: p not in fails for p in PROPERTIES} for label, (_, fails) in TAXONOMY.items()
+}
+
 
 def taxonomy_rows() -> list[tuple[str, str]]:
-    """(measure label, claim label) pairs for the implication matrix.
-
-    Discount- and shift-sensitive constructions get a nonnegative claim with
-    a nonzero mean so consistency gaps cannot hide at zero; loss-based
-    constructions get the sign-indefinite claim their transform needs.
-    """
-    return [
-        ("driver:zero", "call:-2"),
-        ("driver:abs_z", "call:-2"),
-        ("driver:quad_z", "call:-2"),
-        ("driver:linear_y:0.1", "call:-2"),
-        ("driver:csa_example", "call:-2"),
-        ("driver:csa_example_shift", "call:-2"),
-        ("qent_bsde:0.5,0", "brownian"),
-        ("qent:0.5,0", "brownian"),
-        ("qent_tr:0.5,0,0.2", "brownian"),
-        ("entropic", "brownian"),
-        ("discounted:mean,0.1", "call:-2"),
-        ("family_losses:translated_family:0.5,0.4", "brownian"),
-    ]
+    """(measure label, claim label) pairs for the implication matrix."""
+    return [(label, claim) for label, (claim, _) in TAXONOMY.items()]
 
 
 IMPLICATIONS = (
@@ -667,21 +745,15 @@ IMPLICATIONS = (
 
 
 def run_taxonomy(
-    ctx: LsmcContext,
-    rows: Sequence[tuple[RiskMeasure, ClaimLike]],
-    s: int,
-    t: int,
-    u: int,
-    v: int,
+    ctx: LsmcContext, rows: Sequence[tuple[RiskMeasure, ClaimLike]], s: int, t: int, u: int, v: int
 ) -> tuple[list[PropertyReport], list[dict]]:
-    """All axiom checks on every (measure, claim) row, plus the implication
-    audit.
+    """Every PROPERTIES check on every (measure, claim) row, plus the
+    implication audit.
 
     Returns (reports, implication_failures); a failure names a measure that
     passed every premise check of an implication and failed its conclusion.
     """
     reports: list[PropertyReport] = []
-    verdicts: dict[tuple[str, str], bool] = {}
     # sign-indefinite probe for the gamma sign law: g(.,y,0) must be exercised
     # on both signs of y, which a one-sided claim cannot do; gamma is read at
     # the interior node t so pathwise sign failures stay visible
@@ -692,34 +764,40 @@ def run_taxonomy(
         # many times; the memo lives for the row only, which bounds its size
         with ctx.evaluation_memo():
             per_measure = [
-                check_normalization(ctx, measure, [(s, t), (t, u)]),
-                check_nonpositive_at_zero(ctx, measure, [(s, t), (t, u)]),
-                check_restriction(ctx, measure, field, t, [v]),
-                check_longevity(ctx, measure, longevity_probe, t, u, [v]),
-                check_time_consistency(ctx, measure, "strong", field, s, t, u),
-                check_time_consistency(ctx, measure, "weak", field, s, t, u),
-                check_time_consistency(ctx, measure, "sub", field, s, t, u),
-                check_time_consistency(ctx, measure, "order", field, s, t, u),
+                run_check(ctx, name, measure, longevity_probe if name == "h_longevity" else field,
+                          s, t, u, v)
+                for name in PROPERTIES
             ]
         reports.extend(per_measure)
-        for rep in per_measure:
-            verdicts[(measure.label, rep.property)] = rep.verdict
 
-    failures = []
-    for measure, _ in rows:
-        for name, premises, conclusion in IMPLICATIONS:
-            if all(verdicts[(measure.label, p)] for p in premises) and not verdicts[
-                (measure.label, conclusion)
-            ]:
-                failures.append({"measure": measure.label, "implication": name})
+    verdicts = {(r.construction, r.property): r.verdict for r in reports}
+    failures = [
+        {"measure": m.label, "implication": name}
+        for m, _ in rows
+        for name, premises, conclusion in IMPLICATIONS
+        if all(verdicts[(m.label, p)] for p in premises) and not verdicts[(m.label, conclusion)]
+    ]
     return reports, failures
+
+
+def audit_expected(reports: Sequence[PropertyReport]) -> list[dict]:
+    """Taxonomy verdicts that differ from EXPECTED_VERDICTS, in table order;
+    an expected (construction, property) with no report is a failure too."""
+    observed = {(r.construction, r.property): r.verdict for r in reports}
+    failures = []
+    for label, expected in EXPECTED_VERDICTS.items():
+        for prop, want in expected.items():
+            got = observed.get((label, prop))
+            if got is None:
+                failures.append({"measure": label, "check": prop, "error": "not run"})
+            elif got != want:
+                failures.append({"measure": label, "check": prop, "expected": want, "observed": got})
+    return failures
 
 
 # ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------
-
-CSV_FIELDS = [f.name for f in fields(PropertyReport) if f.name != "details"]
 
 
 def reports_to_json_lines(reports: Sequence[PropertyReport]) -> str:

@@ -6,8 +6,11 @@ node (all claims handled here are Markovian in B_t, optionally augmented with
 extra regressors for claims carrying earlier-time state).
 
 Determinism contract: a fixed seed and configuration produce bit-identical
-fields for any worker count.  All block reductions run in a fixed block order
-and the block partition does not depend on the number of workers.
+fields for any worker count, at a fixed BLAS thread count.  All block
+reductions run in a fixed block order and the block partition does not
+depend on the number of workers; the BLAS product inside each Gram block
+rounds differently per thread count (at 2 OpenBLAS threads instead of 1,
+five tc_order records of the default verify move at about 1e-12).
 """
 
 from __future__ import annotations

@@ -141,6 +141,28 @@ class TestVerify:
             "normalization", "restriction", "cash_additivity"
         ]
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_single_h_longevity_reads_gamma_over_t_u_v(self, seed):
+        # the sign law is read at the interior node t, as in the taxonomy; at
+        # the root gamma is one constant and a linear_y failure cannot show
+        def run(measure):
+            cfg = RunConfig(n_paths=8000, n_steps=16, seed=seed, measure=measure, claim="brownian",
+                            checks=("h_longevity",))
+            (rep,), summary = run_verify(cfg)
+            assert rep.params == {"t": 8, "u": 12, "v_grid": [16]}
+            return rep, summary
+
+        rep, summary = run("driver:linear_y:0.1")
+        assert not rep.verdict and rep.max_violation > 0.01
+        assert summary["failures"] == [{"measure": "driver:linear_y:0.1", "check": "h_longevity"}]
+        rep, summary = run("driver:quad_z")
+        assert rep.verdict and summary["ok"]
+
+    def test_unknown_check_is_named(self):
+        cfg = RunConfig(n_paths=500, n_steps=4, checks=("tc_medium",))
+        with pytest.raises(ValueError, match="tc_medium"):
+            run_verify(cfg)
+
 
 class TestMainEntryPoint:
     def test_simulate_writes_artifacts(self, tmp_path):

@@ -32,10 +32,15 @@ from bsderisk import (
     simulate,
     taxonomy_rows,
 )
-from bsderisk import cli, riskmeasures, stochastic
+from bsderisk import cli, diagnostics, riskmeasures, stochastic
 from bsderisk.diagnostics import (
+    EXPECTED_VERDICTS,
     FRACTION_CAP,
+    LongevityResult,
+    PropertyReport,
+    audit_expected,
     check_nonpositive_at_zero,
+    check_premium_identity,
     noise_sigma,
     reports_to_csv,
     reports_to_json_lines,
@@ -239,6 +244,25 @@ class TestVerdictPolicy:
         rep = check_cash_subadditivity(ctx20, m, claim, 10, 20)
         assert rep.tolerance == 4 * noise_sigma(ctx20, m, claim, 10, 20)
 
+    @pytest.mark.parametrize("gamma_mean, premium, weight_mean, verdict", [
+        (0.1, 0.108, 1.0, True),  # 8% relative, but the gap 0.008 is within 0.02
+        (1.0, 1.06, 1.0, False),  # 6% relative and a gap of 0.06
+        (1.0, 1.0, 1.2, False),  # exact agreement, but the weights' mean is off 1
+    ])
+    def test_premium_identity_rule(self, ctx20, monkeypatch, gamma_mean, premium, weight_mean, verdict):
+        def fixed(ctx, driver, claim, t, u, v):
+            return LongevityResult(RandomField(t, np.zeros(1)), gamma_mean, 0.0, premium, weight_mean, 9.0)
+
+        monkeypatch.setattr(diagnostics, "gamma_via_premium_measure", fixed)
+        rep = check_premium_identity(ctx20, driver_from_label("quad_z"), claim_from_label("brownian", 10),
+                                     0, 10, 15)
+        assert rep.verdict is verdict
+        assert rep.max_violation == pytest.approx(abs(premium - gamma_mean) / gamma_mean)
+        assert (rep.property, rep.construction, rep.params) == (
+            "gamma_premium_identity", "driver:quad_z", {"t": 0, "u": 10, "v": 15}
+        )
+        assert (rep.tolerance, rep.violation_fraction, rep.witness) == (0.05, 0.0, None)
+
 
 class TestRestrictionCheck:
     def test_quad_z_passes_exactly(self, ctx20):
@@ -342,6 +366,49 @@ class TestTaxonomy:
         reports, failures = run_taxonomy(ctx20, rows, 0, 10, 15, 20)
         assert failures == []
         assert len(reports) == 8 * len(rows)
+
+    @staticmethod
+    def expected_reports():
+        return [
+            PropertyReport(prop, label, {}, want, 0.0, 0.0, 0.0, None, 1, 1, 1)
+            for label, props in EXPECTED_VERDICTS.items() for prop, want in props.items()
+        ]
+
+    def test_audit_of_the_expected_bundle_is_clean(self):
+        assert audit_expected(self.expected_reports()) == []
+
+    def test_audit_names_a_check_that_did_not_run(self):
+        reports = [r for r in self.expected_reports()
+                   if (r.construction, r.property) != ("entropic", "tc_sub")]
+        assert audit_expected(reports) == [{"measure": "entropic", "check": "tc_sub", "error": "not run"}]
+
+    def test_audit_lists_flipped_verdicts_in_table_order(self):
+        reports = self.expected_reports()[::-1]
+        for r in reports:
+            if (r.construction, r.property) in {("discounted:mean,0.1", "h_longevity"),
+                                                ("driver:zero", "tc_weak")}:
+                r.verdict = not r.verdict
+        assert audit_expected(reports) == [
+            {"measure": "driver:zero", "check": "tc_weak", "expected": True, "observed": False},
+            {"measure": "discounted:mean,0.1", "check": "h_longevity", "expected": False, "observed": True},
+        ]
+
+    def test_checks_are_called_through_module_attributes(self, ctx20, monkeypatch):
+        # the benchmark's per-layer trace rebinds diagnostics.check_*; the
+        # taxonomy must reach the rebound functions, one call per check
+        calls = {"check_longevity": 0, "check_time_consistency": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(diagnostics, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(diagnostics, name, counted)
+        rows = [
+            (measure_from_label(lbl, ctx20.grid), claim_from_label(claim_lbl, 15))
+            for lbl, claim_lbl in taxonomy_rows()[:2]
+        ]
+        run_taxonomy(ctx20, rows, 0, 10, 15, 20)
+        assert calls == {"check_longevity": 2, "check_time_consistency": 8}
 
 
 class TestReportSerialization:
