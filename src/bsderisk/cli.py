@@ -210,7 +210,7 @@ def run_evaluate(cfg: RunConfig) -> tuple[str, str, Optional[str]]:
         coeffs = ctx.projector(t).coefficients(rho.values[:, None])[:, 0]
         lines.append("basis coefficients at t: " + " ".join(_fmt(float(c)) for c in coeffs))
         pathwise_text = "path,value\n" + "".join(
-            f"{p},{_fmt(float(v))}\n" for p, v in enumerate(rho.values)
+            f"{p},{_fmt(v)}\n" for p, v in enumerate(rho.values.tolist())
         )
     csv_text = SWEEP_HEADER + "\n" + _sweep_row(
         "value", 0.0, cfg.measure, cfg.claim, cfg.t, cfg.u, cfg.v, est, se, cfg

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bsde import Driver, solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
-from .stochastic import Claim, LsmcContext, RandomField, claim_from_label, estimate_stderr
+from .stochastic import LsmcContext, RandomField, claim_from_label, estimate_stderr
 
 __all__ = [
     "PropertyReport",
@@ -137,7 +137,7 @@ def _report(
     tolerance (polynomial fits throw occasional single-path tail artifacts
     that say nothing about the property)."""
     v = np.asarray(violations, dtype=float)
-    max_v = float(np.max(v)) if v.size else 0.0
+    max_v = float(np.max(v)) + 0.0 if v.size else 0.0  # + 0.0 writes a -0.0 maximum as 0.0
     frac = float(np.mean(v > tolerance)) if v.size else 0.0
     frac_hard = float(np.mean(v > HARD_MULT * tolerance)) if v.size else 0.0
     ok = (max_v <= tolerance) if exact else (frac <= FRACTION_CAP and frac_hard <= FRACTION_CAP / 10.0)
@@ -689,8 +689,8 @@ def run_check(
     if name in ("tc_strong", "tc_weak", "tc_sub", "tc_order"):
         return check_time_consistency(ctx, measure, name.removeprefix("tc_"), claim, s, t, u)
     if name == "monotonicity":
-        lower = Claim(u, lambda p: p[:, -1, 0] - 0.5, "brownian-0.5")
-        return check_monotonicity(ctx, measure, [(lower, claim)], t, u)
+        x = _terminal(ctx, claim)
+        return check_monotonicity(ctx, measure, [(RandomField(x.index, x.values - 0.5), x)], t, u)
     if name == "convexity":
         return check_convexity(ctx, measure, [(claim, claim_from_label("sin", u))], t=s, u=u)
     raise ValueError(f"unknown check {name!r}")

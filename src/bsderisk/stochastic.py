@@ -16,7 +16,6 @@ five tc_order records of the default verify move at about 1e-12).
 from __future__ import annotations
 
 import hashlib
-import io
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -45,6 +44,8 @@ __all__ = [
 ]
 
 _BLOCK = 16384  # fixed path-block size for reductions; independent of workers
+CSV_BLOCK_ROWS = 65536  # rows per write of ensemble_to_csv, rounded down to whole paths
+_CSV_ROW = np.dtype([("path", "i8"), ("node", "i8"), ("dim", "i8"), ("value", "f8")])
 
 
 class SingularRegression(RuntimeError):
@@ -542,36 +543,84 @@ def estimate_stderr(ctx: LsmcContext, field: RandomField, estimate) -> float:
 # ---------------------------------------------------------------------------
 
 def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
-    """Write (path, node, dim, value) rows; grid metadata and seed in the header."""
-    g = ensemble.grid
+    """Write (path, node, dim, value) rows; grid metadata and seed in the header.
+
+    Each value is written as its float repr, so the file reads back bit-exact.
+    Rows go out CSV_BLOCK_ROWS at a time, split into whole paths, so memory
+    stays bounded whatever the grid and dimension.
+    """
+    g, d = ensemble.grid, ensemble.dim
+    tails = [f",{i},{k}," for i in range(g.n_steps + 1) for k in range(d)]
+    rows = np.asarray(ensemble.values, dtype=float).reshape(ensemble.n_paths, len(tails))
+    step = max(1, CSV_BLOCK_ROWS // len(tails))
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# seed={ensemble.seed} T={g.T!r} n_steps={g.n_steps} "
-            f"d={ensemble.dim} n_paths={ensemble.n_paths}\n"
+            f"d={d} n_paths={ensemble.n_paths}\n"
         )
         fh.write("path,node,dim,value\n")
-        vals = ensemble.values
-        for p in range(ensemble.n_paths):
-            for i in range(g.n_steps + 1):
-                for k in range(ensemble.dim):
-                    fh.write(f"{p},{i},{k},{float(vals[p, i, k])!r}\n")
+        for start in range(0, ensemble.n_paths, step):
+            block = rows[start : start + step].tolist()
+            fh.write("".join([
+                f"{p}{tail}{v!r}\n" for p, row in enumerate(block, start) for tail, v in zip(tails, row)
+            ]))
 
 
 def ensemble_from_csv(path) -> PathEnsemble:
+    """Read an ensemble_to_csv file, in any row order, bit-exact.
+
+    The rows are parsed from the open file, not from a copy of its text.  A
+    file whose rows do not hold each (path, node, dim) of its header exactly
+    once raises a ValueError that names the file and the first bad row.
+    """
     with open(path) as fh:
         header = fh.readline()
-        meta = dict(tok.split("=") for tok in header.lstrip("# ").split())
-        grid = TimeGrid(T=float(meta["T"]), n_steps=int(meta["n_steps"]))
-        d, n_paths = int(meta["d"]), int(meta["n_paths"])
+        try:
+            meta = dict(tok.split("=") for tok in header.lstrip("# ").split())
+            grid = TimeGrid(T=float(meta["T"]), n_steps=int(meta["n_steps"]))
+            shape = (int(meta["n_paths"]), grid.n_steps + 1, int(meta["d"]))
+            seed = int(meta["seed"])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed header {header!r}") from exc
         fh.readline()  # column header
-        data = np.loadtxt(io.StringIO(fh.read()), delimiter=",")
-    vals = np.zeros((n_paths, grid.n_steps + 1, d))
-    p, i, k = data[:, 0].astype(int), data[:, 1].astype(int), data[:, 2].astype(int)
-    vals[p, i, k] = data[:, 3]
+        try:
+            rows = np.loadtxt(fh, delimiter=",", dtype=_CSV_ROW, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    p, i, k = rows["path"], rows["node"], rows["dim"]
+    _check_csv_rows(path, p, i, k, shape)
+    vals = np.zeros(shape)
+    vals[p, i, k] = rows["value"]
     dB = np.diff(vals, axis=1)
     vals.setflags(write=False)
     dB.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=int(meta["seed"]), values=vals, increments=dB)
+    return PathEnsemble(grid=grid, seed=seed, values=vals, increments=dB)
+
+
+def _check_csv_rows(path, p, i, k, shape) -> None:
+    """Raise unless the index columns hold each cell of `shape` exactly once:
+    every index in range, no (path, node, dim) twice, and as many rows as
+    cells."""
+    n_paths, n_nodes, d = shape
+    bad = (p < 0) | (p >= n_paths) | (i < 0) | (i >= n_nodes) | (k < 0) | (k >= d)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(
+            f"{path}: data row {j + 1} ({p[j]},{i[j]},{k[j]}) lies outside "
+            f"n_paths={n_paths} n_steps={n_nodes - 1} d={d}"
+        )
+    flat = (p * n_nodes + i) * d + k
+    counts = np.bincount(flat, minlength=n_paths * n_nodes * d)
+    if np.any(counts > 1):
+        _, first = np.unique(flat, return_index=True)
+        j = int(np.setdiff1d(np.arange(flat.size), first)[0])
+        raise ValueError(f"{path}: data row {j + 1} repeats ({p[j]},{i[j]},{k[j]})")
+    if flat.size != counts.size:
+        mp, mi, mk = np.unravel_index(int(np.argmin(counts)), shape)
+        raise ValueError(
+            f"{path}: {flat.size} data rows, the header needs {counts.size}; "
+            f"the first missing is ({mp},{mi},{mk})"
+        )
 
 
 def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:

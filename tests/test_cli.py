@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bsderisk import claim_from_label, measure_from_label
 from bsderisk.cli import RunConfig, main, parse_config, run_evaluate, run_sweep, run_verify
 
 
@@ -80,6 +81,14 @@ class TestEvaluate:
         text, _, pathwise = run_evaluate(cfg)
         assert "basis coefficients" in text
         assert pathwise is not None and pathwise.startswith("path,value")
+
+    def test_pathwise_text_formats_each_value(self):
+        cfg = RunConfig(n_paths=2000, n_steps=8, t=0.5, u=1.0, measure="entropic", claim="sin", seed=11)
+        _, _, pathwise = run_evaluate(cfg)
+        ctx = cfg.build()
+        _, t, u, _ = cfg.indices(ctx)
+        rho = measure_from_label(cfg.measure, ctx.grid).evaluate(ctx, t, claim_from_label(cfg.claim, u), maturity=u)
+        assert pathwise == "path,value\n" + "".join(f"{p},{float(v):.9g}\n" for p, v in enumerate(rho.values))
 
 
 class TestSweep:
@@ -157,6 +166,13 @@ class TestVerify:
         assert summary["failures"] == [{"measure": "driver:linear_y:0.1", "check": "h_longevity"}]
         rep, summary = run("driver:quad_z")
         assert rep.verdict and summary["ok"]
+
+    def test_single_monotonicity_pairs_the_claim_with_itself_less_half(self):
+        # sin(B_u) does not dominate B_u - 0.5 pathwise; X - 0.5 <= X always holds
+        cfg = RunConfig(n_paths=2000, n_steps=8, seed=3, measure="entropic", claim="sin",
+                        checks=("monotonicity",))
+        (rep,), summary = run_verify(cfg)
+        assert rep.property == "monotonicity" and rep.verdict and summary["ok"]
 
     def test_unknown_check_is_named(self):
         cfg = RunConfig(n_paths=500, n_steps=4, checks=("tc_medium",))

@@ -350,6 +350,14 @@ class TestLongevityCheck:
         rep = check_longevity(ctx20, m, probe, 5, 10, [15, 20])
         assert rep.verdict
 
+    def test_zero_gamma_reports_positive_zero(self, ctx20):
+        # gamma is exactly +0.0 for the zero driver, and max(0, -gamma) is -0.0
+        m = measure_from_label("driver:zero", ctx20.grid)
+        probe = RandomField(10, ctx20.ensemble.values[:, 10, 0])
+        rep = check_longevity(ctx20, m, probe, 5, 10, [20])
+        assert rep.verdict and np.copysign(1.0, rep.max_violation) == 1.0
+        assert '"max_violation": 0.0' in json.dumps(rep.as_dict())
+
     def test_sign_indefinite_measure_fails(self, ctx20):
         m = measure_from_label("driver:linear_y:0.1", ctx20.grid)
         probe = RandomField(10, ctx20.ensemble.values[:, 10, 0])
