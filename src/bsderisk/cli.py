@@ -21,17 +21,16 @@ from typing import Optional
 
 import numpy as np
 
-from .bsde import driver_from_label, shifted
 from .diagnostics import (
     EXPECTED_VERDICTS,  # re-exported: bench/test_bench.py reads cli.EXPECTED_VERDICTS
     PropertyReport,
     audit_expected,
-    check_premium_identity,
     check_time_consistency,
     gamma,
     reports_to_csv,
     reports_to_json_lines,
     run_check,
+    run_gamma_cross,
     run_taxonomy,
     taxonomy_rows,
 )
@@ -184,6 +183,13 @@ def _sweep_row(axis, value, measure, claim, t, u, v, estimate, stderr, cfg) -> s
     return buf.getvalue()
 
 
+def _value(ctx, measure, claim, t, u):
+    """rho_{tu}(X) and the block-split standard error of its mean."""
+    rho = measure.evaluate(ctx, t, claim, maturity=u)
+    se = estimate_stderr(ctx, rho, lambda sub, rows: measure.evaluate(sub, t, claim, maturity=u).mean())
+    return rho, se
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -198,9 +204,8 @@ def run_evaluate(cfg: RunConfig) -> tuple[str, str, Optional[str]]:
     s, t, u, v = cfg.indices(ctx)
     measure = measure_from_label(cfg.measure, ctx.grid)
     claim = claim_from_label(cfg.claim, u)
-    rho = measure.evaluate(ctx, t, claim, maturity=u)
+    rho, se = _value(ctx, measure, claim, t, u)
     est = rho.mean()
-    se = estimate_stderr(ctx, rho, lambda sub, rows: measure.evaluate(sub, t, claim, maturity=u).mean())
     lines = [
         f"measure={cfg.measure} claim={cfg.claim} t={_fmt(cfg.t)} u={_fmt(cfg.u)}",
         f"estimate = {_fmt(est)} +- {_fmt(se)} (seed={cfg.seed} paths={cfg.n_paths} steps={cfg.n_steps})",
@@ -242,11 +247,8 @@ def run_sweep(cfg: RunConfig) -> str:
         measure = measure_from_label(label, ctx.grid)
         claim = claim_from_label(cfg.claim, u)
         if cfg.metric == "value":
-            rho = measure.evaluate(ctx, t, claim, maturity=u)
+            rho, se = _value(ctx, measure, claim, t, u)
             est = rho.mean()
-            se = estimate_stderr(
-                ctx, rho, lambda sub, rows: measure.evaluate(sub, t, claim, maturity=u).mean()
-            )
         elif cfg.metric == "weak_ratio":
             rep = check_time_consistency(ctx, measure, "weak", claim, s, t, u)
             est, se = rep.details.get("ratio") or float("nan"), 0.0
@@ -268,9 +270,9 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
 
     The taxonomy check runs the full implication matrix over the standard
     construction registry and audits observed verdicts against the expected
-    table.  Horizon-risk cross-checks compare the direct and premium-measure
-    gamma computations.  Any other name is one `run_check` on the configured
-    measure and claim.  summary["ok"] is the exit-status signal.
+    table.  gamma_cross runs `run_gamma_cross`, comparing the direct and
+    premium-measure gamma computations.  Any other name is one `run_check` on
+    the configured measure and claim.  summary["ok"] is the exit-status signal.
     """
     ctx = cfg.build()
     s, t, u, v = cfg.indices(ctx)
@@ -287,21 +289,16 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
             t_reports, implication_failures = run_taxonomy(ctx, rows, s, t, u, v)
             reports.extend(t_reports)
             failures.extend(implication_failures + audit_expected(t_reports))
-        elif name == "gamma_cross":
-            held = claim_from_label(cfg.claim, t)
-            for drv in (
-                shifted(driver_from_label("csa_example"), 0.1),
-                driver_from_label("q_entropic_translated:1,0.1"),
-            ):
-                rep = check_premium_identity(ctx, drv, held, s, t, u)
-                reports.append(rep)
-                if not rep.verdict:
-                    failures.append({"measure": drv.label, "check": rep.property})
+            continue
+        if name == "gamma_cross":
+            labelled = run_gamma_cross(ctx, cfg.claim, s, t, u)
         else:
-            rep = run_check(ctx, name, measure_from_label(cfg.measure, ctx.grid), claim, s, t, u, v)
+            labelled = [(cfg.measure, run_check(ctx, name, measure_from_label(cfg.measure, ctx.grid),
+                                                claim, s, t, u, v))]
+        for label, rep in labelled:
             reports.append(rep)
             if not rep.verdict:
-                failures.append({"measure": cfg.measure, "check": name})
+                failures.append({"measure": label, "check": rep.property})
 
     summary = {
         "ok": not failures,

@@ -12,8 +12,9 @@ at most FRACTION_CAP/10 violates HARD_MULT times it: regression noise breaks
 pathwise comparison theorems that hold in the continuum.  Mean-level
 violations are judged against Monte Carlo standard errors, and the
 premium-measure identity at PREMIUM_REL / PREMIUM_ABS (WEIGHT_TOL on the
-importance weights).  `run_check` calls every check by name, and TAXONOMY
-holds the verify suite's constructions and expected verdicts.
+importance weights).  `run_check` calls every check by name, TAXONOMY
+holds the verify suite's constructions and expected verdicts, and
+GAMMA_CROSS the drivers of its premium-identity cross-check.
 
 The horizon-risk correction gamma(t,u,v,X) = rho_{tv}(X) - rho_{tu}(X) is
 computed twice: directly, and through the equivalent change-of-measure
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bsde import Driver, solve
+from .bsde import Driver, driver_from_label, shifted, solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
 from .stochastic import LsmcContext, RandomField, claim_from_label, estimate_stderr
 
@@ -55,10 +56,10 @@ __all__ = [
     "check_nonpositive_at_zero",
     "check_premium_identity",
     "noise_sigma",
-    "default_shifts",
     "taxonomy_rows",
     "run_check",
     "run_taxonomy",
+    "run_gamma_cross",
     "audit_expected",
     "reports_to_json_lines",
     "reports_to_csv",
@@ -109,7 +110,7 @@ CSV_FIELDS = [f.name for f in fields(PropertyReport) if f.name != "details"]
 class LongevityResult:
     gamma: RandomField
     gamma_mean: float
-    gamma_stderr: float
+    gamma_stderr: Optional[float]
     premium_value: Optional[float] = None
     weight_mean: Optional[float] = None
     ess: Optional[float] = None
@@ -229,7 +230,9 @@ def gamma_via_premium_measure(
     log-weight -0.5 int |dz|^2 ds + int dz dB over [t, v] with left-point
     evaluation, and returns the weighted expectation of
     exp(int_t^v dy ds) * int_u^v g(s, -X, 0) ds.  At t = 0 this is an
-    importance-weighted mean.
+    importance-weighted mean, and gamma_stderr is None: the direct gamma is
+    one root constant there, whose spread is no standard error (gamma()
+    estimates one by block split).
     """
     field = _terminal(ctx, claim)
     if not (t <= field.index <= u < v <= ctx.grid.n_steps):
@@ -296,7 +299,7 @@ def gamma_via_premium_measure(
     return LongevityResult(
         gamma=g_direct,
         gamma_mean=g_direct.mean(),
-        gamma_stderr=g_direct.stderr(),
+        gamma_stderr=None if t == 0 else g_direct.stderr(),
         premium_value=premium,
         weight_mean=float(np.mean(weights)),
         ess=ess,
@@ -307,30 +310,21 @@ def gamma_via_premium_measure(
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-def default_shifts(ctx: LsmcContext, t: int) -> list[tuple[str, object]]:
-    """Constant shifts plus a bounded F_t-measurable one, 0.5 (1 + tanh B_t)."""
-    shifts: list[tuple[str, object]] = [("0", 0.0), ("0.1", 0.1), ("0.5", 0.5), ("1", 1.0)]
-    b_t = ctx.ensemble.levels(t)[:, 0]
-    shifts.append(("0.5*(1+tanh(B_t))", RandomField(t, 0.5 * (1.0 + np.tanh(b_t)))))
-    return shifts
-
-
-def _shift_gaps(ctx, measure, claim, t, u, shifts):
-    """Pathwise gap rho(X+m) - (rho(X) - m) per shift, on a shared basis."""
+def _shift_gaps(ctx, measure, claim, t, u):
+    """(label, pathwise gap rho(X+m) - (rho(X) - m), m) per shift m: the
+    constants 0, 0.1, 0.5, 1 and the bounded F_t-measurable 0.5 (1 + tanh B_t),
+    which joins the regression basis on both sides."""
     field = _terminal(ctx, claim)
+    b_t = ctx.ensemble.levels(t)[:, 0]
+    shifts = [("0", 0.0), ("0.1", 0.1), ("0.5", 0.5), ("1", 1.0),
+              ("0.5*(1+tanh(B_t))", 0.5 * (1.0 + np.tanh(b_t)))]
     out = []
     for label, m in shifts:
-        if isinstance(m, RandomField):
-            m_vals, aux = m.values, m.values
-            idx = max(field.index, m.index)
-        else:
-            m_vals, aux = float(m), None
-            idx = field.index
-        shifted_field = RandomField(idx, field.values + m_vals)
+        aux = m if np.ndim(m) else None
+        shifted_field = RandomField(field.index if aux is None else max(field.index, t), field.values + m)
         rho_xm = measure.evaluate(ctx, t, shifted_field, maturity=u, aux=aux)
         rho_x = measure.evaluate(ctx, t, field, maturity=u, aux=aux)
-        gap = rho_xm.values - (rho_x.values - m_vals)
-        out.append((label, gap, m_vals))
+        out.append((label, rho_xm.values - (rho_x.values - m), m))
     return out
 
 
@@ -341,7 +335,7 @@ def check_cash_additivity(
     t: int,
     u: int,
 ) -> PropertyReport:
-    """Equality rho(X+m) = rho(X) - m over the default shift grid.
+    """Equality rho(X+m) = rho(X) - m over the shift grid of _shift_gaps.
 
     Constant shifts are judged at CASH_TOL: for cash-additive constructions
     the engine reproduces them exactly up to solver round-off.  The random
@@ -350,7 +344,7 @@ def check_cash_additivity(
     approximated).  The reported tolerance/max_violation refer to the
     constant shifts, which carry the pass/fail signal.
     """
-    gaps = _shift_gaps(ctx, measure, claim, t, u, default_shifts(ctx, t))
+    gaps = _shift_gaps(ctx, measure, claim, t, u)
     const_v = [np.abs(g) for (label, g, m) in gaps if np.ndim(m) == 0]
     details = {f"mean_gap[{label}]": _sig9(float(np.mean(g))) for label, g, _ in gaps}
     field_tolerance = NOISE_MULT * noise_sigma(ctx, measure, claim, t, u)
@@ -374,17 +368,11 @@ def check_cash_subadditivity(
     claim: ClaimLike,
     t: int,
     u: int,
-    shifts=None,
 ) -> PropertyReport:
-    """One-sided rho(X+m) >= rho(X) - m for m >= 0 over the shift grid
-    (default_shifts unless `shifts` is given)."""
-    shifts = shifts or default_shifts(ctx, t)
-    for label, m in shifts:
-        vals = m.values if isinstance(m, RandomField) else m
-        if np.any(np.asarray(vals) < 0.0):
-            raise ValueError(f"cash subadditivity needs m >= 0, shift {label!r} is negative")
+    """One-sided rho(X+m) >= rho(X) - m over the (nonnegative) shift grid
+    of _shift_gaps."""
     tolerance = NOISE_MULT * noise_sigma(ctx, measure, claim, t, u)
-    gaps = _shift_gaps(ctx, measure, claim, t, u, shifts)
+    gaps = _shift_gaps(ctx, measure, claim, t, u)
     violations = np.concatenate([np.maximum(0.0, -g) for _, g, _ in gaps])
     details = {f"mean_gap[{label}]": _sig9(float(np.mean(g))) for label, g, _ in gaps}
     return _report(
@@ -393,44 +381,42 @@ def check_cash_subadditivity(
     )
 
 
-def _rho_at_zero(ctx, measure, tu_pairs):
-    """(t, u, rho_{tu}(0) values) for each pair, in order."""
-    for t, u in tu_pairs:
-        yield t, u, measure.evaluate(ctx, t, claim_from_label("const:0", u)).values
+def _rho_at_zero(ctx, measure, s, t, u):
+    """((a, b), rho_{ab}(0) values) for the pairs (s, t) and (t, u), in order."""
+    return [((a, b), measure.evaluate(ctx, a, claim_from_label("const:0", b)).values)
+            for a, b in ((s, t), (t, u))]
 
 
 def check_normalization(
     ctx: LsmcContext,
     measure: RiskMeasure,
-    tu_pairs: Sequence[tuple[int, int]],
+    s: int,
+    t: int,
+    u: int,
 ) -> PropertyReport:
-    """|rho_{tu}(0)| at every (t, u): the zero claim is deterministic, so a
+    """|rho_{st}(0)| and |rho_{tu}(0)|: the zero claim is deterministic, so a
     normalized construction returns exactly zero (no Monte Carlo noise)."""
-    violations, worst = [], None
-    for t, u, rho0 in _rho_at_zero(ctx, measure, tu_pairs):
-        m = float(np.max(np.abs(rho0)))
-        violations.append(m)
-        if worst is None or m > worst[0]:
-            worst = (m, t, u)
-    witness = {"t": worst[1], "u": worst[2], "rho0": _sig9(worst[0])} if worst else None
+    peaks = [(float(np.max(np.abs(rho0))), pair) for pair, rho0 in _rho_at_zero(ctx, measure, s, t, u)]
+    worst, (wt, wu) = max(peaks, key=lambda peak: peak[0])  # the first pair on a tie
     return _report(
-        ctx, "normalization", measure.label, {"pairs": list(map(list, tu_pairs))},
-        np.asarray(violations), ZERO_TOL, exact=True, witness=witness,
+        ctx, "normalization", measure.label, {"pairs": [[s, t], [t, u]]},
+        np.array([m for m, _ in peaks]), ZERO_TOL, exact=True,
+        witness={"t": wt, "u": wu, "rho0": _sig9(worst)},
     )
 
 
 def check_nonpositive_at_zero(
     ctx: LsmcContext,
     measure: RiskMeasure,
-    tu_pairs: Sequence[tuple[int, int]],
+    s: int,
+    t: int,
+    u: int,
 ) -> PropertyReport:
-    """rho_{tu}(0) <= 0 at every (t, u) (premise of the sub-consistency law)."""
-    violations = [
-        float(np.max(np.maximum(rho0, 0.0))) for _, _, rho0 in _rho_at_zero(ctx, measure, tu_pairs)
-    ]
+    """rho_{st}(0) <= 0 and rho_{tu}(0) <= 0 (premise of the sub-consistency law)."""
+    violations = [float(np.max(np.maximum(rho0, 0.0))) for _, rho0 in _rho_at_zero(ctx, measure, s, t, u)]
     return _report(
-        ctx, "rho0_nonpositive", measure.label, {"pairs": list(map(list, tu_pairs))},
-        np.asarray(violations), ZERO_TOL, exact=True,
+        ctx, "rho0_nonpositive", measure.label, {"pairs": [[s, t], [t, u]]},
+        np.array(violations), ZERO_TOL, exact=True,
     )
 
 
@@ -443,28 +429,22 @@ def _gamma_noise(ctx, measure, field, t, u, v) -> float:
     return _spread(a.gamma.values - b.gamma.values, a.gamma_stderr)
 
 
-def _gamma_grid(ctx, measure, field, t, u, v_grid):
-    """Probe tolerance at max(v_grid), and (v, gamma(t,u,v,X)) per grid v."""
-    tolerance = NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, max(v_grid))
-    return tolerance, [(v, gamma(ctx, measure, field, t, u, v)) for v in v_grid]
-
-
 def check_restriction(
     ctx: LsmcContext,
     measure: RiskMeasure,
     claim: ClaimLike,
     t: int,
-    v_grid: Sequence[int],
+    v: int,
 ) -> PropertyReport:
-    """rho_{tu}(X) = rho_{tv}(X) for all v >= u in the grid (pathwise), u
-    being the claim's index."""
+    """rho_{tu}(X) = rho_{tv}(X) pathwise, u being the claim's index."""
     field = _terminal(ctx, claim)
     u = field.index
-    tolerance, results = _gamma_grid(ctx, measure, field, t, u, v_grid)
+    tolerance = NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, v)
+    res = gamma(ctx, measure, field, t, u, v)
     return _report(
-        ctx, "restriction", measure.label, {"t": t, "u": u, "v_grid": list(v_grid)},
-        np.concatenate([np.abs(res.gamma.values) for _, res in results]), max(tolerance, ZERO_TOL),
-        details={f"gap_mean[v={v}]": _sig9(res.gamma_mean) for v, res in results},
+        ctx, "restriction", measure.label, {"t": t, "u": u, "v_grid": [v]},
+        np.abs(res.gamma.values), max(tolerance, ZERO_TOL),
+        details={f"gap_mean[v={v}]": _sig9(res.gamma_mean)},
     )
 
 
@@ -474,75 +454,63 @@ def check_longevity(
     claim: ClaimLike,
     t: int,
     u: int,
-    v_grid: Sequence[int],
+    v: int,
 ) -> PropertyReport:
-    """gamma(t,u,v,X) >= 0 pathwise over the maturity grid; the mean must
-    also clear -2 standard errors."""
+    """gamma(t,u,v,X) >= 0 pathwise; the mean must also clear -2 standard
+    errors."""
     field = _terminal(ctx, claim)
-    tolerance, results = _gamma_grid(ctx, measure, field, t, u, v_grid)
-    details = {}
-    for v, res in results:
-        details[f"gamma_mean[v={v}]"] = _sig9(res.gamma_mean)
-        details[f"gamma_stderr[v={v}]"] = _sig9(res.gamma_stderr)
+    tolerance = NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, v)
+    res = gamma(ctx, measure, field, t, u, v)
     rep = _report(
-        ctx, "h_longevity", measure.label, {"t": t, "u": u, "v_grid": list(v_grid)},
-        np.concatenate([np.maximum(0.0, -res.gamma.values) for _, res in results]), tolerance,
-        details=details,
+        ctx, "h_longevity", measure.label, {"t": t, "u": u, "v_grid": [v]},
+        np.maximum(0.0, -res.gamma.values), tolerance,
+        details={f"gamma_mean[v={v}]": _sig9(res.gamma_mean),
+                 f"gamma_stderr[v={v}]": _sig9(res.gamma_stderr)},
     )
-    rep.verdict = rep.verdict and not any(
-        res.gamma_mean < -2.0 * res.gamma_stderr - 1e-12 for _, res in results
-    )
+    rep.verdict = rep.verdict and not res.gamma_mean < -2.0 * res.gamma_stderr - 1e-12
     return rep
 
 
 def check_monotonicity(
     ctx: LsmcContext,
     measure: RiskMeasure,
-    claim_pairs: Sequence[tuple[ClaimLike, ClaimLike]],
+    claim: ClaimLike,
     t: int,
-    u: Optional[int] = None,
+    u: int,
 ) -> PropertyReport:
-    """X1 <= X2 pathwise implies rho(X1) >= rho(X2) pathwise; the tolerance
-    is probed on the first pair."""
-    violations, tol = [], None
-    for c1, c2 in claim_pairs:
-        f1, f2 = _terminal(ctx, c1), _terminal(ctx, c2)
-        if np.any(f1.values > f2.values + 1e-12):
-            raise ValueError("claim pair is not pathwise ordered")
-        uu = u if u is not None else max(f1.index, f2.index)
-        if tol is None:
-            tol = NOISE_MULT * noise_sigma(ctx, measure, f1, t, uu)
-        r1 = measure.evaluate(ctx, t, f1, maturity=uu)
-        r2 = measure.evaluate(ctx, t, f2, maturity=uu)
-        violations.append(np.maximum(0.0, r2.values - r1.values))
+    """X - 0.5 <= X pathwise, so rho_{tu}(X - 0.5) >= rho_{tu}(X) pathwise;
+    the tolerance is probed on X - 0.5."""
+    upper = _terminal(ctx, claim)
+    lower = RandomField(upper.index, upper.values - 0.5)
+    tol = NOISE_MULT * noise_sigma(ctx, measure, lower, t, u)
+    r1 = measure.evaluate(ctx, t, lower, maturity=u)
+    r2 = measure.evaluate(ctx, t, upper, maturity=u)
     return _report(
-        ctx, "monotonicity", measure.label, {"t": t, "pairs": len(claim_pairs)},
-        np.concatenate(violations), tol,
+        ctx, "monotonicity", measure.label, {"t": t, "pairs": 1},
+        np.maximum(0.0, r2.values - r1.values), tol,
     )
 
 
 def check_convexity(
     ctx: LsmcContext,
     measure: RiskMeasure,
-    claim_pairs: Sequence[tuple[ClaimLike, ClaimLike]],
-    t: int = 0,
-    u: Optional[int] = None,
+    claim: ClaimLike,
+    t: int,
+    u: int,
 ) -> PropertyReport:
-    """rho(lam X1 + (1-lam) X2) <= lam rho(X1) + (1-lam) rho(X2) + tol at
-    lam = 0.25, 0.5, 0.75; the tolerance is probed on the first pair."""
+    """rho_{tu}(lam X + (1-lam) Y) <= lam rho_{tu}(X) + (1-lam) rho_{tu}(Y) + tol
+    at lam = 0.25, 0.5, 0.75, with partner Y = sin(B_u); the tolerance is
+    probed on X."""
     lambdas = (0.25, 0.5, 0.75)
-    violations, tol = [], None
-    for c1, c2 in claim_pairs:
-        f1, f2 = _terminal(ctx, c1), _terminal(ctx, c2)
-        uu = u if u is not None else max(f1.index, f2.index)
-        if tol is None:
-            tol = NOISE_MULT * noise_sigma(ctx, measure, f1, t, uu)
-        r1 = measure.evaluate(ctx, t, f1, maturity=uu)
-        r2 = measure.evaluate(ctx, t, f2, maturity=uu)
-        for lam in lambdas:
-            mix = RandomField(max(f1.index, f2.index), lam * f1.values + (1 - lam) * f2.values)
-            rm = measure.evaluate(ctx, t, mix, maturity=uu)
-            violations.append(np.maximum(0.0, rm.values - lam * r1.values - (1 - lam) * r2.values))
+    f1, f2 = _terminal(ctx, claim), _terminal(ctx, claim_from_label("sin", u))
+    tol = NOISE_MULT * noise_sigma(ctx, measure, f1, t, u)
+    r1 = measure.evaluate(ctx, t, f1, maturity=u)
+    r2 = measure.evaluate(ctx, t, f2, maturity=u)
+    violations = []
+    for lam in lambdas:
+        mix = RandomField(max(f1.index, f2.index), lam * f1.values + (1 - lam) * f2.values)
+        rm = measure.evaluate(ctx, t, mix, maturity=u)
+        violations.append(np.maximum(0.0, rm.values - lam * r1.values - (1 - lam) * r2.values))
     return _report(
         ctx, "convexity", measure.label, {"t": t, "lambdas": list(lambdas)},
         np.concatenate(violations), tol,
@@ -675,13 +643,13 @@ def run_check(
     functions are looked up at call time, so rebinding a module attribute
     reaches every caller."""
     if name == "normalization":
-        return check_normalization(ctx, measure, [(s, t), (t, u)])
+        return check_normalization(ctx, measure, s, t, u)
     if name == "rho0_nonpositive":
-        return check_nonpositive_at_zero(ctx, measure, [(s, t), (t, u)])
+        return check_nonpositive_at_zero(ctx, measure, s, t, u)
     if name == "restriction":
-        return check_restriction(ctx, measure, claim, t, [v])
+        return check_restriction(ctx, measure, claim, t, v)
     if name == "h_longevity":
-        return check_longevity(ctx, measure, claim, t, u, [v])
+        return check_longevity(ctx, measure, claim, t, u, v)
     if name == "cash_additivity":
         return check_cash_additivity(ctx, measure, claim, t, u)
     if name == "cash_subadditivity":
@@ -689,10 +657,9 @@ def run_check(
     if name in ("tc_strong", "tc_weak", "tc_sub", "tc_order"):
         return check_time_consistency(ctx, measure, name.removeprefix("tc_"), claim, s, t, u)
     if name == "monotonicity":
-        x = _terminal(ctx, claim)
-        return check_monotonicity(ctx, measure, [(RandomField(x.index, x.values - 0.5), x)], t, u)
+        return check_monotonicity(ctx, measure, claim, t, u)
     if name == "convexity":
-        return check_convexity(ctx, measure, [(claim, claim_from_label("sin", u))], t=s, u=u)
+        return check_convexity(ctx, measure, claim, s, u)
     raise ValueError(f"unknown check {name!r}")
 
 
@@ -778,6 +745,25 @@ def run_taxonomy(
         if all(verdicts[(m.label, p)] for p in premises) and not verdicts[(m.label, conclusion)]
     ]
     return reports, failures
+
+
+# The premium-identity cross-check: gamma through the premium measure against
+# the direct gamma, for csa_example shifted by 0.1 and for the entropic driver
+# (q = 1) translated by 0.1; both have a nonzero gamma.
+GAMMA_CROSS = (
+    shifted(driver_from_label("csa_example"), 0.1),
+    driver_from_label("q_entropic_translated:1,0.1"),
+)
+
+
+def run_gamma_cross(
+    ctx: LsmcContext, claim_label: str, s: int, t: int, u: int
+) -> list[tuple[str, PropertyReport]]:
+    """(driver label, check_premium_identity report) per GAMMA_CROSS driver,
+    over the window s <= t <= u: the claim is held at t, so gamma(s, t, u, X)
+    sits one place earlier in the window than the taxonomy's gamma(t, u, v, X)."""
+    held = claim_from_label(claim_label, t)
+    return [(drv.label, check_premium_identity(ctx, drv, held, s, t, u)) for drv in GAMMA_CROSS]
 
 
 def audit_expected(reports: Sequence[PropertyReport]) -> list[dict]:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from bsderisk import claim_from_label, measure_from_label
+from bsderisk import RandomField, claim_from_label, diagnostics, measure_from_label
+from bsderisk.diagnostics import LongevityResult
 from bsderisk.cli import RunConfig, main, parse_config, run_evaluate, run_sweep, run_verify
 
 
@@ -173,6 +174,26 @@ class TestVerify:
                         checks=("monotonicity",))
         (rep,), summary = run_verify(cfg)
         assert rep.property == "monotonicity" and rep.verdict and summary["ok"]
+
+    def test_gamma_cross_holds_the_claim_at_t_and_names_each_failing_driver(self, monkeypatch):
+        held = []
+
+        def mismatched(ctx, driver, claim, t, u, v):
+            held.append((claim.maturity, t, u, v))
+            return LongevityResult(RandomField(t, np.zeros(1)), 1.0, None, 2.0, 1.0, 9.0)
+
+        monkeypatch.setattr(diagnostics, "gamma_via_premium_measure", mismatched)
+        cfg = RunConfig(n_paths=500, n_steps=8, seed=3, checks=("gamma_cross",))
+        reports, summary = run_verify(cfg)
+        assert held == [(4, 0, 4, 6)] * 2
+        assert [(r.construction, r.params) for r in reports] == [
+            ("driver:csa_example+0.1", {"t": 0, "u": 4, "v": 6}),
+            ("driver:q_entropic_translated:1,0.1", {"t": 0, "u": 4, "v": 6}),
+        ]
+        assert summary["failures"] == [
+            {"measure": "csa_example+0.1", "check": "gamma_premium_identity"},
+            {"measure": "q_entropic_translated:1,0.1", "check": "gamma_premium_identity"},
+        ]
 
     def test_unknown_check_is_named(self):
         cfg = RunConfig(n_paths=500, n_steps=4, checks=("tc_medium",))

@@ -133,6 +133,14 @@ class TestPremiumMeasure:
         with pytest.raises(DegenerateWeights):
             gamma_via_premium_measure(ctx20, wild, claim_from_label("brownian", 10), 0, 10, 20)
 
+    def test_root_stderr_is_none(self, ctx20):
+        # at t = 0 the direct gamma is one root constant: no spread to report
+        drv = shifted(driver_from_label("csa_example"), 0.1)
+        claim = claim_from_label("brownian", 10)
+        assert gamma_via_premium_measure(ctx20, drv, claim, 0, 10, 20).gamma_stderr is None
+        res = gamma_via_premium_measure(ctx20, drv, claim, 5, 10, 20)
+        assert res.gamma_stderr == res.gamma.stderr() > 0.0
+
     def test_window_validation(self, ctx20):
         with pytest.raises(ValueError):
             gamma_via_premium_measure(
@@ -175,34 +183,27 @@ class TestCashSubadditivity:
         rep = check_cash_subadditivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert rep.details["mean_gap[0]"] == 0.0
 
-    def test_negative_shift_rejected(self, ctx20):
-        m = measure_from_label("mean", ctx20.grid)
-        with pytest.raises(ValueError):
-            check_cash_subadditivity(
-                ctx20, m, claim_from_label("brownian", 20), 10, 20, shifts=[("-1", -1.0)]
-            )
-
 
 class TestNormalizationChecks:
     def test_quad_z_passes(self, ctx20):
         m = measure_from_label("driver:quad_z", ctx20.grid)
-        assert check_normalization(ctx20, m, [(0, 10), (10, 20)]).verdict
+        assert check_normalization(ctx20, m, 0, 10, 20).verdict
 
     def test_shifted_example_fails(self, ctx20):
         m = measure_from_label("driver:csa_example_shift", ctx20.grid)
-        rep = check_normalization(ctx20, m, [(0, 10), (10, 20)])
+        rep = check_normalization(ctx20, m, 0, 10, 20)
         assert not rep.verdict
         assert rep.witness["rho0"] == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_driver_passes(self, ctx20):
         m = measure_from_label("driver:zero", ctx20.grid)
-        assert check_normalization(ctx20, m, [(0, 20)]).verdict
+        assert check_normalization(ctx20, m, 0, 20, 20).verdict
 
     def test_rho0_sign_check(self, ctx20):
         good = measure_from_label("driver:quad_z", ctx20.grid)
-        assert check_nonpositive_at_zero(ctx20, good, [(0, 20)]).verdict
+        assert check_nonpositive_at_zero(ctx20, good, 0, 20, 20).verdict
         bad = measure_from_label("qent_tr:0.5,0,0.2", ctx20.grid)
-        assert not check_nonpositive_at_zero(ctx20, bad, [(0, 20)]).verdict
+        assert not check_nonpositive_at_zero(ctx20, bad, 0, 20, 20).verdict
 
 
 class _OnePathBump(riskmeasures.RiskMeasure):
@@ -226,8 +227,8 @@ class TestVerdictPolicy:
         m = measure_from_label("driver:quad_z", ctx20.grid)
         claim = claim_from_label("brownian", 20)
         assert check_cash_additivity(ctx20, m, claim, 10, 20).tolerance == 1e-8
-        assert check_normalization(ctx20, m, [(0, 10), (10, 20)]).tolerance == 1e-10
-        assert check_nonpositive_at_zero(ctx20, m, [(0, 10), (10, 20)]).tolerance == 1e-10
+        assert check_normalization(ctx20, m, 0, 10, 20).tolerance == 1e-10
+        assert check_nonpositive_at_zero(ctx20, m, 0, 10, 20).tolerance == 1e-10
 
     def test_exact_checks_allow_no_violating_path(self, ctx20):
         # one path of 10k off by 1e-7: within a Monte Carlo cap, but exact checks have cap 0
@@ -235,8 +236,8 @@ class TestVerdictPolicy:
         rep = check_cash_additivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert 1e-8 < rep.max_violation and 0.0 < rep.violation_fraction <= FRACTION_CAP
         assert not rep.verdict
-        assert not check_normalization(ctx20, _OnePathBump(2e-10), [(0, 20)]).verdict
-        assert check_normalization(ctx20, _OnePathBump(0.5e-10), [(0, 20)]).verdict
+        assert not check_normalization(ctx20, _OnePathBump(2e-10), 0, 20, 20).verdict
+        assert check_normalization(ctx20, _OnePathBump(0.5e-10), 0, 20, 20).verdict
 
     def test_monte_carlo_tolerance_is_four_probe_scales(self, ctx20):
         m = measure_from_label("driver:csa_example", ctx20.grid)
@@ -267,19 +268,20 @@ class TestVerdictPolicy:
 class TestRestrictionCheck:
     def test_quad_z_passes_exactly(self, ctx20):
         m = measure_from_label("driver:quad_z", ctx20.grid)
-        rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, [15, 20])
-        assert rep.verdict and rep.max_violation == 0.0
+        for v in (15, 20):
+            rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, v)
+            assert rep.verdict and rep.max_violation == 0.0
 
     def test_translated_fails_with_source_gap(self, ctx20):
         m = measure_from_label("qent_tr:0.5,0,0.2", ctx20.grid)
-        rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, [20])
+        rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, 20)
         assert not rep.verdict
         # gap is the translation integral over (u, v]
         assert rep.details["gap_mean[v=20]"] == pytest.approx(0.2 * 0.5, abs=0.02)
 
     def test_same_maturity_is_equality(self, ctx20):
         m = measure_from_label("driver:csa_example", ctx20.grid)
-        rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, [10])
+        rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, 10)
         assert rep.verdict and rep.max_violation == 0.0
 
 
@@ -324,22 +326,15 @@ class TestTimeConsistencyChecks:
 
 class TestMonotonicityConvexity:
     def test_monotonicity(self, ctx20):
+        # B_1 paired with B_1 - 0.5
         m = measure_from_label("qent:0.5,0", ctx20.grid)
-        lower = Claim(20, lambda p: p[:, -1, 0] - 0.5, "b-0.5")
-        rep = check_monotonicity(ctx20, m, [(lower, claim_from_label("brownian", 20))], 10)
+        rep = check_monotonicity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert rep.verdict
 
-    def test_unordered_pair_rejected(self, ctx20):
-        m = measure_from_label("mean", ctx20.grid)
-        a = claim_from_label("brownian", 20)
-        b = claim_from_label("sin", 20)
-        with pytest.raises(ValueError):
-            check_monotonicity(ctx20, m, [(a, b)], 10)
-
     def test_convexity_at_root(self, ctx20):
+        # B_1 mixed with sin(B_1)
         m = measure_from_label("entropic", ctx20.grid)
-        pair = (claim_from_label("brownian", 20), claim_from_label("sin", 20))
-        rep = check_convexity(ctx20, m, [pair], t=0)
+        rep = check_convexity(ctx20, m, claim_from_label("brownian", 20), 0, 20)
         assert rep.verdict
 
 
@@ -347,22 +342,52 @@ class TestLongevityCheck:
     def test_nonneg_driver(self, ctx20):
         m = measure_from_label("driver:csa_example", ctx20.grid)
         probe = RandomField(10, ctx20.ensemble.values[:, 10, 0])
-        rep = check_longevity(ctx20, m, probe, 5, 10, [15, 20])
-        assert rep.verdict
+        for v in (15, 20):
+            assert check_longevity(ctx20, m, probe, 5, 10, v).verdict
 
     def test_zero_gamma_reports_positive_zero(self, ctx20):
         # gamma is exactly +0.0 for the zero driver, and max(0, -gamma) is -0.0
         m = measure_from_label("driver:zero", ctx20.grid)
         probe = RandomField(10, ctx20.ensemble.values[:, 10, 0])
-        rep = check_longevity(ctx20, m, probe, 5, 10, [20])
+        rep = check_longevity(ctx20, m, probe, 5, 10, 20)
         assert rep.verdict and np.copysign(1.0, rep.max_violation) == 1.0
         assert '"max_violation": 0.0' in json.dumps(rep.as_dict())
 
     def test_sign_indefinite_measure_fails(self, ctx20):
         m = measure_from_label("driver:linear_y:0.1", ctx20.grid)
         probe = RandomField(10, ctx20.ensemble.values[:, 10, 0])
-        rep = check_longevity(ctx20, m, probe, 5, 10, [20])
+        rep = check_longevity(ctx20, m, probe, 5, 10, 20)
         assert not rep.verdict
+
+
+class TestRunCheck:
+    """run_check hands each check the window (s, t, u, v) as it stands; the
+    report's params are bundle bytes and stay as they are."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        grid = TimeGrid(1.0, 8)
+        return LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+
+    @pytest.mark.parametrize("name, params", [
+        ("normalization", '{"pairs": [[1, 4], [4, 6]]}'),
+        ("rho0_nonpositive", '{"pairs": [[1, 4], [4, 6]]}'),
+        ("restriction", '{"t": 4, "u": 6, "v_grid": [8]}'),
+        ("h_longevity", '{"t": 4, "u": 6, "v_grid": [8]}'),
+        ("cash_additivity", '{"t": 4, "u": 6}'),
+        ("cash_subadditivity", '{"t": 4, "u": 6}'),
+        ("tc_strong", '{"kind": "strong", "s": 1, "t": 4, "u": 6}'),
+        ("tc_weak", '{"kind": "weak", "s": 1, "t": 4, "u": 6}'),
+        ("tc_sub", '{"kind": "sub", "s": 1, "t": 4, "u": 6}'),
+        ("tc_order", '{"kind": "order", "s": 1, "t": 4, "u": 6}'),
+        ("monotonicity", '{"t": 4, "pairs": 1}'),
+        ("convexity", '{"t": 1, "lambdas": [0.25, 0.5, 0.75]}'),
+    ])
+    def test_params(self, ctx, name, params):
+        m = measure_from_label("entropic", ctx.grid)
+        rep = diagnostics.run_check(ctx, name, m, claim_from_label("brownian", 6), 1, 4, 6, 8)
+        assert rep.property == name
+        assert json.dumps(rep.as_dict()["params"]) == params
 
 
 class TestTaxonomy:
@@ -422,7 +447,7 @@ class TestTaxonomy:
 class TestReportSerialization:
     def test_json_lines_schema(self, ctx20):
         m = measure_from_label("driver:quad_z", ctx20.grid)
-        rep = check_normalization(ctx20, m, [(0, 20)])
+        rep = check_normalization(ctx20, m, 0, 20, 20)
         line = reports_to_json_lines([rep]).splitlines()[0]
         obj = json.loads(line)
         for key in (
@@ -445,8 +470,8 @@ class TestReportSerialization:
     def test_csv_one_row_per_check(self, ctx20):
         m = measure_from_label("driver:quad_z", ctx20.grid)
         reps = [
-            check_normalization(ctx20, m, [(0, 20)]),
-            check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, [20]),
+            check_normalization(ctx20, m, 0, 20, 20),
+            check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, 20),
         ]
         text = reports_to_csv(reps)
         lines = text.splitlines()
@@ -480,10 +505,10 @@ class TestReuse:
         for m, claim in rows:
             field = claim.evaluate(ctx.ensemble)
             for check in (
-                lambda c: check_normalization(c, m, [(s, t), (t, u)]),
-                lambda c: check_nonpositive_at_zero(c, m, [(s, t), (t, u)]),
-                lambda c: check_restriction(c, m, field, t, [v]),
-                lambda c: check_longevity(c, m, probe, t, u, [v]),
+                lambda c: check_normalization(c, m, s, t, u),
+                lambda c: check_nonpositive_at_zero(c, m, s, t, u),
+                lambda c: check_restriction(c, m, field, t, v),
+                lambda c: check_longevity(c, m, probe, t, u, v),
                 *[
                     lambda c, kind=kind: check_time_consistency(c, m, kind, field, s, t, u)
                     for kind in ("strong", "weak", "sub", "order")
