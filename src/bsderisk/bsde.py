@@ -21,11 +21,17 @@ Terminal conditions measurable before maturity (field.index < maturity) are
 propagated through the tail (index >= field.index) with Z = 0 and the
 pathwise backward ODE step Y_i = Y_{i+1} + g(t_i, y*, 0) dt: conditioning an
 already-measurable quantity is the identity, and the true Z vanishes there.
+
+A solution stores Y only, not a (maturity, n_paths, d) Z.  Z_i is a
+function of Y_{i+1}, so BSDESolution.z_at(i) recomputes it with the solve's
+own step (the node's cached Cholesky factor, the same fit clamp) and returns
+bit for bit the Z_i the solve formed before clipping at Z_CLIP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -133,15 +139,16 @@ def shifted(driver: Driver, a: float, label: Optional[str] = None) -> Driver:
 class BSDESolution:
     """Backward solution on indices [stop, maturity].
 
-    Y has shape (maturity+1, n_paths) with rows < stop unset; Z has shape
-    (maturity, n_paths, d).  Y at maturity equals the terminal condition
-    exactly, and an accepted solution has zero domain-guard violations.
+    Y has shape (maturity+1, n_paths) with rows < stop unset.  Y at maturity
+    equals the terminal condition exactly, and an accepted solution has zero
+    domain-guard violations.  step(i, y_next) -> (Yhat_i, Z_i) is the
+    solve's regression step; z_at(i) applies it to the stored Y[i+1].
     """
 
     Y: np.ndarray
-    Z: np.ndarray
     stop: int
     maturity: int
+    step: Callable[[int, np.ndarray], tuple] = dfield(repr=False, compare=False)
     diagnostics: dict = dfield(default_factory=dict)
 
     def field_at(self, i: int) -> RandomField:
@@ -150,9 +157,31 @@ class BSDESolution:
         return RandomField(i, self.Y[i])
 
     def z_at(self, i: int) -> np.ndarray:
+        """Z_i, shape (n_paths, d), unclipped: the control the solve formed
+        at node i, recomputed bit for bit from Y[i+1]."""
         if not (self.stop <= i < self.maturity):
             raise IndexError(f"z index {i} outside [{self.stop}, {self.maturity})")
-        return self.Z[i]
+        return self.step(i, self.Y[i + 1])[1]
+
+
+def _step(
+    ctx: LsmcContext,
+    meas: int,
+    aux: Optional[np.ndarray],
+    clip: bool,
+    i: int,
+    y_next: np.ndarray,
+) -> tuple:
+    """(Yhat_i, Z_i) at node i from Y_{i+1}: the projection Pi_i[Y_{i+1}]
+    (clamped to its sample range when clip) and
+    Pi_i[(Y_{i+1} - Yhat_i) dB_i] / dt.  At and after the terminal's index
+    meas the terminal is already measurable: identity projection, Z = 0."""
+    if i >= meas:
+        return y_next, np.zeros((y_next.shape[0], ctx.ensemble.dim))
+    proj = ctx.projector(i, aux)
+    yhat = proj.fitted(y_next, clip=clip)
+    resid = y_next - yhat
+    return yhat, proj.fitted(resid[:, None] * ctx.ensemble.increments[:, i, :]) / ctx.grid.dt
 
 
 def solve(
@@ -170,7 +199,7 @@ def solve(
     Raises DomainGuardViolation / NonFiniteError on unacceptable states.
     """
     grid, ens = ctx.grid, ctx.ensemble
-    n, d, dt = ens.n_paths, ens.dim, grid.dt
+    n, dt = ens.n_paths, grid.dt
     if terminal.index > maturity:
         raise ValueError(f"terminal measurable at {terminal.index} > maturity {maturity}")
     if maturity > grid.n_steps:
@@ -178,16 +207,14 @@ def solve(
     if terminal.n_paths != n:
         raise ValueError("terminal field defined on a different ensemble")
 
-    meas = terminal.index
     Y = np.empty((maturity + 1, n))
-    Z = np.zeros((maturity, n, d))
     Y[maturity] = terminal.values
     fallbacks_before = ctx.fallback_count
     picard_total = 0
     # range-clamp the continuation fit only when a domain guard is present:
     # guarded generators must not see polynomial tail overshoot, while
     # unguarded ones keep the exact linearity of raw least squares
-    clip_fit = driver.domain_guard is not None
+    step = partial(_step, ctx, terminal.index, aux, driver.domain_guard is not None)
 
     def drive(t: float, y: np.ndarray, z: np.ndarray, i: int) -> np.ndarray:
         bad = ~driver.guard_ok(y)
@@ -198,16 +225,7 @@ def solve(
 
     for i in range(maturity - 1, stop - 1, -1):
         t_i = i * dt
-        if i >= meas:
-            # terminal already measurable here: identity projection, Z = 0
-            yhat = Y[i + 1]
-            z_i = np.zeros((n, d))
-        else:
-            proj = ctx.projector(i, aux)
-            yhat = proj.fitted(Y[i + 1], clip=clip_fit)
-            resid = Y[i + 1] - yhat
-            z_i = proj.fitted(resid[:, None] * ens.increments[:, i, :]) / dt
-            Z[i] = z_i
+        yhat, z_i = step(i, Y[i + 1])
         zc = np.clip(z_i, -Z_CLIP, Z_CLIP)
         ystar = yhat
         if driver.depends_on_y:
@@ -220,9 +238,9 @@ def solve(
 
     return BSDESolution(
         Y=Y,
-        Z=Z,
         stop=stop,
         maturity=maturity,
+        step=step,
         diagnostics={
             "picard_evals": picard_total,
             "regression_fallbacks": ctx.fallback_count - fallbacks_before,

@@ -249,10 +249,10 @@ def gamma_via_premium_measure(
     for i in range(t, v):
         t_i = i * dt
         y_v = sol_v.Y[i]
-        z_v = sol_v.Z[i]
+        z_v = sol_v.z_at(i)
         if i <= u:
             y_bar = sol_u.Y[i]
-            z_bar = sol_u.Z[i] if i < u else np.zeros((n, d))
+            z_bar = sol_u.z_at(i) if i < u else np.zeros((n, d))
         else:
             y_bar = -x
             z_bar = np.zeros((n, d))
@@ -318,12 +318,13 @@ def _shift_gaps(ctx, measure, claim, t, u):
     b_t = ctx.ensemble.levels(t)[:, 0]
     shifts = [("0", 0.0), ("0.1", 0.1), ("0.5", 0.5), ("1", 1.0),
               ("0.5*(1+tanh(B_t))", 0.5 * (1.0 + np.tanh(b_t)))]
+    rho_plain = measure.evaluate(ctx, t, field, maturity=u)
     out = []
     for label, m in shifts:
         aux = m if np.ndim(m) else None
         shifted_field = RandomField(field.index if aux is None else max(field.index, t), field.values + m)
         rho_xm = measure.evaluate(ctx, t, shifted_field, maturity=u, aux=aux)
-        rho_x = measure.evaluate(ctx, t, field, maturity=u, aux=aux)
+        rho_x = rho_plain if aux is None else measure.evaluate(ctx, t, field, maturity=u, aux=aux)
         out.append((label, rho_xm.values - (rho_x.values - m), m))
     return out
 

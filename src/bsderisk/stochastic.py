@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _BLOCK = 16384  # fixed path-block size for reductions; independent of workers
+DESIGN_ROWS = 4096  # rows of the design matrix built per block
 CSV_BLOCK_ROWS = 65536  # rows per write of ensemble_to_csv, rounded down to whole paths
 _CSV_ROW = np.dtype([("path", "i8"), ("node", "i8"), ("dim", "i8"), ("value", "f8")])
 
@@ -232,19 +233,22 @@ class RegressionBasis:
 
         Each monomial column is its prefix monomial's column times one
         variable, so the products run left to right over the sorted index
-        tuple."""
+        tuple.  Rows are filled DESIGN_ROWS at a time, so each column write
+        stays within one cache-sized block of phi."""
         n, k = variables.shape
         combos = [()]
         for deg in range(1, self.degree + 1):
             combos += combinations_with_replacement(range(k), deg)
         column = {combo: j for j, combo in enumerate(combos)}
         phi = np.empty((n, len(combos)))
-        phi[:, 0] = 1.0
-        for j, combo in enumerate(combos[1:], 1):
-            if len(combo) == 1:
-                phi[:, j] = variables[:, combo[0]]
-            else:
-                np.multiply(phi[:, column[combo[:-1]]], variables[:, combo[-1]], out=phi[:, j])
+        for start in range(0, n, DESIGN_ROWS):
+            block, var = phi[start : start + DESIGN_ROWS], variables[start : start + DESIGN_ROWS]
+            block[:, 0] = 1.0
+            for j, combo in enumerate(combos[1:], 1):
+                if len(combo) == 1:
+                    block[:, j] = var[:, combo[0]]
+                else:
+                    np.multiply(block[:, column[combo[:-1]]], var[:, combo[-1]], out=block[:, j])
         return phi
 
 

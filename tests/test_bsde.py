@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,7 +159,56 @@ class TestInvariants:
         short = solve(drv, term, 10, ctx20)
         long = solve(drv, term, 20, ctx20)
         np.testing.assert_array_equal(short.field_at(0).values, long.field_at(0).values)
-        assert np.all(long.Z[10:] == 0.0)
+        assert all(np.all(long.z_at(i) == 0.0) for i in range(10, 20))
+
+
+class TestStoredY:
+    """A solve stores Y only: z_at(i) re-forms the Z_i the solve used from
+    Y[i+1], the node's cached factor and the solve's fit clamp."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        grid = TimeGrid(1.0, 8)
+        return LsmcContext(grid, simulate(grid, 1, 4000, seed=3), RegressionBasis(4))
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_z_at_is_the_solve_z(self, ctx, guarded):
+        # a guard, even one that always holds, turns on the fit clamp; the
+        # clipped terminal makes the degree-4 fit overshoot its range
+        dt, inc = ctx.grid.dt, ctx.ensemble.increments
+        seen = {}
+
+        def g(t, y, z):
+            seen[round(t / dt)] = z.copy()
+            return 0.5 * np.sum(z * z, axis=1)
+
+        guard = (lambda y: np.ones(y.shape, dtype=bool)) if guarded else None
+        terminal = RandomField(8, np.clip(ctx.ensemble.values[:, 8, 0], -0.5, 0.5))
+        sol = solve(Driver(g, "recorded", domain_guard=guard), terminal, 8, ctx)
+        clamp_moved = 0
+        for i in range(8):
+            proj, y_next = ctx.projector(i), sol.Y[i + 1]
+            by_hand = proj.fitted((y_next - proj.fitted(y_next, clip=guarded))[:, None] * inc[:, i, :]) / dt
+            unclamped = proj.fitted((y_next - proj.fitted(y_next))[:, None] * inc[:, i, :]) / dt
+            np.testing.assert_array_equal(sol.z_at(i), by_hand)
+            np.testing.assert_array_equal(np.clip(sol.z_at(i), -bsde.Z_CLIP, bsde.Z_CLIP), seen[i])
+            clamp_moved += not np.array_equal(by_hand, unclamped)
+        assert (clamp_moved > 0) == guarded
+
+    def test_solve_peak_memory_is_y_and_per_node_arrays(self):
+        # Y plus a few n x p arrays of one node (phi, fits, the Z regressand);
+        # a stored (maturity, n, d) Z would add 8 more at p = 5, d = 1
+        n, p = 20_000, 5
+        grid = TimeGrid(1.0, 40)
+        ctx = LsmcContext(grid, simulate(grid, 1, n, seed=5), RegressionBasis(4))
+        terminal = RandomField(40, np.sin(ctx.ensemble.values[:, 40, 0]))
+        tracemalloc.start()
+        try:
+            sol = solve(driver_from_label("q_entropic:0.5"), terminal, 40, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sol.Y.nbytes + 4 * n * p * 8
 
 
 class TestRegistry:

@@ -184,6 +184,58 @@ class TestCashSubadditivity:
         assert rep.details["mean_gap[0]"] == 0.0
 
 
+class TestShiftGaps:
+    """The cash checks evaluate rho(X) once for all constant shifts, and once
+    more with the tanh(B_t) shift in the basis; the reports keep their bytes."""
+
+    GAPS = {
+        "mean_gap[0]": 0.0,
+        "mean_gap[0.1]": 1.37394816e-16,
+        "mean_gap[0.5]": -1.19866931e-15,
+        "mean_gap[1]": -8.02012374e-16,
+        "mean_gap[0.5*(1+tanh(B_t))]": -0.000524243636,
+    }
+
+    REPORTS = {
+        "cash_additivity": (
+            '{"property": "cash_additivity", "construction": "entropic", "params": {"t": 2, "u": 4}, '
+            '"verdict": "fail", "tolerance": 1e-08, "max_violation": 3.95683486e-13, "violation_fraction": 0.0, '
+            '"witness": {"shift": "0.5*(1+tanh(B_t))", "path": 1131, "gap": -0.559325986}, '
+            '"seed": 31, "n_paths": 2000, "n_steps": 8}\n',
+            {"field_tolerance": 0.147962288, "field_max_violation": 0.559325986},
+        ),
+        "cash_subadditivity": (
+            '{"property": "cash_subadditivity", "construction": "entropic", "params": {"t": 2, "u": 4}, '
+            '"verdict": "pass", "tolerance": 0.147962288, "max_violation": 0.559325986, "violation_fraction": 0.0003, '
+            '"witness": null, "seed": 31, "n_paths": 2000, "n_steps": 8}\n',
+            {},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_one_unshifted_evaluation(self, monkeypatch, name):
+        grid = TimeGrid(1.0, 8)
+        ctx = LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+        claim = claim_from_label("brownian", 4)
+        calls = []
+        original = CertaintyEquivalent._evaluate
+
+        def counted(self, c, t_index, field, maturity, aux):
+            calls.append((c.basis.degree, digest(field.values), digest(aux)))
+            return original(self, c, t_index, field, maturity, aux)
+
+        monkeypatch.setattr(CertaintyEquivalent, "_evaluate", counted)
+        rep = diagnostics.run_check(ctx, name, measure_from_label("entropic", grid), claim, 0, 2, 4, 8)
+        # five shifted claims, rho(X) for the constants and with tanh(B_t),
+        # and the noise probe's rho(X) at degrees 4 and 5
+        assert len(calls) == 9
+        plain = (4, digest(claim.evaluate(ctx.ensemble).values), None)
+        assert calls.count(plain) == 3  # the probe, rho(X) and rho(X + 0)
+        line, extra = self.REPORTS[name]
+        assert reports_to_json_lines([rep]) == line
+        assert rep.details == {**self.GAPS, **extra}
+
+
 class TestNormalizationChecks:
     def test_quad_z_passes(self, ctx20):
         m = measure_from_label("driver:quad_z", ctx20.grid)

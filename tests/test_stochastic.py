@@ -270,22 +270,36 @@ class TestRegressionBasis:
         assert phi.shape == (2, 6)
         np.testing.assert_allclose(phi[0], [1, 1, 2, 1, 2, 4])
 
-    @pytest.mark.parametrize("k, degree", [(1, 4), (2, 5), (3, 3), (0, 4)])
-    def test_design_matches_column_products(self, k, degree):
-        # reference: each monomial multiplied out left to right, then stacked
+    @staticmethod
+    def column_products(x, degree):
+        """Reference design: each monomial multiplied out left to right over
+        all rows at once, then stacked."""
         from itertools import combinations_with_replacement
 
-        x = np.random.default_rng(k).standard_normal((500, k))
-        cols = [np.ones(500)]
+        n, k = x.shape
+        cols = [np.ones(n)]
         for deg in range(1, degree + 1):
             for combo in combinations_with_replacement(range(k), deg):
                 col = x[:, combo[0]].copy()
                 for j in combo[1:]:
                     col *= x[:, j]
                 cols.append(col)
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("k, degree", [(1, 4), (2, 5), (3, 3), (0, 4)])
+    def test_design_matches_column_products(self, k, degree):
+        x = np.random.default_rng(k).standard_normal((500, k))
         phi = RegressionBasis(degree).design(x)
-        np.testing.assert_array_equal(phi, np.column_stack(cols))
+        np.testing.assert_array_equal(phi, self.column_products(x, degree))
         assert phi.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [5, stochastic.DESIGN_ROWS, stochastic.DESIGN_ROWS + 1, 20_000])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_row_blocked_design_is_the_whole_array_design(self, k, n):
+        # the design is filled DESIGN_ROWS rows at a time; on either side of
+        # a block edge it must be the whole-array design bit for bit
+        x = np.random.default_rng(n + k).standard_normal((n, k))
+        np.testing.assert_array_equal(RegressionBasis(5).design(x), self.column_products(x, 5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
