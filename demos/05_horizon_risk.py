@@ -47,7 +47,7 @@ print("   the fixed translation)")
 print()
 print("premium-measure representation vs the direct difference:")
 for driver in (
-    Driver(lambda s, y, z: np.sum(z, axis=1) + 0.1, "z + 0.1", nonneg_at_z0=True),
+    Driver(lambda s, y, z: np.sum(z, axis=1) + 0.1, "z + 0.1"),
     shifted(driver_from_label("csa_example"), 0.1),
 ):
     res = gamma_via_premium_measure(ctx, driver, claim, t, u, v)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "DomainGuardViolation",
     "NonFiniteError",
     "solve",
-    "check_increasing",
     "driver_from_label",
     "family_from_label",
     "shifted",
@@ -78,16 +77,15 @@ class NonFiniteError(RuntimeError):
 class Driver:
     """BSDE generator g(t, y, z) evaluated pathwise.
 
-    fn maps (t: float, y: (n,), z: (n, d)) -> (n,).  The z=0 flags are
-    declarative metadata; `verify_flags` spot-checks them on a sample grid.
+    fn maps (t: float, y: (n,), z: (n, d)) -> (n,).  The axioms a measure
+    built on it satisfies follow from y -> g(t, y, 0); see
+    diagnostics.generator_verdicts.
     """
 
     fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     label: str
     depends_on_y: bool = False
     domain_guard: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    nonneg_at_z0: bool = False
-    zero_at_z0: bool = False
 
     def __call__(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(t, y, z), dtype=float)
@@ -96,20 +94,6 @@ class Driver:
         if self.domain_guard is None:
             return np.ones(y.shape, dtype=bool)
         return np.asarray(self.domain_guard(y), dtype=bool)
-
-    def verify_flags(self, ts: Sequence[float], ys: Sequence[float], dim: int = 1) -> None:
-        """Spot-check the z=0 flags on a (t, y) sample grid."""
-        z0 = np.zeros((1, dim))
-        for t in ts:
-            for y in ys:
-                ya = np.array([float(y)])
-                if not bool(self.guard_ok(ya)[0]):
-                    continue
-                g0 = float(self(t, ya, z0)[0])
-                if self.zero_at_z0 and abs(g0) > 1e-12:
-                    raise AssertionError(f"{self.label}: g({t},{y},0)={g0} but flagged zero at z=0")
-                if self.nonneg_at_z0 and g0 < -1e-12:
-                    raise AssertionError(f"{self.label}: g({t},{y},0)={g0} but flagged nonneg at z=0")
 
 
 @dataclass(frozen=True)
@@ -130,8 +114,6 @@ def shifted(driver: Driver, a: float, label: Optional[str] = None) -> Driver:
         label=label or f"{driver.label}+{label_number(a)}",
         depends_on_y=driver.depends_on_y,
         domain_guard=driver.domain_guard,
-        nonneg_at_z0=driver.nonneg_at_z0 and a >= 0.0,
-        zero_at_z0=driver.zero_at_z0 and a == 0.0,
     )
 
 
@@ -248,41 +230,6 @@ def solve(
     )
 
 
-def check_increasing(
-    family: DriverFamily,
-    maturities: Sequence[float],
-    ts: Sequence[float],
-    ys: Sequence[float],
-    zs: Sequence[float],
-    dim: int = 1,
-):
-    """Sampled check that g_t(v,y,z) <= g_u(v,y,z) for t <= u, v <= t.
-
-    Returns (ok, witness); witness is the violating (t, u, v, y, z) tuple.
-    """
-    mats = sorted(maturities)
-    if len(mats) < 2:
-        raise ValueError("need at least two maturities")
-    for a_idx in range(len(mats) - 1):
-        for b_idx in range(a_idx + 1, len(mats)):
-            u1, u2 = mats[a_idx], mats[b_idx]
-            g1, g2 = family.at(u1), family.at(u2)
-            for v in ts:
-                if v > u1:
-                    continue
-                for y in ys:
-                    ya = np.array([float(y)])
-                    if not (g1.guard_ok(ya)[0] and g2.guard_ok(ya)[0]):
-                        continue
-                    for z in zs:
-                        za = np.full((1, dim), float(z))
-                        lo = float(g1(v, ya, za)[0])
-                        hi = float(g2(v, ya, za)[0])
-                        if lo > hi + 1e-12:
-                            return False, (u1, u2, v, float(y), float(z), lo, hi)
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # Driver registry
 # ---------------------------------------------------------------------------
@@ -302,8 +249,6 @@ def q_entropic(label: str, q: float, a: float = 0.0) -> Driver:
         label,
         depends_on_y=not classical,
         domain_guard=None if classical else (lambda y: tsallis.in_domain(y, q)),
-        nonneg_at_z0=True,
-        zero_at_z0=True,
     )
     return shifted(drv, a, label) if a else drv
 
@@ -316,24 +261,14 @@ def driver_from_label(label: str) -> Driver:
     """
     name, _, arg = label.partition(":")
     if name == "zero":
-        return Driver(lambda t, y, z: np.zeros(y.shape), "zero", nonneg_at_z0=True, zero_at_z0=True)
+        return Driver(lambda t, y, z: np.zeros(y.shape), "zero")
     if name == "linear_y":
         (r,) = label_floats(label, arg, 1)
         return Driver(lambda t, y, z: -r * y, label, depends_on_y=True)
     if name == "abs_z":
-        return Driver(
-            lambda t, y, z: np.sqrt(np.sum(z * z, axis=1)),
-            "abs_z",
-            nonneg_at_z0=True,
-            zero_at_z0=True,
-        )
+        return Driver(lambda t, y, z: np.sqrt(np.sum(z * z, axis=1)), "abs_z")
     if name == "quad_z":
-        return Driver(
-            lambda t, y, z: 0.5 * np.sum(z * z, axis=1),
-            "quad_z",
-            nonneg_at_z0=True,
-            zero_at_z0=True,
-        )
+        return Driver(lambda t, y, z: 0.5 * np.sum(z * z, axis=1), "quad_z")
     if name in ("csa_example", "csa_example_shift"):
         r = label_floats(label, arg, 1)[0] if arg else 0.1
         shift = 1.0 if name == "csa_example_shift" else 0.0
@@ -341,8 +276,6 @@ def driver_from_label(label: str) -> Driver:
             lambda t, y, z, r=r, s=shift: r * np.maximum(-y, 0.0) + np.sum(z, axis=1) + s,
             label if arg else name,
             depends_on_y=True,
-            nonneg_at_z0=True,
-            zero_at_z0=(shift == 0.0 and r == 0.0),
         )
     if name == "q_entropic":
         return q_entropic(label, *label_floats(label, arg, 1))

@@ -12,9 +12,16 @@ at most FRACTION_CAP/10 violates HARD_MULT times it: regression noise breaks
 pathwise comparison theorems that hold in the continuum.  Mean-level
 violations are judged against Monte Carlo standard errors, and the
 premium-measure identity at PREMIUM_REL / PREMIUM_ABS (WEIGHT_TOL on the
-importance weights).  `run_check` calls every check by name, TAXONOMY
-holds the verify suite's constructions and expected verdicts, and
-GAMMA_CROSS the drivers of its premium-identity cross-check.
+importance weights).  `run_check` calls every check by name, and
+GAMMA_CROSS holds the drivers of the premium-identity cross-check.
+
+TAXONOMY holds the verify suite's constructions, each with its claim and
+the generator whose g(t, y, 0) it shares; EXPECTED_VERDICTS follows from
+that generator by five rules (`generator_verdicts`): g(t, 0, 0) != 0 fails
+normalization, and rho0_nonpositive where it is > 0; g(t, ., 0) not
+identically 0 fails restriction; g(t, y, 0) < 0 somewhere fails
+h_longevity; g(t, ., 0) not constant in y fails tc_weak (observed); family
+members that differ fail tc_strong.
 
 The horizon-risk correction gamma(t,u,v,X) = rho_{tv}(X) - rho_{tu}(X) is
 computed twice: directly, and through the equivalent change-of-measure
@@ -31,11 +38,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field as dfield, fields, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .bsde import Driver, driver_from_label, shifted, solve
+from .bsde import Driver, DriverFamily, driver_from_label, family_from_label, shifted, solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
 from .stochastic import LsmcContext, RandomField, claim_from_label, estimate_stderr
 
@@ -57,6 +64,7 @@ __all__ = [
     "check_premium_identity",
     "noise_sigma",
     "taxonomy_rows",
+    "generator_verdicts",
     "run_check",
     "run_taxonomy",
     "run_gamma_cross",
@@ -665,38 +673,28 @@ def run_check(
 
 
 # The taxonomy: its properties in report order, and each construction's claim
-# and the properties it is expected to fail (it passes the rest).  The
-# verdicts follow from the structure of each construction: normalization <=>
-# g(t,0,0) = 0, restriction <=> g(t,y,0) = 0, h-longevity <=> g(t,y,0) >= 0
-# (the discounted wrapper fails it on the sign-indefinite probe), strong
-# consistency for a single generator, sub consistency for increasing
-# families.  Weak consistency only sees the maturity-u member, so it holds
-# for the translated losses constructions (the translation integrals
-# telescope) while failing for discounting and for y-negative generator
-# terms.  Discount- and shift-sensitive constructions get a nonnegative claim
-# with a nonzero mean so consistency gaps cannot hide at zero; loss-based
+# and the generator whose g(t, y, 0) it shares (`family:<label>` names a
+# family); its expected verdicts are that generator's generator_verdicts.
+# Discount- and shift-sensitive constructions get a nonnegative claim with a
+# nonzero mean so consistency gaps cannot hide at zero; loss-based
 # constructions get the sign-indefinite claim their transform needs.
 PROPERTIES = (
     "normalization", "rho0_nonpositive", "restriction", "h_longevity",
     "tc_strong", "tc_weak", "tc_sub", "tc_order",
 )
-_UNNORMALIZED = ("normalization", "rho0_nonpositive", "restriction")  # failed where g(t,0,0) != 0
-TAXONOMY: dict[str, tuple[str, tuple[str, ...]]] = {
-    "driver:zero": ("call:-2", ()),
-    "driver:abs_z": ("call:-2", ()),
-    "driver:quad_z": ("call:-2", ()),
-    "driver:linear_y:0.1": ("call:-2", ("restriction", "h_longevity", "tc_weak")),
-    "driver:csa_example": ("call:-2", ("restriction", "tc_weak")),
-    "driver:csa_example_shift": ("call:-2", (*_UNNORMALIZED, "tc_weak")),
-    "qent_bsde:0.5,0": ("brownian", ()),
-    "qent:0.5,0": ("brownian", ()),
-    "qent_tr:0.5,0,0.2": ("brownian", _UNNORMALIZED),
-    "entropic": ("brownian", ()),
-    "discounted:mean,0.1": ("call:-2", ("restriction", "h_longevity", "tc_weak")),
-    "family_losses:translated_family:0.5,0.4": ("brownian", (*_UNNORMALIZED, "tc_strong")),
-}
-EXPECTED_VERDICTS: dict[str, dict[str, bool]] = {
-    label: {p: p not in fails for p in PROPERTIES} for label, (_, fails) in TAXONOMY.items()
+TAXONOMY: dict[str, tuple[str, str]] = {
+    "driver:zero": ("call:-2", "zero"),
+    "driver:abs_z": ("call:-2", "abs_z"),
+    "driver:quad_z": ("call:-2", "quad_z"),
+    "driver:linear_y:0.1": ("call:-2", "linear_y:0.1"),
+    "driver:csa_example": ("call:-2", "csa_example"),
+    "driver:csa_example_shift": ("call:-2", "csa_example_shift"),
+    "qent_bsde:0.5,0": ("brownian", "q_entropic:0.5"),
+    "qent:0.5,0": ("brownian", "q_entropic:0.5"),
+    "qent_tr:0.5,0,0.2": ("brownian", "q_entropic_translated:0.5,0.2"),
+    "entropic": ("brownian", "quad_z"),
+    "discounted:mean,0.1": ("call:-2", "linear_y:0.1"),
+    "family_losses:translated_family:0.5,0.4": ("brownian", "family:translated_family:0.5,0.4"),
 }
 
 
@@ -710,6 +708,53 @@ IMPLICATIONS = (
     ("strong_norm_restr_implies_weak", ("tc_strong", "normalization", "restriction"), "tc_weak"),
     ("weak_longevity_rho0_implies_sub", ("tc_weak", "h_longevity", "rho0_nonpositive"), "tc_sub"),
 )
+
+# The sample the generator rules read: times, levels y (kept where the domain
+# guard admits them) and family maturities.
+_RULE_TS = np.linspace(0.0, 1.0, 11)
+_RULE_YS = np.linspace(-2.0, 2.0, 9)
+_RULE_US = (0.25, 0.5, 1.0)
+
+
+def generator_verdicts(generator: Union[Driver, DriverFamily]) -> dict[str, bool]:
+    """Expected verdict of each PROPERTIES check on a measure that shares
+    the generator's g(t, y, 0), from five rules on the _RULE_* sample; a
+    family is read through its members at _RULE_US.  Zero and sign tests
+    are judged at ZERO_TOL, like the exact checks."""
+    members = [generator.at(u) for u in _RULE_US] if isinstance(generator, DriverFamily) else [generator]
+    ys = _RULE_YS[np.all([m.guard_ok(_RULE_YS) for m in members], axis=0)]
+    # g[member, z, t, y] at z = 0 and z = 1
+    g = np.array([[[m(t, ys, np.full((ys.size, 1), z)) for t in _RULE_TS] for z in (0.0, 1.0)]
+                  for m in members])
+    g0 = g[:, 0]
+    at_zero = g0[..., ys == 0.0]
+    verdicts = dict.fromkeys(PROPERTIES, True)
+    # rho_{tu}(0) solves Y' = -g(s, Y, 0) back from 0: it vanishes iff
+    # g(t, 0, 0) = 0, and turns positive where g(t, 0, 0) > 0
+    verdicts["normalization"] = bool(np.all(np.abs(at_zero) <= ZERO_TOL))
+    verdicts["rho0_nonpositive"] = bool(np.all(at_zero <= ZERO_TOL))
+    # past the claim's index Z = 0 and Y' = -g(s, Y, 0): gamma vanishes for
+    # every claim iff g(t, ., 0) = 0 (horizon-blindness), and is >= 0 by
+    # the comparison theorem iff g(t, ., 0) >= 0 (h-longevity)
+    verdicts["restriction"] = bool(np.all(np.abs(g0) <= ZERO_TOL))
+    verdicts["h_longevity"] = bool(np.all(g0 >= -ZERO_TOL))
+    # observed, not derived: weak consistency holds on the rows whose
+    # g(t, ., 0) is constant in y; IMPLICATIONS holds the theorem side
+    verdicts["tc_weak"] = bool(np.all(np.ptp(g0, axis=-1) <= ZERO_TOL))
+    # one generator has the BSDE flow property; members that differ break it
+    verdicts["tc_strong"] = bool(np.all(np.ptp(g, axis=0) <= ZERO_TOL))
+    return verdicts
+
+
+def _generator(label: str) -> Union[Driver, DriverFamily]:
+    """A TAXONOMY generator: `family:<family label>` or a driver label."""
+    name, _, arg = label.partition(":")
+    return family_from_label(arg) if name == "family" else driver_from_label(label)
+
+
+EXPECTED_VERDICTS: dict[str, dict[str, bool]] = {
+    label: generator_verdicts(_generator(gen)) for label, (_, gen) in TAXONOMY.items()
+}
 
 
 def run_taxonomy(

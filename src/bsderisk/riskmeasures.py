@@ -194,7 +194,7 @@ class CertaintyEquivalent(RiskMeasure):
         if self.beta is None:
             if self.a is not None:
                 raise ValueError("a translation rate needs the losses transform (set beta)")
-            self.label = "entropic" if self.q == 1.0 else f"qent_closed:{label_number(self.q)}"
+            self.label = "entropic" if tsallis.is_classical(self.q) else f"qent_closed:{label_number(self.q)}"
         elif self.beta < 0.0:
             raise ValueError(f"acceptable loss level beta must be >= 0, got {self.beta}")
         elif self.a is None:
@@ -274,8 +274,8 @@ def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
         return CertaintyEquivalent(*label_floats(label, arg, 3))
     if name == "qent_closed":
         (q,) = label_floats(label, arg, 1)
-        if q == 1.0:
-            raise ValueError(f"{label!r}: q must lie in (0,1); q = 1 is 'entropic'")
+        if tsallis.is_classical(q):
+            raise ValueError(f"{label!r}: q must lie in (0,1); the classical limit is 'entropic'")
         return CertaintyEquivalent(q)
     if name == "qent_bsde":
         q, beta = label_floats(label, arg, 2)

@@ -172,16 +172,18 @@ class Claim:
 
 
 def label_floats(label: str, arg: str, n: int) -> list[float]:
-    """The n comma-separated numbers of a registry label's argument `arg`.
+    """The n comma-separated finite numbers of a registry label's argument
+    `arg`.
 
-    Anything else raises one ValueError that names the whole label.
+    Anything else, NaN and infinities included, raises one ValueError that
+    names the whole label.
     """
     try:
         values = [float(p) for p in arg.split(",")]
     except ValueError:
         values = []
-    if len(values) != n:
-        raise ValueError(f"malformed label {label!r}: expected {n} comma-separated number(s)")
+    if len(values) != n or not np.all(np.isfinite(values)):
+        raise ValueError(f"malformed label {label!r}: expected {n} comma-separated finite number(s)")
     return values
 
 

@@ -25,7 +25,7 @@ from bsderisk import (
     solve,
 )
 from bsderisk.cli import RunConfig, run_verify
-from bsderisk.diagnostics import check_cash_additivity, check_cash_subadditivity
+from bsderisk.diagnostics import check_cash_additivity, check_cash_subadditivity, generator_verdicts
 
 from conftest import stderr
 
@@ -131,9 +131,10 @@ def test_criterion_5_longevity_sign_and_value(ctx50):
         measure = br.DriverMeasure(driver)
         claim = _sign_claim_for(driver, ctx50)
         g = gamma(ctx50, measure, claim, 0, 25, 50)
-        if driver.nonneg_at_z0:
+        expected = generator_verdicts(driver)
+        if expected["h_longevity"]:
             assert g.gamma_mean >= -2.0 * g.gamma_stderr - 1e-12, label
-        if driver.zero_at_z0:
+        if expected["restriction"]:
             assert abs(g.gamma_mean) <= 2.0 * g.gamma_stderr + 1e-12, label
         lines.append(f"{label}:{g.gamma_mean:+.4f}")
     _announce(5, f"translated gamma {res.gamma_mean:.4f} (target 0.05 +- 0.01); signs {' '.join(lines)}")
@@ -142,7 +143,7 @@ def test_criterion_5_longevity_sign_and_value(ctx50):
 def test_criterion_6_premium_measure_identity(ctx50):
     claim = claim_from_label("brownian", 25)
     for driver in (
-        br.Driver(lambda t, y, z: np.sum(z, axis=1) + 0.1, "z_plus_0.1", nonneg_at_z0=True),
+        br.Driver(lambda t, y, z: np.sum(z, axis=1) + 0.1, "z_plus_0.1"),
         shifted(driver_from_label("csa_example"), 0.1),
     ):
         res = gamma_via_premium_measure(ctx50, driver, claim, 0, 25, 50)

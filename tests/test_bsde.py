@@ -6,12 +6,12 @@ import pytest
 from bsderisk import (
     DomainGuardViolation,
     Driver,
+    DriverFamily,
     LsmcContext,
     NonFiniteError,
     RandomField,
     RegressionBasis,
     TimeGrid,
-    check_increasing,
     default_registry_labels,
     driver_from_label,
     family_from_label,
@@ -20,6 +20,7 @@ from bsderisk import (
     solve,
 )
 from bsderisk import bsde
+from bsderisk.diagnostics import generator_verdicts
 
 from conftest import stderr
 
@@ -72,7 +73,7 @@ class TestDeterministicOracle:
     def test_time_dependent_source_integrates(self, ctx20):
         # y- and z-free generator a(t): Y_0 = c + sum a(t_i) dt exactly
         a = lambda t: 0.1 + 0.05 * t
-        drv = Driver(lambda t, y, z: np.full(y.shape, a(t)), "source", nonneg_at_z0=True)
+        drv = Driver(lambda t, y, z: np.full(y.shape, a(t)), "source")
         term = RandomField(20, np.full(10_000, 2.0))
         sol = solve(drv, term, 20, ctx20)
         dt = ctx20.grid.dt
@@ -216,7 +217,6 @@ class TestRegistry:
         for label in default_registry_labels():
             drv = driver_from_label(label)
             assert drv.label
-            drv.verify_flags(ts=[0.0, 0.5], ys=[-1.5, -0.2, 0.0, 0.4, 2.0])
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
@@ -235,7 +235,8 @@ class TestRegistry:
     def test_shift_variant(self):
         drv = driver_from_label("csa_example_shift")
         assert drv(0.0, np.zeros(1), np.zeros((1, 1)))[0] == 1.0
-        assert not drv.zero_at_z0 and drv.nonneg_at_z0
+        verdicts = generator_verdicts(drv)
+        assert not verdicts["restriction"] and verdicts["h_longevity"]
 
     def test_q_entropic_values_and_guard(self):
         drv = driver_from_label("q_entropic:0.5")
@@ -251,7 +252,8 @@ class TestRegistry:
     def test_shifted_helper(self):
         drv = shifted(driver_from_label("quad_z"), 0.1)
         assert drv(0.0, np.zeros(2), np.zeros((2, 1)))[0] == pytest.approx(0.1)
-        assert drv.nonneg_at_z0 and not drv.zero_at_z0
+        verdicts = generator_verdicts(drv)
+        assert verdicts["h_longevity"] and not verdicts["restriction"]
 
     def test_labels_tell_numbers_apart(self):
         zero = driver_from_label("zero")
@@ -267,42 +269,18 @@ class TestRegistry:
             "translated_family:0.123457,0.1@u=0.3",
         ]
 
-    def test_flag_verification_catches_lies(self):
-        liar = Driver(lambda t, y, z: np.ones(y.shape), "liar", zero_at_z0=True)
-        with pytest.raises(AssertionError):
-            liar.verify_flags(ts=[0.0], ys=[0.0])
-
 
 class TestFamilies:
-    def test_constant_family_increasing(self):
-        drv = driver_from_label("quad_z")
-        from bsderisk import DriverFamily
-
-        fam = DriverFamily(lambda u: drv, "constant")
-        ok, witness = check_increasing(fam, [0.5, 1.0], ts=[0.0, 0.25], ys=[-1, 0, 1], zs=[0, 1])
-        assert ok and witness is None
-
     def test_additive_shift_family(self):
+        # members that differ break strong consistency; a constant family
+        # is one generator
         base = driver_from_label("quad_z")
-        from bsderisk import DriverFamily
-
         up = DriverFamily(lambda u: shifted(base, 0.1 * u), "up")
-        ok, _ = check_increasing(up, [0.25, 0.5, 1.0], ts=[0.0, 0.2], ys=[0.0], zs=[0.0, 1.0])
-        assert ok
-        down = DriverFamily(lambda u: shifted(base, -0.1 * u), "down")
-        ok, witness = check_increasing(down, [0.25, 0.5], ts=[0.0], ys=[0.0], zs=[0.0])
-        assert not ok
-        u1, u2, v, y, z, lo, hi = witness
-        assert u1 < u2 and lo > hi
+        assert up.at(1.0)(0.0, np.zeros(1), np.zeros((1, 1)))[0] == pytest.approx(0.1)
+        assert not generator_verdicts(up)["tc_strong"]
+        assert generator_verdicts(DriverFamily(lambda u: base, "constant"))["tc_strong"]
 
     def test_translated_family_registry(self):
         fam = family_from_label("translated_family:0.5,0.2")
-        ok, _ = check_increasing(fam, [0.25, 0.5, 1.0], ts=[0.0, 0.2], ys=[-1, 0, 1], zs=[0, 1])
-        assert ok
         member = fam.at(0.5)
         assert member(0.0, np.zeros(1), np.zeros((1, 1)))[0] == pytest.approx(0.1)
-
-    def test_needs_two_maturities(self):
-        fam = family_from_label("translated_family:0.5,0.2")
-        with pytest.raises(ValueError):
-            check_increasing(fam, [0.5], ts=[0.0], ys=[0.0], zs=[0.0])

@@ -36,11 +36,14 @@ from bsderisk import cli, diagnostics, riskmeasures, stochastic
 from bsderisk.diagnostics import (
     EXPECTED_VERDICTS,
     FRACTION_CAP,
+    PROPERTIES,
+    TAXONOMY,
     LongevityResult,
     PropertyReport,
     audit_expected,
     check_nonpositive_at_zero,
     check_premium_identity,
+    generator_verdicts,
     noise_sigma,
     reports_to_csv,
     reports_to_json_lines,
@@ -100,9 +103,7 @@ class TestGamma:
 
 class TestPremiumMeasure:
     def test_y_free_shifted_driver_collapses(self, ctx50):
-        drv = Driver(
-            lambda t, y, z: np.sum(z, axis=1) + 0.1, "z_plus_a", nonneg_at_z0=True
-        )
+        drv = Driver(lambda t, y, z: np.sum(z, axis=1) + 0.1, "z_plus_a")
         res = gamma_via_premium_measure(ctx50, drv, claim_from_label("brownian", 25), 0, 25, 50)
         assert abs(res.premium_value - 0.05) <= 0.05 * 0.05
         assert abs(res.premium_value - res.gamma_mean) <= 0.05 * abs(res.gamma_mean)
@@ -127,9 +128,7 @@ class TestPremiumMeasure:
         assert res.ess >= 0.1 * ctx50.ensemble.n_paths
 
     def test_degenerate_weights_raise(self, ctx20):
-        wild = Driver(
-            lambda t, y, z: 10.0 * np.sum(z, axis=1) + 0.5, "wild_z", nonneg_at_z0=True
-        )
+        wild = Driver(lambda t, y, z: 10.0 * np.sum(z, axis=1) + 0.5, "wild_z")
         with pytest.raises(DegenerateWeights):
             gamma_via_premium_measure(ctx20, wild, claim_from_label("brownian", 10), 0, 10, 20)
 
@@ -494,6 +493,57 @@ class TestTaxonomy:
         ]
         run_taxonomy(ctx20, rows, 0, 10, 15, 20)
         assert calls == {"check_longevity": 2, "check_time_consistency": 8}
+
+
+class TestGeneratorVerdicts:
+    # the expected failures as written by hand before the table was derived
+    # from the generators; the derivation must reproduce them cell for cell
+    UNNORMALIZED = ("normalization", "rho0_nonpositive", "restriction")
+    REFERENCE_FAILS = {
+        "driver:zero": (),
+        "driver:abs_z": (),
+        "driver:quad_z": (),
+        "driver:linear_y:0.1": ("restriction", "h_longevity", "tc_weak"),
+        "driver:csa_example": ("restriction", "tc_weak"),
+        "driver:csa_example_shift": (*UNNORMALIZED, "tc_weak"),
+        "qent_bsde:0.5,0": (),
+        "qent:0.5,0": (),
+        "qent_tr:0.5,0,0.2": UNNORMALIZED,
+        "entropic": (),
+        "discounted:mean,0.1": ("restriction", "h_longevity", "tc_weak"),
+        "family_losses:translated_family:0.5,0.4": (*UNNORMALIZED, "tc_strong"),
+    }
+
+    def test_derived_table_equals_the_reference(self):
+        assert list(EXPECTED_VERDICTS) == list(self.REFERENCE_FAILS)
+        for label, fails in self.REFERENCE_FAILS.items():
+            assert list(EXPECTED_VERDICTS[label]) == list(PROPERTIES)
+            for prop in PROPERTIES:
+                assert EXPECTED_VERDICTS[label][prop] is (prop not in fails), (label, prop)
+
+    def test_unnormalized_generator_fails_normalization(self):
+        one = generator_verdicts(Driver(lambda t, y, z: np.ones(y.shape), "one"))
+        assert not one["normalization"] and not one["rho0_nonpositive"] and not one["restriction"]
+        assert one["h_longevity"] and one["tc_weak"] and one["tc_strong"]
+
+    def test_negative_source_keeps_rho0_nonpositive(self):
+        minus = generator_verdicts(Driver(lambda t, y, z: -np.ones(y.shape), "minus_one"))
+        assert not minus["normalization"] and minus["rho0_nonpositive"] and not minus["h_longevity"]
+
+    @pytest.mark.parametrize("label", list(TAXONOMY))
+    def test_row_shares_its_generator(self, ctx50, label):
+        # a driver row is its generator; any other row agrees at the root with
+        # the backward solve of the generator it names, on losses when it is a
+        # losses construction, within the closed-form cross-check's 0.05
+        claim_label, gen = TAXONOMY[label]
+        measure = measure_from_label(label, ctx50.grid)
+        if label.startswith("driver:"):
+            assert measure.driver.label == gen
+            return
+        claim = claim_from_label(claim_label, 50)
+        twin = DriverMeasure(diagnostics._generator(gen), getattr(measure, "beta", None))
+        gap = measure.evaluate(ctx50, 0, claim).mean() - twin.evaluate(ctx50, 0, claim).mean()
+        assert abs(gap) <= 0.05
 
 
 class TestReportSerialization:

@@ -310,6 +310,13 @@ class TestConstructionStrings:
         assert not measure_from_label("qent_bsde:1,0", grid).is_cash_additive
         assert not measure_from_label("family:translated_family:1,0", grid).is_cash_additive
 
+    def test_classical_limit_is_entropic(self):
+        # q within tsallis.Q_ONE_TOL of 1 is the classical measure, by its
+        # label and its cash additivity, as in every other q-entropic rule
+        near_one = CertaintyEquivalent(1.0 - 1e-9)
+        assert near_one.label == "entropic" and near_one.is_cash_additive
+        assert not CertaintyEquivalent(1.0 - 1e-6).is_cash_additive
+
     def test_evaluation_window_validated(self, ctx20):
         m = measure_from_label("mean", ctx20.grid)
         with pytest.raises(ValueError):
@@ -339,6 +346,13 @@ class TestConstructionStrings:
             ("measure", "qent_closed:1"),
             ("measure", "qent_bsde:1.5,0"),
             ("measure", "discounted:mean"),
+            ("measure", "qent:0.5,nan"),
+            ("measure", "discounted:mean,nan"),
+            ("measure", "discounted:mean,inf"),
+            ("measure", "qent_tr:0.5,0,inf"),
+            ("measure", "qent_closed:0.999999999"),
+            ("claim", "const:nan"),
+            ("claim", "neg_part:nan"),
         ],
     )
     def test_bad_arguments_name_the_label(self, registry, label):
