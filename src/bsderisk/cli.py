@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import (
+    CHECKS,
     EXPECTED_VERDICTS,  # re-exported: bench/test_bench.py reads cli.EXPECTED_VERDICTS
     PropertyReport,
     audit_expected,
@@ -49,6 +50,8 @@ from .stochastic import (
 __all__ = ["RunConfig", "parse_config", "main", "run_evaluate", "run_sweep", "run_verify"]
 
 SWEEP_HEADER = "axis,value,measure,claim,t,u,v,estimate,stderr,seed,n_paths,n_steps"
+SWEEP_AXES = ("q", "beta", "r")
+SWEEP_METRICS = ("value", "weak_ratio", "gamma")
 
 
 def _fmt(x) -> str:
@@ -234,16 +237,24 @@ def run_sweep(cfg: RunConfig) -> str:
     sweep value substitutes.  metric = value reports the risk estimate at
     (t, u); metric = weak_ratio reports the weak-consistency ratio over
     (s, t, u); metric = gamma reports the horizon correction over (t, u, v).
+    A bad axis, metric, or label (it must carry the axis placeholder and no
+    other) is rejected before any path is drawn.
     """
+    where = f"measure label {cfg.measure!r} (axis={cfg.axis})"
+    if cfg.axis not in SWEEP_AXES:
+        raise ValueError(f"sweep axis must be one of {', '.join(SWEEP_AXES)}: {where}")
+    placeholder = "{" + cfg.axis + "}"
+    if "{" in cfg.measure.replace(placeholder, ""):
+        raise ValueError(f"unresolved placeholder in {where}")
+    if placeholder not in cfg.measure:
+        raise ValueError(f"no {placeholder} placeholder for the sweep axis in {where}")
+    if cfg.metric not in SWEEP_METRICS:
+        raise ValueError(f"unknown sweep metric {cfg.metric!r} for {where}")
     ctx = cfg.build()
     s, t, u, v = cfg.indices(ctx)
     rows = [SWEEP_HEADER]
     for value in cfg.values:
-        label = cfg.measure
-        for key in ("q", "beta", "r"):
-            label = label.replace("{" + key + "}", _fmt(float(value)) if cfg.axis == key else "{" + key + "}")
-        if "{" in label:
-            raise ValueError(f"unresolved placeholder in measure label {label!r} (axis={cfg.axis})")
+        label = cfg.measure.replace(placeholder, _fmt(float(value)))
         measure = measure_from_label(label, ctx.grid)
         claim = claim_from_label(cfg.claim, u)
         if cfg.metric == "value":
@@ -252,11 +263,9 @@ def run_sweep(cfg: RunConfig) -> str:
         elif cfg.metric == "weak_ratio":
             rep = check_time_consistency(ctx, measure, "weak", claim, s, t, u)
             est, se = rep.details.get("ratio") or float("nan"), 0.0
-        elif cfg.metric == "gamma":
+        else:  # gamma
             res = gamma(ctx, measure, claim, t, u, v)
             est, se = res.gamma_mean, res.gamma_stderr
-        else:
-            raise ValueError(f"unknown sweep metric {cfg.metric!r}")
         rows.append(_sweep_row(cfg.axis, value, label, cfg.claim, cfg.t, cfg.u, cfg.v, est, se, cfg))
     return "\n".join(rows) + "\n"
 
@@ -272,8 +281,12 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
     construction registry and audits observed verdicts against the expected
     table.  gamma_cross runs `run_gamma_cross`, comparing the direct and
     premium-measure gamma computations.  Any other name is one `run_check` on
-    the configured measure and claim.  summary["ok"] is the exit-status signal.
+    the configured measure and claim.  Every name is checked before any path
+    is drawn.  summary["ok"] is the exit-status signal.
     """
+    unknown = [name for name in cfg.checks if name not in ("taxonomy", "gamma_cross", *CHECKS)]
+    if unknown:
+        raise ValueError(f"unknown check(s) {', '.join(map(repr, unknown))} in checks = {','.join(cfg.checks)}")
     ctx = cfg.build()
     s, t, u, v = cfg.indices(ctx)
     claim = claim_from_label(cfg.claim, u)

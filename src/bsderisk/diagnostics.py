@@ -12,7 +12,7 @@ at most FRACTION_CAP/10 violates HARD_MULT times it: regression noise breaks
 pathwise comparison theorems that hold in the continuum.  Mean-level
 violations are judged against Monte Carlo standard errors, and the
 premium-measure identity at PREMIUM_REL / PREMIUM_ABS (WEIGHT_TOL on the
-importance weights).  `run_check` calls every check by name, and
+importance weights).  `run_check` calls every check by its CHECKS name, and
 GAMMA_CROSS holds the drivers of the premium-identity cross-check.
 
 TAXONOMY holds the verify suite's constructions, each with its claim and
@@ -38,7 +38,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field as dfield, fields, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -298,10 +298,7 @@ def gamma_via_premium_measure(
         integrand += driver(i * dt, -x, z0) * dt
     payload = np.exp(dy_int) * integrand
 
-    if t == 0:
-        premium = float(np.mean(weights * payload))
-    else:
-        premium = ctx.cond_expect(RandomField(v, weights * payload), t).mean()
+    premium = ctx.cond_expect(RandomField(v, weights * payload), t).mean()
 
     g_direct = RandomField(t, sol_v.Y[t] - sol_u.Y[t])
     return LongevityResult(
@@ -644,32 +641,32 @@ def check_premium_identity(
 # The verify suite
 # ---------------------------------------------------------------------------
 
+# name -> the check, called (ctx, measure, claim, s, t, u, v).  The lambdas
+# look check_* up at call time, so rebinding a module attribute reaches every
+# caller.  Restriction and h-longevity both read gamma(t, u, v, X).
+CHECKS: dict[str, Callable[..., PropertyReport]] = {
+    "normalization": lambda ctx, m, x, s, t, u, v: check_normalization(ctx, m, s, t, u),
+    "rho0_nonpositive": lambda ctx, m, x, s, t, u, v: check_nonpositive_at_zero(ctx, m, s, t, u),
+    "restriction": lambda ctx, m, x, s, t, u, v: check_restriction(ctx, m, x, t, v),
+    "h_longevity": lambda ctx, m, x, s, t, u, v: check_longevity(ctx, m, x, t, u, v),
+    "cash_additivity": lambda ctx, m, x, s, t, u, v: check_cash_additivity(ctx, m, x, t, u),
+    "cash_subadditivity": lambda ctx, m, x, s, t, u, v: check_cash_subadditivity(ctx, m, x, t, u),
+    "tc_strong": lambda ctx, m, x, s, t, u, v: check_time_consistency(ctx, m, "strong", x, s, t, u),
+    "tc_weak": lambda ctx, m, x, s, t, u, v: check_time_consistency(ctx, m, "weak", x, s, t, u),
+    "tc_sub": lambda ctx, m, x, s, t, u, v: check_time_consistency(ctx, m, "sub", x, s, t, u),
+    "tc_order": lambda ctx, m, x, s, t, u, v: check_time_consistency(ctx, m, "order", x, s, t, u),
+    "monotonicity": lambda ctx, m, x, s, t, u, v: check_monotonicity(ctx, m, x, t, u),
+    "convexity": lambda ctx, m, x, s, t, u, v: check_convexity(ctx, m, x, s, u),
+}
+
+
 def run_check(
     ctx: LsmcContext, name: str, measure: RiskMeasure, claim: ClaimLike, s: int, t: int, u: int, v: int
 ) -> PropertyReport:
-    """One named check over the window s <= t <= u <= v; `claim` is read at
-    u.  Restriction and h-longevity both read gamma(t, u, v, X).  The check
-    functions are looked up at call time, so rebinding a module attribute
-    reaches every caller."""
-    if name == "normalization":
-        return check_normalization(ctx, measure, s, t, u)
-    if name == "rho0_nonpositive":
-        return check_nonpositive_at_zero(ctx, measure, s, t, u)
-    if name == "restriction":
-        return check_restriction(ctx, measure, claim, t, v)
-    if name == "h_longevity":
-        return check_longevity(ctx, measure, claim, t, u, v)
-    if name == "cash_additivity":
-        return check_cash_additivity(ctx, measure, claim, t, u)
-    if name == "cash_subadditivity":
-        return check_cash_subadditivity(ctx, measure, claim, t, u)
-    if name in ("tc_strong", "tc_weak", "tc_sub", "tc_order"):
-        return check_time_consistency(ctx, measure, name.removeprefix("tc_"), claim, s, t, u)
-    if name == "monotonicity":
-        return check_monotonicity(ctx, measure, claim, t, u)
-    if name == "convexity":
-        return check_convexity(ctx, measure, claim, s, u)
-    raise ValueError(f"unknown check {name!r}")
+    """One CHECKS entry over the window s <= t <= u <= v; `claim` is read at u."""
+    if name not in CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    return CHECKS[name](ctx, measure, claim, s, t, u, v)
 
 
 # The taxonomy: its properties in report order, and each construction's claim

@@ -6,11 +6,11 @@ node (all claims handled here are Markovian in B_t, optionally augmented with
 extra regressors for claims carrying earlier-time state).
 
 Determinism contract: a fixed seed and configuration produce bit-identical
-fields for any worker count, at a fixed BLAS thread count.  All block
-reductions run in a fixed block order and the block partition does not
-depend on the number of workers; the BLAS product inside each Gram block
-rounds differently per thread count (at 2 OpenBLAS threads instead of 1,
-five tc_order records of the default verify move at about 1e-12).
+fields for any worker count, and at 1 and at 2 OpenBLAS threads (tested;
+other counts are not).  All block reductions run in a fixed block order and
+the block partition does not depend on the number of workers.  The root
+node regresses to the sample mean (_Projector.coefficients): a one-column
+BLAS product there rounds differently per thread count.
 """
 
 from __future__ import annotations
@@ -322,6 +322,9 @@ class _Projector:
         return proj
 
     def coefficients(self, targets: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients; the constant alone gives the sample mean, ridge ignored."""
+        if self._phi.shape[1] == 1:
+            return np.mean(targets, axis=0, keepdims=True)
         rhs = _blocked_gram(self._phi, targets, self._workers)
         z = np.linalg.solve(self._chol, rhs)
         return np.linalg.solve(self._chol.T, z)
@@ -452,7 +455,7 @@ class LsmcContext:
         Conditioning variables are the Brownian components at t_at scaled by
         1/sqrt(t_at), plus any aux columns (extra adapted state a claim needs,
         scaled by their sample deviation).  At the root node only aux columns
-        remain; with none, the projector degenerates to the sample mean.
+        remain; with none, _Projector.coefficients gives the sample mean.
         The normal system is factorised on first use and its factor reused.
         """
         cols = []
@@ -488,18 +491,15 @@ class LsmcContext:
 
         Fields already measurable at `at` (field.index <= at) are returned
         unchanged: conditioning on a finer sigma-algebra is the identity.
-        At at = 0 the projection is the constant sample mean.  Linear in the
-        field; the constant is always in the basis, so sample means are
-        preserved exactly.  clip=True clamps the fit to the field's sample
-        range (see _Projector.fitted).
+        At at = 0 without aux it is the sample mean (_Projector.coefficients).
+        Linear in the field; the constant is always in the basis, so sample
+        means are preserved exactly.  clip=True clamps the fit to the field's
+        sample range (see _Projector.fitted).
         """
         if at > self.grid.n_steps:
             raise IndexError(f"node {at} beyond grid end {self.grid.n_steps}")
         if field.index <= at:
             return RandomField(at, field.values)
-        if at == 0 and aux is None:
-            m = float(np.mean(field.values))
-            return RandomField(0, np.full(field.n_paths, m))
         fitted = self.projector(at, aux).fitted(field.values, clip=clip)
         return RandomField(at, fitted)
 

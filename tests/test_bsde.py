@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from bsderisk import bsde
 from bsderisk.diagnostics import generator_verdicts
 
 from conftest import stderr
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestSolveBasics:
@@ -161,6 +167,31 @@ class TestInvariants:
         long = solve(drv, term, 20, ctx20)
         np.testing.assert_array_equal(short.field_at(0).values, long.field_at(0).values)
         assert all(np.all(long.z_at(i) == 0.0) for i in range(10, 20))
+
+
+# A quad_z solve of B_1 at 20000 paths x 4 steps, seed 7: one 16384-row
+# block and a tail, a size at which a one-column BLAS product at the root
+# rounds differently at 1 and at 2 threads.
+_ROOT_SOLVE = """
+import hashlib
+from bsderisk import LsmcContext, RandomField, TimeGrid, driver_from_label, simulate, solve
+grid = TimeGrid(1.0, 4)
+ens = simulate(grid, 1, 20_000, seed=7)
+sol = solve(driver_from_label("quad_z"), RandomField(4, ens.values[:, 4, 0]), 4, LsmcContext(grid, ens))
+print(hashlib.sha256(sol.Y[0].tobytes()).hexdigest())
+"""
+
+
+def test_root_bytes_do_not_depend_on_blas_threads():
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _ROOT_SOLVE], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestStoredY:

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +129,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="unresolved placeholder"):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("changes, named", [
+        ({}, "'entropic' (axis=q)"),  # the default config: no {q} to sweep
+        ({"measure": "qent:{q},0", "axis": "bogus"}, "'qent:{q},0' (axis=bogus)"),
+        ({"measure": "qent:{q},0", "metric": "vaule"}, "'qent:{q},0' (axis=q)"),
+    ], ids=["default_config", "unknown_axis", "unknown_metric"])
+    def test_bad_sweep_fails_before_simulating(self, monkeypatch, changes, named):
+        monkeypatch.setattr(RunConfig, "build", lambda cfg: pytest.fail("paths were simulated"))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            run_sweep(replace(RunConfig(), **changes))
+
     def test_byte_identical_reruns(self):
         cfg = RunConfig(n_paths=5000, n_steps=16, measure="qent:{q},0", claim="brownian",
                         axis="q", values=(0.25, 0.75), seed=11)
@@ -199,6 +211,11 @@ class TestVerify:
         cfg = RunConfig(n_paths=500, n_steps=4, checks=("tc_medium",))
         with pytest.raises(ValueError, match="tc_medium"):
             run_verify(cfg)
+
+    def test_unknown_check_fails_before_any_check_runs(self, monkeypatch):
+        monkeypatch.setattr(RunConfig, "build", lambda cfg: pytest.fail("paths were simulated"))
+        with pytest.raises(ValueError, match="'tc_medium'"):
+            run_verify(RunConfig(checks=("taxonomy", "tc_medium")))
 
 
 class TestMainEntryPoint:
