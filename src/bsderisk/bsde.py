@@ -162,8 +162,9 @@ def _step(
         return y_next, np.zeros((y_next.shape[0], ctx.ensemble.dim))
     proj = ctx.projector(i, aux)
     yhat = proj.fitted(y_next, clip=clip)
-    resid = y_next - yhat
-    return yhat, proj.fitted(resid[:, None] * ctx.ensemble.increments[:, i, :]) / ctx.grid.dt
+    regressand = ctx.ensemble.increment(i)
+    regressand *= (y_next - yhat)[:, None]
+    return yhat, proj.fitted(regressand) / ctx.grid.dt
 
 
 def solve(

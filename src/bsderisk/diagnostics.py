@@ -283,7 +283,7 @@ def gamma_via_premium_measure(
             dz[:, k] = np.where(den != 0.0, (g_next - g_prev) / np.where(den != 0.0, den, 1.0), 0.0)
             g_prev = g_next
 
-        log_w += -0.5 * np.sum(dz * dz, axis=1) * dt + np.sum(dz * ens.increments[:, i, :], axis=1)
+        log_w += -0.5 * np.sum(dz * dz, axis=1) * dt + np.sum(dz * ens.increment(i), axis=1)
 
     weights = np.exp(log_w)
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):

@@ -11,6 +11,10 @@ other counts are not).  All block reductions run in a fixed block order and
 the block partition does not depend on the number of workers.  The root
 node regresses to the sample mean (_Projector.coefficients): a one-column
 BLAS product there rounds differently per thread count.
+
+An ensemble holds one path array, the levels; an increment is the difference
+of two adjacent nodes (PathEnsemble.increment), so a reloaded ensemble solves
+bit for bit like the simulated one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +49,9 @@ __all__ = [
 
 _BLOCK = 16384  # fixed path-block size for reductions; independent of workers
 DESIGN_ROWS = 4096  # rows of the design matrix built per block
+SIMULATE_ROWS = 4096  # paths whose normals simulate draws at a time
 CSV_BLOCK_ROWS = 65536  # rows per write of ensemble_to_csv, rounded down to whole paths
+CSV_READ_ROWS = 8192  # lines ensemble_from_csv parses at a time
 _CSV_ROW = np.dtype([("path", "i8"), ("node", "i8"), ("dim", "i8"), ("value", "f8")])
 
 
@@ -86,15 +92,15 @@ class TimeGrid:
 class PathEnsemble:
     """Seeded d-dimensional Brownian paths on a uniform grid.
 
-    values[p, i, k] is the level of component k on path p at node i;
-    increments[p, i, k] = values[p, i+1, k] - values[p, i, k].  Immutable
-    after construction and safe to share across threads.
+    values[p, i, k] is the level of component k on path p at node i, and
+    the only path array held: increment(i) = values[:, i+1] - values[:, i]
+    is formed when asked for.  Immutable after construction and safe to
+    share across threads.
     """
 
     grid: TimeGrid
     seed: int
-    values: np.ndarray      # (n_paths, n_steps+1, d)
-    increments: np.ndarray  # (n_paths, n_steps, d)
+    values: np.ndarray  # (n_paths, n_steps+1, d)
 
     @property
     def n_paths(self) -> int:
@@ -104,24 +110,39 @@ class PathEnsemble:
     def dim(self) -> int:
         return self.values.shape[2]
 
+    @property
+    def increments(self) -> np.ndarray:
+        """All increments, shape (n_paths, n_steps, d): np.diff(values),
+        column i bit for bit increment(i).  A new array on every call."""
+        return np.diff(self.values, axis=1)
+
     def levels(self, i: int) -> np.ndarray:
         """Brownian levels B_{t_i}, shape (n_paths, d)."""
         return self.values[:, i, :]
 
+    def increment(self, i: int) -> np.ndarray:
+        """Increments B_{t_{i+1}} - B_{t_i}, shape (n_paths, d)."""
+        return self.values[:, i + 1, :] - self.values[:, i, :]
+
 
 def simulate(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
-    """Draw a Brownian ensemble; identical seed gives bit-identical paths."""
+    """Draw a Brownian ensemble; identical seed gives bit-identical paths.
+
+    The normals are drawn, scaled and summed SIMULATE_ROWS paths at a time;
+    they fill in row order, so the levels are those of one whole-array draw.
+    """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    dB = rng.standard_normal((n_paths, grid.n_steps, d)) * np.sqrt(grid.dt)
     B = np.zeros((n_paths, grid.n_steps + 1, d))
-    np.cumsum(dB, axis=1, out=B[:, 1:, :])
+    for start in range(0, n_paths, SIMULATE_ROWS):
+        dB = rng.standard_normal((min(SIMULATE_ROWS, n_paths - start), grid.n_steps, d))
+        dB *= np.sqrt(grid.dt)
+        np.cumsum(dB, axis=1, out=B[start : start + dB.shape[0], 1:, :])
     B.setflags(write=False)
-    dB.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=seed, values=B, increments=dB)
+    return PathEnsemble(grid=grid, seed=seed, values=B)
 
 
 @dataclass(frozen=True)
@@ -506,12 +527,7 @@ class LsmcContext:
 
 def path_block(ensemble: PathEnsemble, start: int, stop: int) -> PathEnsemble:
     """Sub-ensemble over a contiguous path slice (shares the arrays)."""
-    return PathEnsemble(
-        grid=ensemble.grid,
-        seed=ensemble.seed,
-        values=ensemble.values[start:stop],
-        increments=ensemble.increments[start:stop],
-    )
+    return PathEnsemble(grid=ensemble.grid, seed=ensemble.seed, values=ensemble.values[start:stop])
 
 
 def block_stderr(ctx: LsmcContext, estimate) -> float:
@@ -575,9 +591,11 @@ def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
 def ensemble_from_csv(path) -> PathEnsemble:
     """Read an ensemble_to_csv file, in any row order, bit-exact.
 
-    The rows are parsed from the open file, not from a copy of its text.  A
-    file whose rows do not hold each (path, node, dim) of its header exactly
-    once raises a ValueError that names the file and the first bad row.
+    The rows are parsed from the open file CSV_READ_ROWS lines at a time
+    and scattered into the levels, so besides them the reader holds one
+    block and a mask of the cells seen.  A file whose rows do not hold each
+    (path, node, dim) of its header exactly once raises a ValueError that
+    names the file and its first bad row, counted over the whole file.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -589,44 +607,56 @@ def ensemble_from_csv(path) -> PathEnsemble:
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed header {header!r}") from exc
         fh.readline()  # column header
-        try:
-            rows = np.loadtxt(fh, delimiter=",", dtype=_CSV_ROW, ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    p, i, k = rows["path"], rows["node"], rows["dim"]
-    _check_csv_rows(path, p, i, k, shape)
-    vals = np.zeros(shape)
-    vals[p, i, k] = rows["value"]
-    dB = np.diff(vals, axis=1)
-    vals.setflags(write=False)
-    dB.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=seed, values=vals, increments=dB)
-
-
-def _check_csv_rows(path, p, i, k, shape) -> None:
-    """Raise unless the index columns hold each cell of `shape` exactly once:
-    every index in range, no (path, node, dim) twice, and as many rows as
-    cells."""
-    n_paths, n_nodes, d = shape
-    bad = (p < 0) | (p >= n_paths) | (i < 0) | (i >= n_nodes) | (k < 0) | (k >= d)
-    if bad.any():
-        j = int(np.argmax(bad))
+        vals, seen = np.zeros(shape), np.zeros(shape, dtype=bool)
+        n_rows = 0
+        # each pass takes one line to see that data remains, then parses it
+        # and the lines after it; a block that starts on a data row is never
+        # empty, and islice, unlike max_rows, counts blank lines silently
+        for line in fh:
+            if not line.partition("#")[0].strip():
+                continue
+            try:
+                rows = np.loadtxt(
+                    chain([line], islice(fh, CSV_READ_ROWS - 1)), delimiter=",", dtype=_CSV_ROW, ndmin=1
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: in the data rows from {n_rows + 1}: {exc}") from exc
+            _scatter_csv_rows(path, rows, n_rows, vals, seen)
+            n_rows += rows.size
+    if n_rows != seen.size:
+        mp, mi, mk = np.unravel_index(int(np.argmin(seen)), shape)
         raise ValueError(
-            f"{path}: data row {j + 1} ({p[j]},{i[j]},{k[j]}) lies outside "
-            f"n_paths={n_paths} n_steps={n_nodes - 1} d={d}"
-        )
-    flat = (p * n_nodes + i) * d + k
-    counts = np.bincount(flat, minlength=n_paths * n_nodes * d)
-    if np.any(counts > 1):
-        _, first = np.unique(flat, return_index=True)
-        j = int(np.setdiff1d(np.arange(flat.size), first)[0])
-        raise ValueError(f"{path}: data row {j + 1} repeats ({p[j]},{i[j]},{k[j]})")
-    if flat.size != counts.size:
-        mp, mi, mk = np.unravel_index(int(np.argmin(counts)), shape)
-        raise ValueError(
-            f"{path}: {flat.size} data rows, the header needs {counts.size}; "
+            f"{path}: {n_rows} data rows, the header needs {seen.size}; "
             f"the first missing is ({mp},{mi},{mk})"
         )
+    vals.setflags(write=False)
+    return PathEnsemble(grid=grid, seed=seed, values=vals)
+
+
+def _scatter_csv_rows(path, rows, first: int, vals: np.ndarray, seen: np.ndarray) -> None:
+    """Write one parsed block of rows, the file's data rows first+1 on, into
+    vals and mark their cells in seen.  Raises at the block's first row whose
+    index lies outside vals or names a cell already written, by an earlier
+    row of this block or of an earlier block."""
+    n_paths, n_nodes, d = vals.shape
+    p, i, k = rows["path"], rows["node"], rows["dim"]
+    outside = (p < 0) | (p >= n_paths) | (i < 0) | (i >= n_nodes) | (k < 0) | (k >= d)
+    inside = int(np.argmax(outside)) if outside.any() else rows.size  # rows before the first outside
+    flat = ((p * n_nodes + i) * d + k)[:inside]
+    repeat = np.ones(inside, dtype=bool)
+    repeat[np.unique(flat, return_index=True)[1]] = False  # all but a cell's first row in the block
+    repeat |= seen.reshape(-1)[flat]
+    if repeat.any():
+        j = int(np.argmax(repeat))
+        raise ValueError(f"{path}: data row {first + j + 1} repeats ({p[j]},{i[j]},{k[j]})")
+    if inside < rows.size:
+        j = inside
+        raise ValueError(
+            f"{path}: data row {first + j + 1} ({p[j]},{i[j]},{k[j]}) lies outside "
+            f"n_paths={n_paths} n_steps={n_nodes - 1} d={d}"
+        )
+    vals.reshape(-1)[flat] = rows["value"]
+    seen.reshape(-1)[flat] = True
 
 
 def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
@@ -642,9 +672,7 @@ def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
 def ensemble_from_npz(path) -> PathEnsemble:
     with np.load(path) as data:
         grid = TimeGrid(T=float(data["T"]), n_steps=int(data["n_steps"]))
-        vals = data["values"].copy()
+        vals = data["values"]
         seed = int(data["seed"])
-    dB = np.diff(vals, axis=1)
     vals.setflags(write=False)
-    dB.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=seed, values=vals, increments=dB)
+    return PathEnsemble(grid=grid, seed=seed, values=vals)

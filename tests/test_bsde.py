@@ -24,6 +24,7 @@ from bsderisk import (
     solve,
 )
 from bsderisk import bsde
+from bsderisk.cli import RunConfig
 from bsderisk.diagnostics import generator_verdicts
 
 from conftest import stderr
@@ -241,6 +242,21 @@ class TestStoredY:
         finally:
             tracemalloc.stop()
         assert peak < sol.Y.nbytes + 4 * n * p * 8
+
+    def test_build_and_solve_hold_one_path_array(self):
+        # the levels, Y (as large at one row a node) and per-node arrays: 2.40x
+        # the levels at 20k x 40; an ensemble that also held the increments
+        # peaked at 3.38x
+        cfg = RunConfig(n_steps=40, n_paths=20_000, seed=5)
+        m = cfg.n_steps
+        tracemalloc.start()
+        try:
+            ctx = cfg.build()
+            solve(driver_from_label("quad_z"), RandomField(m, ctx.ensemble.values[:, m, 0]), m, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * ctx.ensemble.values.nbytes
 
 
 class TestRegistry:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from bsderisk import (
     RegressionBasis,
     TimeGrid,
     claim_from_label,
+    driver_from_label,
     simulate,
+    solve,
 )
 from bsderisk import stochastic
 from bsderisk.stochastic import (
@@ -59,6 +62,21 @@ class TestSimulate:
         np.testing.assert_allclose(
             ens.values[:, 1:, :] - ens.values[:, :-1, :], ens.increments
         )
+
+    def test_row_blocked_draw_is_the_whole_array_draw(self):
+        # three whole blocks of normals and a ragged tail
+        grid, d, n = TimeGrid(1.0, 5), 2, 3 * stochastic.SIMULATE_ROWS + 123
+        dB = np.random.default_rng(17).standard_normal((n, grid.n_steps, d)) * np.sqrt(grid.dt)
+        B = np.zeros((n, grid.n_steps + 1, d))
+        np.cumsum(dB, axis=1, out=B[:, 1:, :])
+        np.testing.assert_array_equal(bits(simulate(grid, d, n, seed=17).values), bits(B))
+
+    def test_increments_are_the_level_differences(self, ctx20):
+        ens = ctx20.ensemble
+        increments = ens.increments
+        np.testing.assert_array_equal(bits(increments), bits(np.diff(ens.values, axis=1)))
+        for i in range(ens.grid.n_steps):
+            np.testing.assert_array_equal(bits(increments[:, i, :]), bits(ens.increment(i)))
 
     def test_terminal_variance(self):
         grid = TimeGrid(1.0, 10)
@@ -124,7 +142,7 @@ class TestClaims:
         altered[:, m + 1 :, :] = rng.standard_normal(altered[:, m + 1 :, :].shape)
         from bsderisk.stochastic import PathEnsemble
 
-        twin = PathEnsemble(ens.grid, ens.seed, altered, np.diff(altered, axis=1))
+        twin = PathEnsemble(ens.grid, ens.seed, altered)
         np.testing.assert_array_equal(
             field.values, claim_from_label("call:0", m).evaluate(twin).values
         )
@@ -383,7 +401,7 @@ class TestEnsembleIO:
 
     def test_csv_hand_built_values_exact(self, tmp_path):
         vals = np.array([[0.0, -0.0, 5e-324], [1e-5, 1e16, 1 / 3]])[:, :, None]
-        ens = PathEnsemble(grid=TimeGrid(1.0, 2), seed=5, values=vals, increments=np.diff(vals, axis=1))
+        ens = PathEnsemble(grid=TimeGrid(1.0, 2), seed=5, values=vals)
         path = tmp_path / "paths.csv"
         ensemble_to_csv(ens, path)
         assert path.read_bytes() == reference_csv(ens)
@@ -418,6 +436,73 @@ class TestEnsembleIO:
         with pytest.raises(ValueError, match=message) as info:
             ensemble_from_csv(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:19] + [rows[1]] + rows[20:], r"data row 20 repeats \(0,1,0\)"),
+        (lambda rows: rows[:25] + rows[26:], r"29 data rows, the header needs 30; the first missing is \(8,1,0\)"),
+        (lambda rows: rows[:23] + ["10" + rows[23][1:]] + rows[24:], r"data row 24 \(10,2,0\) lies outside"),
+        (lambda rows: rows[:15] + [rows[0], "0,3,0,1.0"] + rows[17:], r"data row 16 repeats \(0,0,0\)"),
+        (lambda rows: rows[:15] + ["0,3,0,1.0", rows[0]] + rows[17:], r"data row 16 \(0,3,0\) lies outside"),
+        (lambda rows: rows[:16] + ["5,1,0,oops"] + rows[17:], "data rows from 15: could not convert string 'oops'"),
+    ], ids=["repeat_of_earlier_block", "missing", "outside", "repeat_before_outside", "outside_before_repeat",
+            "not_a_number"])
+    def test_csv_errors_name_the_row_of_the_file(self, tmp_path, monkeypatch, edit, message):
+        # 30 rows parsed 7 at a time: rows 15-21 are the third block
+        monkeypatch.setattr(stochastic, "CSV_READ_ROWS", 7)
+        path = tmp_path / "paths.csv"
+        ensemble_to_csv(simulate(TimeGrid(1.0, 2), 1, 10, seed=1), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
+        with pytest.raises(ValueError, match=message):
+            ensemble_from_csv(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows,
+        lambda rows: rows + [""],
+        lambda rows: rows + ["# end"],
+        lambda rows: rows[:100] + [""] + rows[100:],
+    ], ids=["whole_blocks", "trailing_blank", "trailing_comment", "inner_blank"])
+    def test_csv_reads_without_warning(self, tmp_path, edit):
+        # two blocks of rows exactly: no parse is handed an empty rest of the
+        # file, and a line without data is skipped silently
+        ens = simulate(TimeGrid(1.0, 3), 1, 2 * stochastic.CSV_READ_ROWS // 4, seed=6)
+        path = tmp_path / "paths.csv"
+        ensemble_to_csv(ens, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = ensemble_from_csv(path)
+        np.testing.assert_array_equal(bits(back.values), bits(ens.values))
+
+    @pytest.mark.parametrize("n_paths", [1000, 8000])
+    def test_csv_reader_holds_one_block_besides_the_levels(self, tmp_path, n_paths):
+        # one block of rows, its sort and the 1-byte mask of cells seen; a
+        # reader holding every row at once needs 32 bytes a row, 10.5 MB at
+        # 8000 x 40
+        path = tmp_path / "paths.csv"
+        ensemble_to_csv(simulate(TimeGrid(1.0, 40), 1, n_paths, seed=2), path)
+        tracemalloc.start()
+        try:
+            back = ensemble_from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - back.values.nbytes < 1.5e6
+
+    def test_reloaded_ensembles_solve_bit_for_bit(self, tmp_path):
+        grid = TimeGrid(1.0, 8)
+        ens = simulate(grid, 1, 3000, seed=13)
+        ensemble_to_npz(ens, tmp_path / "paths.npz")
+        ensemble_to_csv(ens, tmp_path / "paths.csv")
+
+        def quad_z_rows(e):
+            ctx = LsmcContext(grid, e, RegressionBasis(4))
+            return solve(driver_from_label("quad_z"), RandomField(8, e.values[:, 8, 0]), 8, ctx).Y
+
+        Y = quad_z_rows(ens)
+        for back in (ensemble_from_npz(tmp_path / "paths.npz"), ensemble_from_csv(tmp_path / "paths.csv")):
+            np.testing.assert_array_equal(bits(quad_z_rows(back)), bits(Y))
 
     def test_csv_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "paths.csv"
