@@ -30,9 +30,10 @@ print(f"tower property gap: {np.max(np.abs(two_step.values - one_step.values)):.
 print(f"mean preservation: {abs(ctx.cond_expect(payoff, 25).mean() - payoff.mean()):.2e}")
 
 print()
-print("determinism: same seed, any worker count, bit-identical projections")
+print("determinism: the same seed re-simulated gives bit-identical projections")
 reference = ctx.cond_expect(payoff, 25).values
-for workers in (1, 4):
-    ctx_w = LsmcContext(grid, ens, RegressionBasis(4), workers=workers)
-    same = np.array_equal(ctx_w.cond_expect(payoff, 25).values, reference)
-    print(f"  workers={workers}: identical = {same}")
+again = simulate(grid, d=1, n_paths=100_000, seed=42)
+ctx_again = LsmcContext(grid, again, RegressionBasis(4))
+payoff_again = RandomField(50, np.maximum(again.values[:, 50, 0] - 0.5, 0.0))
+same = np.array_equal(ctx_again.cond_expect(payoff_again, 25).values, reference)
+print(f"  re-simulated at seed {again.seed}: identical = {same}")

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -79,7 +79,9 @@ class RunConfig:
     t: float = 0.5
     u: float = 0.75
     v: float = 1.0
-    workers: int = 1
+    # accepted and discarded: the benchmark's sweep_qent still passes
+    # workers=2 until the benchmark refresh (ROADMAP item 1) drops it
+    workers: InitVar[int] = 1
     checks: tuple = ("taxonomy", "gamma_cross")
     # [sweep]
     axis: str = "q"
@@ -99,12 +101,29 @@ class RunConfig:
     def build(self):
         grid = TimeGrid(self.T, self.n_steps)
         ens = simulate(grid, self.d, self.n_paths, self.seed)
-        ctx = LsmcContext(grid, ens, RegressionBasis(self.degree, self.ridge), self.workers)
-        return ctx
+        return LsmcContext(grid, ens, RegressionBasis(self.degree, self.ridge))
 
-    def indices(self, ctx) -> tuple[int, int, int, int]:
-        g = ctx.grid
-        return g.index_of(self.s), g.index_of(self.t), g.index_of(self.u), g.index_of(self.v)
+    def indices(self) -> tuple[int, int, int, int]:
+        """Grid indices of the window (s, t, u, v), checked before any path is
+        drawn: each must be a grid node, and s <= t <= u <= v.  A ValueError
+        names the offending [run] keys."""
+        grid = TimeGrid(self.T, self.n_steps)
+        index, off = {}, []
+        for key in "stuv":
+            try:
+                index[key] = grid.index_of(getattr(self, key))
+            except ValueError:
+                off.append(f"{key} = {_fmt(getattr(self, key))}")
+        if off:
+            raise ValueError(f"[run] {', '.join(off)}: not a node of the grid "
+                             f"T = {_fmt(self.T)}, n_steps = {self.n_steps}")
+        unordered = [
+            f"{a} = {_fmt(getattr(self, a))} > {b} = {_fmt(getattr(self, b))}"
+            for a, b in zip("stu", "tuv") if index[a] > index[b]
+        ]
+        if unordered:
+            raise ValueError(f"[run] {', '.join(unordered)}: the window needs s <= t <= u <= v")
+        return index["s"], index["t"], index["u"], index["v"]
 
 
 def _names(raw: str) -> tuple:
@@ -127,7 +146,6 @@ _CONFIG_FIELDS = {
         ("t", "t", float),
         ("u", "u", float),
         ("v", "v", float),
-        ("workers", "workers", int),
         ("checks", "checks", _names),
     ),
     "sweep": (("axis", "axis", str), ("values", "values", _floats), ("metric", "metric", str)),
@@ -202,9 +220,10 @@ def run_evaluate(cfg: RunConfig) -> tuple[str, str, Optional[str]]:
 
     Returns (stdout text, csv text, pathwise csv text or None).  Conditional
     values at t > 0 are reported both pathwise and as the coefficients of
-    their basis representation."""
+    their basis representation.  A bad window is rejected before any path
+    is drawn."""
+    s, t, u, v = cfg.indices()
     ctx = cfg.build()
-    s, t, u, v = cfg.indices(ctx)
     measure = measure_from_label(cfg.measure, ctx.grid)
     claim = claim_from_label(cfg.claim, u)
     rho, se = _value(ctx, measure, claim, t, u)
@@ -237,8 +256,8 @@ def run_sweep(cfg: RunConfig) -> str:
     sweep value substitutes.  metric = value reports the risk estimate at
     (t, u); metric = weak_ratio reports the weak-consistency ratio over
     (s, t, u); metric = gamma reports the horizon correction over (t, u, v).
-    A bad axis, metric, or label (it must carry the axis placeholder and no
-    other) is rejected before any path is drawn.
+    A bad axis, metric, label (it must carry the axis placeholder and no
+    other) or window is rejected before any path is drawn.
     """
     where = f"measure label {cfg.measure!r} (axis={cfg.axis})"
     if cfg.axis not in SWEEP_AXES:
@@ -250,8 +269,8 @@ def run_sweep(cfg: RunConfig) -> str:
         raise ValueError(f"no {placeholder} placeholder for the sweep axis in {where}")
     if cfg.metric not in SWEEP_METRICS:
         raise ValueError(f"unknown sweep metric {cfg.metric!r} for {where}")
+    s, t, u, v = cfg.indices()
     ctx = cfg.build()
-    s, t, u, v = cfg.indices(ctx)
     rows = [SWEEP_HEADER]
     for value in cfg.values:
         label = cfg.measure.replace(placeholder, _fmt(float(value)))
@@ -281,14 +300,14 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
     construction registry and audits observed verdicts against the expected
     table.  gamma_cross runs `run_gamma_cross`, comparing the direct and
     premium-measure gamma computations.  Any other name is one `run_check` on
-    the configured measure and claim.  Every name is checked before any path
-    is drawn.  summary["ok"] is the exit-status signal.
+    the configured measure and claim.  Every name, and the window, is checked
+    before any path is drawn.  summary["ok"] is the exit-status signal.
     """
     unknown = [name for name in cfg.checks if name not in ("taxonomy", "gamma_cross", *CHECKS)]
     if unknown:
         raise ValueError(f"unknown check(s) {', '.join(map(repr, unknown))} in checks = {','.join(cfg.checks)}")
+    s, t, u, v = cfg.indices()
     ctx = cfg.build()
-    s, t, u, v = cfg.indices(ctx)
     claim = claim_from_label(cfg.claim, u)
     reports: list[PropertyReport] = []
     failures: list[dict] = []
@@ -338,8 +357,6 @@ def _load_config(args) -> RunConfig:
         overrides["n_paths"] = args.paths
     if args.steps is not None:
         overrides["n_steps"] = args.steps
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.out is not None:
         overrides["out_dir"] = args.out
     return replace(cfg, **overrides) if overrides else cfg
@@ -363,7 +380,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--paths", type=int, help="override the path count")
     parser.add_argument("--steps", type=int, help="override the step count")
-    parser.add_argument("--workers", type=int, help="override the worker count")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("simulate", "evaluate", "verify", "sweep"):
         sub.add_parser(name)

@@ -6,11 +6,12 @@ node (all claims handled here are Markovian in B_t, optionally augmented with
 extra regressors for claims carrying earlier-time state).
 
 Determinism contract: a fixed seed and configuration produce bit-identical
-fields for any worker count, and at 1 and at 2 OpenBLAS threads (tested;
-other counts are not).  All block reductions run in a fixed block order and
-the block partition does not depend on the number of workers.  The root
-node regresses to the sample mean (_Projector.coefficients): a one-column
-BLAS product there rounds differently per thread count.
+fields whatever the OpenBLAS thread count (tested at 1 and 2, and at
+min(CPU count, 4) where that exceeds 2; higher counts are not).  Every
+reduction over paths runs serially over a fixed block partition, summed in
+block order.  The root node regresses to the sample
+mean (_Projector.coefficients): a one-column BLAS product there rounds
+differently per thread count.
 
 An ensemble holds one path array, the levels; an increment is the difference
 of two adjacent nodes (PathEnsemble.increment), so a reloaded ensemble solves
@@ -20,8 +21,7 @@ bit for bit like the simulated one.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, islice
 from typing import Callable, Optional
@@ -47,7 +47,7 @@ __all__ = [
     "ensemble_from_npz",
 ]
 
-_BLOCK = 16384  # fixed path-block size for reductions; independent of workers
+_BLOCK = 16384  # fixed path-block size for reductions, summed in block order
 DESIGN_ROWS = 4096  # rows of the design matrix built per block
 SIMULATE_ROWS = 4096  # paths whose normals simulate draws at a time
 CSV_BLOCK_ROWS = 65536  # rows per write of ensemble_to_csv, rounded down to whole paths
@@ -308,45 +308,41 @@ class DiscountCurve:
 
 
 class _Projector:
-    """One factorized normal system at a fixed conditioning index."""
+    """One factorized normal system at a fixed conditioning index.
 
-    def __init__(self, phi: np.ndarray, ridge: float, workers: int, ctx: "LsmcContext"):
-        self._phi = phi
-        self._workers = workers
-        gram = _blocked_gram(phi, phi, workers)
-        lam = ridge
-        chol = None
+    A constant-only design (p = 1) has no factor: coefficients gives the
+    sample mean, so neither the Gram pass nor the Cholesky step is run."""
+
+    def __init__(self, phi: np.ndarray, ridge: float, ctx: "LsmcContext"):
+        self._phi, self._chol = phi, None
         p = phi.shape[1]
+        if p == 1:
+            return
+        gram = _blocked_gram(phi, phi)
         try:
-            chol = np.linalg.cholesky(gram + lam * np.eye(p) if lam > 0.0 else gram)
+            self._chol = np.linalg.cholesky(gram + ridge * np.eye(p) if ridge > 0.0 else gram)
         except np.linalg.LinAlgError:
-            if lam == 0.0:
+            if ridge == 0.0:
                 # rank-deficient normal system: retry with a tiny ridge and flag it
-                lam = 1e-10
                 ctx.fallback_count += 1
-                try:
-                    chol = np.linalg.cholesky(gram + lam * np.eye(p))
-                except np.linalg.LinAlgError:
-                    pass
-            if chol is None:
-                raise SingularRegression(
-                    f"normal system singular (p={p}, ridge={ridge})"
-                ) from None
-        self._chol = chol
+                with suppress(np.linalg.LinAlgError):
+                    self._chol = np.linalg.cholesky(gram + 1e-10 * np.eye(p))
+            if self._chol is None:
+                raise SingularRegression(f"normal system singular (p={p}, ridge={ridge})") from None
 
     @classmethod
-    def _from_factor(cls, phi: np.ndarray, chol: np.ndarray, workers: int) -> "_Projector":
+    def _from_factor(cls, phi: np.ndarray, chol: Optional[np.ndarray]) -> "_Projector":
         """The projector of an already factorised normal system: phi rebuilt,
         the Cholesky factor of phi.T @ phi (+ ridge) reused."""
         proj = cls.__new__(cls)
-        proj._phi, proj._chol, proj._workers = phi, chol, workers
+        proj._phi, proj._chol = phi, chol
         return proj
 
     def coefficients(self, targets: np.ndarray) -> np.ndarray:
         """Least-squares coefficients; the constant alone gives the sample mean, ridge ignored."""
         if self._phi.shape[1] == 1:
             return np.mean(targets, axis=0, keepdims=True)
-        rhs = _blocked_gram(self._phi, targets, self._workers)
+        rhs = _blocked_gram(self._phi, targets)
         z = np.linalg.solve(self._chol, rhs)
         return np.linalg.solve(self._chol.T, z)
 
@@ -369,25 +365,12 @@ class _Projector:
         return out[:, 0] if squeeze else out
 
 
-def _blocked_gram(phi: np.ndarray, rhs: np.ndarray, workers: int) -> np.ndarray:
+def _blocked_gram(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """phi.T @ rhs accumulated over fixed-size path blocks in block order."""
-    n = phi.shape[0]
-    starts = list(range(0, n, _BLOCK))
-    rhs2 = rhs[:, None] if rhs.ndim == 1 else rhs
-
-    def one(s):
-        e = min(s + _BLOCK, n)
-        return phi[s:e].T @ rhs2[s:e]
-
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, starts))
-    else:
-        parts = [one(s) for s in starts]
-    acc = parts[0].copy()
-    for part in parts[1:]:
-        acc += part
-    return acc[:, 0] if rhs.ndim == 1 else acc
+    acc = phi[:_BLOCK].T @ rhs[:_BLOCK]
+    for start in range(_BLOCK, phi.shape[0], _BLOCK):
+        acc += phi[start : start + _BLOCK].T @ rhs[start : start + _BLOCK]
+    return acc
 
 
 def digest(values: Optional[np.ndarray]):
@@ -404,9 +387,10 @@ class _Reuse:
     """Work shared by every context on one root ensemble.
 
     factors maps (rows, basis, node, aux digest) to the Cholesky factor of
-    that normal system, for the life of the contexts: a p x p matrix each,
-    while phi (n x p) is rebuilt on every use.  memo is the evaluation memo
-    while one is open (LsmcContext.evaluation_memo), None otherwise.
+    that normal system, for the life of the contexts: a p x p matrix each
+    (None for a constant-only design), while phi (n x p) is rebuilt on every
+    use.  memo is the evaluation memo while one is open
+    (LsmcContext.evaluation_memo), None otherwise.
     """
 
     factors: dict = field(default_factory=dict)
@@ -415,7 +399,7 @@ class _Reuse:
 
 @dataclass
 class LsmcContext:
-    """Evaluation context: grid, ensemble, basis and the worker count.
+    """Evaluation context: grid, ensemble and basis.
 
     Contexts derived from one another (with_basis, block) share a factor
     cache, so each distinct normal system is factorised once; rows is the
@@ -428,7 +412,6 @@ class LsmcContext:
     grid: TimeGrid
     ensemble: PathEnsemble
     basis: RegressionBasis = field(default_factory=RegressionBasis)
-    workers: int = 1
     fallback_count: int = field(default=0, init=False)
     rows: tuple = field(init=False, compare=False)
     _reuse: _Reuse = field(default_factory=_Reuse, init=False, repr=False, compare=False)
@@ -436,12 +419,10 @@ class LsmcContext:
     def __post_init__(self):
         if self.ensemble.grid != self.grid:
             raise ValueError("ensemble was simulated on a different grid")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         self.rows = (0, self.ensemble.n_paths)
 
     def _derived(self, ensemble: PathEnsemble, basis: RegressionBasis, rows: tuple) -> "LsmcContext":
-        ctx = LsmcContext(self.grid, ensemble, basis, self.workers)
+        ctx = LsmcContext(self.grid, ensemble, basis)
         ctx.rows, ctx._reuse = rows, self._reuse
         return ctx
 
@@ -494,11 +475,11 @@ class LsmcContext:
             variables = np.concatenate(cols, axis=1)
         phi = self.basis.design(variables)
         key = (self.rows, self.basis, at, digest(aux))
-        chol = self._reuse.factors.get(key)
-        if chol is not None:
-            return _Projector._from_factor(phi, chol, self.workers)
-        proj = _Projector(phi, self.basis.ridge, self.workers, self)
-        self._reuse.factors[key] = proj._chol
+        factors = self._reuse.factors
+        if key in factors:
+            return _Projector._from_factor(phi, factors[key])
+        proj = _Projector(phi, self.basis.ridge, self)
+        factors[key] = proj._chol
         return proj
 
     def cond_expect(
@@ -537,8 +518,8 @@ def block_stderr(ctx: LsmcContext, estimate) -> float:
     slice of the parent's path rows it holds, to a float; rows lets a caller
     cut its own per-path arrays to the block.  It is re-run on 8 contiguous
     sub-ensembles and the spread of the block estimates scales down to the
-    full-sample error.  Deterministic: the partition ignores the worker
-    count.  The block contexts share ctx's factor cache, so repeated
+    full-sample error.  Deterministic: the partition depends on the path
+    count only.  The block contexts share ctx's factor cache, so repeated
     calls on one parent factorise each block's normal systems once.
     """
     n, n_blocks = ctx.ensemble.n_paths, 8

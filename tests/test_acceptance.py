@@ -27,7 +27,7 @@ from bsderisk import (
 from bsderisk.cli import RunConfig, run_verify
 from bsderisk.diagnostics import check_cash_additivity, check_cash_subadditivity, generator_verdicts
 
-from conftest import stderr
+from conftest import BLAS_THREADS, run_at_blas_threads, stderr
 
 
 def _announce(n: int, text: str) -> None:
@@ -196,27 +196,24 @@ def test_criterion_8_taxonomy_matrix():
     )
 
 
+# default verify at 6000 paths x 16 steps, seed 123, writing its bundle to argv[1]
+_VERIFY = """
+import sys
+from bsderisk.cli import main
+sys.exit(main(["--paths", "6000", "--steps", "16", "--seed", "123", "--out", sys.argv[1], "verify"]))
+"""
+
+
 def test_criterion_9_determinism_and_exactness(tmp_path, ctx50, b1):
-    cfg = RunConfig(
-        n_paths=6_000, n_steps=16, s=0.0, t=0.5, u=0.75, v=1.0, seed=123,
-        checks=("taxonomy", "gamma_cross"),
-    )
     bundles = {}
-    for workers in (1, 2, 8):
-        out = tmp_path / f"workers{workers}"
-        from dataclasses import replace
-
-        from bsderisk.cli import main
-
-        cfg_path = tmp_path / f"cfg{workers}.txt"
-        cfg_path.write_text(replace(cfg, workers=workers, out_dir=str(out)).canonical_text())
-        main(["--config", str(cfg_path), "verify"])
-        bundles[workers] = {
-            name: (out / name).read_bytes()
-            for name in ("checks.jsonl", "checks.csv", "summary.json")
+    for threads in BLAS_THREADS:
+        out = tmp_path / f"threads{threads}"
+        run_at_blas_threads(["-c", _VERIFY, str(out)], threads)
+        bundles[threads] = {
+            name: (out / name).read_bytes() for name in ("checks.jsonl", "checks.csv", "summary.json")
         }
-    for name in ("checks.jsonl", "checks.csv", "summary.json"):
-        assert bundles[1][name] == bundles[2][name] == bundles[8][name], name
+    for threads in BLAS_THREADS[1:]:
+        assert bundles[threads] == bundles[1], f"bundle at {threads} BLAS threads"
 
     f = RandomField(50, np.sin(b1))
     tower_gap = np.max(
@@ -248,6 +245,6 @@ def test_criterion_9_determinism_and_exactness(tmp_path, ctx50, b1):
     assert worst <= 1e-12
     _announce(
         9,
-        f"byte-identical outputs for 1/2/8 workers; tower {tower_gap:.1e}, "
+        f"byte-identical bundles at {'/'.join(map(str, BLAS_THREADS))} BLAS threads; tower {tower_gap:.1e}, "
         f"linearity {lin_gap:.1e}, inverse pair {worst:.1e} over 1000 points",
     )

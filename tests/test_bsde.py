@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +23,7 @@ from bsderisk import bsde
 from bsderisk.cli import RunConfig
 from bsderisk.diagnostics import generator_verdicts
 
-from conftest import stderr
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import BLAS_THREADS, run_at_blas_threads, stderr
 
 
 class TestSolveBasics:
@@ -184,15 +178,8 @@ print(hashlib.sha256(sol.Y[0].tobytes()).hexdigest())
 
 
 def test_root_bytes_do_not_depend_on_blas_threads():
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        done = subprocess.run([sys.executable, "-c", _ROOT_SOLVE], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr[-2000:]
-        digests.append(done.stdout.strip())
-    assert len(digests[0]) == 64 and digests[0] == digests[1]
+    digests = [run_at_blas_threads(["-c", _ROOT_SOLVE], n).strip() for n in BLAS_THREADS]
+    assert len(digests[0]) == 64 and len(set(digests)) == 1
 
 
 class TestStoredY:

@@ -44,8 +44,30 @@ claim = brownian
             parse_config("[grid]\nT = 1\n\n[extras]\nfoo = 1\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match=r"\[run\] wokers"):
-            parse_config("[run]\nwokers = 2\n")
+        with pytest.raises(ValueError, match=r"\[run\] mesure"):
+            parse_config("[run]\nmesure = entropic\n")
+
+
+class TestNoWorkerCount:
+    """The regression runs serially; there is no worker count to set."""
+
+    def test_config_key_rejected(self):
+        with pytest.raises(ValueError, match=r"\[run\] workers"):
+            parse_config("[run]\nworkers = 2\n")
+
+    @pytest.mark.parametrize("argv", [["--workers", "2", "verify"], ["--workers=2", "verify"],
+                                      ["verify", "--workers", "2"]])
+    def test_flag_rejected(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(RunConfig, "build", lambda cfg: pytest.fail("paths were simulated"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: bsderisk" in capsys.readouterr().err
+
+    def test_argument_is_discarded(self):
+        text = RunConfig(workers=2).canonical_text()
+        assert text == RunConfig().canonical_text()
+        assert "workers" not in text
 
 
 class TestEvaluate:
@@ -89,9 +111,27 @@ class TestEvaluate:
         cfg = RunConfig(n_paths=2000, n_steps=8, t=0.5, u=1.0, measure="entropic", claim="sin", seed=11)
         _, _, pathwise = run_evaluate(cfg)
         ctx = cfg.build()
-        _, t, u, _ = cfg.indices(ctx)
+        _, t, u, _ = cfg.indices()
         rho = measure_from_label(cfg.measure, ctx.grid).evaluate(ctx, t, claim_from_label(cfg.claim, u), maturity=u)
         assert pathwise == "path,value\n" + "".join(f"{p},{float(v):.9g}\n" for p, v in enumerate(rho.values))
+
+
+class TestWindow:
+    @pytest.mark.parametrize("changes, named", [
+        ({"t": 0.75, "u": 0.5}, "[run] t = 0.75 > u = 0.5"),
+        ({"s": 0.5, "t": 0.25, "u": 1.0}, "[run] s = 0.5 > t = 0.25"),
+        ({"t": 0.33}, "[run] t = 0.33: not a node"),
+        ({"u": 0.33, "v": 1.5}, "[run] u = 0.33, v = 1.5: not a node"),
+    ], ids=["t_after_u", "s_after_t", "t_off_grid", "u_v_off_grid"])
+    @pytest.mark.parametrize("run", [run_evaluate, run_sweep, run_verify])
+    def test_bad_window_fails_before_simulating(self, monkeypatch, run, changes, named):
+        monkeypatch.setattr(RunConfig, "build", lambda cfg: pytest.fail("paths were simulated"))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            run(replace(RunConfig(measure="qent:{q},0"), **changes))
+
+    def test_indices_of_a_good_window(self):
+        cfg = RunConfig(T=2.0, n_steps=8, s=0.25, t=0.5, u=0.5, v=2.0)
+        assert cfg.indices() == (1, 2, 2, 8)
 
 
 class TestSweep:

@@ -225,13 +225,6 @@ class TestCondExpect:
         assert np.all(np.isfinite(out.values))
         assert ctx20.fallback_count == before + 1
 
-    def test_worker_count_invariance(self, ctx50, b1):
-        f = RandomField(50, np.exp(b1))
-        base = ctx50.cond_expect(f, 25).values
-        for workers in (2, 8):
-            ctx = LsmcContext(ctx50.grid, ctx50.ensemble, ctx50.basis, workers)
-            np.testing.assert_array_equal(ctx.cond_expect(f, 25).values, base)
-
     def test_clip_respects_range(self, ctx50, b1):
         f = RandomField(50, np.maximum(-b1, 0.0))
         out = ctx50.cond_expect(f, 25, clip=True)
@@ -244,9 +237,9 @@ class TestFactorCache:
         builds = []
         init = stochastic._Projector.__init__
 
-        def counted(self, phi, ridge, workers, ctx):
+        def counted(self, phi, ridge, ctx):
             builds.append(phi.shape)
-            init(self, phi, ridge, workers, ctx)
+            init(self, phi, ridge, ctx)
 
         monkeypatch.setattr(stochastic._Projector, "__init__", counted)
         return builds
@@ -263,6 +256,18 @@ class TestFactorCache:
             ctx.block(0, 2000).projector(5), ctx.block(2000, 4000).projector(5)
         # degree 3, degree 3 with aux, degree 4, and the two halves
         assert builds == [(4000, 4), (4000, 10), (4000, 5), (2000, 4), (2000, 4)]
+
+    def test_constant_design_is_built_once_without_a_gram_pass(self, monkeypatch):
+        grid = TimeGrid(1.0, 10)
+        ctx = LsmcContext(grid, simulate(grid, 1, 4000, seed=8), RegressionBasis(3))
+        builds = self._count_builds(monkeypatch)
+        monkeypatch.setattr(stochastic, "_blocked_gram", lambda phi, rhs: pytest.fail("Gram pass"))
+        target = np.sin(ctx.ensemble.values[:, 10, 0])
+        fits = [ctx.projector(0).fitted(target) for _ in range(2)]
+        assert builds == [(4000, 1)]
+        assert list(ctx._reuse.factors.values()) == [None]
+        for fit in fits:
+            np.testing.assert_array_equal(fit, np.full(4000, np.mean(target)))
 
     def test_cached_projector_fits_bit_for_bit(self):
         grid = TimeGrid(1.0, 10)
