@@ -98,8 +98,11 @@ class RunConfig:
             lines.append("")
         return "\n".join(lines)
 
+    def grid(self) -> TimeGrid:
+        return TimeGrid(self.T, self.n_steps)
+
     def build(self):
-        grid = TimeGrid(self.T, self.n_steps)
+        grid = self.grid()
         ens = simulate(grid, self.d, self.n_paths, self.seed)
         return LsmcContext(grid, ens, RegressionBasis(self.degree, self.ridge))
 
@@ -107,7 +110,7 @@ class RunConfig:
         """Grid indices of the window (s, t, u, v), checked before any path is
         drawn: each must be a grid node, and s <= t <= u <= v.  A ValueError
         names the offending [run] keys."""
-        grid = TimeGrid(self.T, self.n_steps)
+        grid = self.grid()
         index, off = {}, []
         for key in "stuv":
             try:
@@ -220,12 +223,12 @@ def run_evaluate(cfg: RunConfig) -> tuple[str, str, Optional[str]]:
 
     Returns (stdout text, csv text, pathwise csv text or None).  Conditional
     values at t > 0 are reported both pathwise and as the coefficients of
-    their basis representation.  A bad window is rejected before any path
-    is drawn."""
+    their basis representation.  A bad window or label is rejected before
+    any path is drawn."""
     s, t, u, v = cfg.indices()
-    ctx = cfg.build()
-    measure = measure_from_label(cfg.measure, ctx.grid)
     claim = claim_from_label(cfg.claim, u)
+    measure = measure_from_label(cfg.measure, cfg.grid())
+    ctx = cfg.build()
     rho, se = _value(ctx, measure, claim, t, u)
     est = rho.mean()
     lines = [
@@ -257,7 +260,8 @@ def run_sweep(cfg: RunConfig) -> str:
     (t, u); metric = weak_ratio reports the weak-consistency ratio over
     (s, t, u); metric = gamma reports the horizon correction over (t, u, v).
     A bad axis, metric, label (it must carry the axis placeholder and no
-    other) or window is rejected before any path is drawn.
+    other, and resolve at every sweep value) or window is rejected before
+    any path is drawn.
     """
     where = f"measure label {cfg.measure!r} (axis={cfg.axis})"
     if cfg.axis not in SWEEP_AXES:
@@ -270,12 +274,12 @@ def run_sweep(cfg: RunConfig) -> str:
     if cfg.metric not in SWEEP_METRICS:
         raise ValueError(f"unknown sweep metric {cfg.metric!r} for {where}")
     s, t, u, v = cfg.indices()
+    claim = claim_from_label(cfg.claim, u)
+    labels = [cfg.measure.replace(placeholder, _fmt(float(value))) for value in cfg.values]
+    measures = [measure_from_label(label, cfg.grid()) for label in labels]
     ctx = cfg.build()
     rows = [SWEEP_HEADER]
-    for value in cfg.values:
-        label = cfg.measure.replace(placeholder, _fmt(float(value)))
-        measure = measure_from_label(label, ctx.grid)
-        claim = claim_from_label(cfg.claim, u)
+    for value, label, measure in zip(cfg.values, labels, measures):
         if cfg.metric == "value":
             rho, se = _value(ctx, measure, claim, t, u)
             est = rho.mean()
@@ -300,15 +304,20 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
     construction registry and audits observed verdicts against the expected
     table.  gamma_cross runs `run_gamma_cross`, comparing the direct and
     premium-measure gamma computations.  Any other name is one `run_check` on
-    the configured measure and claim.  Every name, and the window, is checked
-    before any path is drawn.  summary["ok"] is the exit-status signal.
+    the configured measure and claim.  The names (at least one), the window
+    and the labels the checks use are checked before any path is drawn.
+    summary["ok"] is the exit-status signal.
     """
+    if not cfg.checks:
+        raise ValueError("[run] checks is empty: name at least one check")
     unknown = [name for name in cfg.checks if name not in ("taxonomy", "gamma_cross", *CHECKS)]
     if unknown:
         raise ValueError(f"unknown check(s) {', '.join(map(repr, unknown))} in checks = {','.join(cfg.checks)}")
     s, t, u, v = cfg.indices()
-    ctx = cfg.build()
     claim = claim_from_label(cfg.claim, u)
+    single = set(cfg.checks) - {"taxonomy", "gamma_cross"}
+    measure = measure_from_label(cfg.measure, cfg.grid()) if single else None
+    ctx = cfg.build()
     reports: list[PropertyReport] = []
     failures: list[dict] = []
 
@@ -325,8 +334,7 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
         if name == "gamma_cross":
             labelled = run_gamma_cross(ctx, cfg.claim, s, t, u)
         else:
-            labelled = [(cfg.measure, run_check(ctx, name, measure_from_label(cfg.measure, ctx.grid),
-                                                claim, s, t, u, v))]
+            labelled = [(cfg.measure, run_check(ctx, name, measure, claim, s, t, u, v))]
         for label, rep in labelled:
             reports.append(rep)
             if not rep.verdict:

@@ -117,16 +117,23 @@ class TestEvaluate:
 
 
 class TestWindow:
-    @pytest.mark.parametrize("changes, named", [
-        ({"t": 0.75, "u": 0.5}, "[run] t = 0.75 > u = 0.5"),
-        ({"s": 0.5, "t": 0.25, "u": 1.0}, "[run] s = 0.5 > t = 0.25"),
-        ({"t": 0.33}, "[run] t = 0.33: not a node"),
-        ({"u": 0.33, "v": 1.5}, "[run] u = 0.33, v = 1.5: not a node"),
-    ], ids=["t_after_u", "s_after_t", "t_off_grid", "u_v_off_grid"])
+    # a bad window or label fails before any path is drawn; a single check
+    # ("tc_order") makes verify resolve the measure label too
+    @pytest.mark.parametrize("changes, error, named", [
+        ({"t": 0.75, "u": 0.5}, ValueError, "[run] t = 0.75 > u = 0.5"),
+        ({"s": 0.5, "t": 0.25, "u": 1.0}, ValueError, "[run] s = 0.5 > t = 0.25"),
+        ({"t": 0.33}, ValueError, "[run] t = 0.33: not a node"),
+        ({"u": 0.33, "v": 1.5}, ValueError, "[run] u = 0.33, v = 1.5: not a node"),
+        ({"claim": "bogus"}, KeyError, "unknown claim label 'bogus'"),
+        ({"claim": "call:x"}, ValueError, "malformed label 'call:x'"),
+        ({"measure": "bogus:{q}", "checks": ("tc_order",)}, KeyError, "unknown measure label 'bogus:"),
+        ({"measure": "qent:{q},x", "checks": ("tc_order",)}, ValueError, "malformed label 'qent:"),
+    ], ids=["t_after_u", "s_after_t", "t_off_grid", "u_v_off_grid", "unknown_claim", "malformed_claim",
+            "unknown_measure", "malformed_measure"])
     @pytest.mark.parametrize("run", [run_evaluate, run_sweep, run_verify])
-    def test_bad_window_fails_before_simulating(self, monkeypatch, run, changes, named):
+    def test_bad_window_fails_before_simulating(self, monkeypatch, run, changes, error, named):
         monkeypatch.setattr(RunConfig, "build", lambda cfg: pytest.fail("paths were simulated"))
-        with pytest.raises(ValueError, match=re.escape(named)):
+        with pytest.raises(error, match=re.escape(named)):
             run(replace(RunConfig(measure="qent:{q},0"), **changes))
 
     def test_indices_of_a_good_window(self):
@@ -173,7 +180,8 @@ class TestSweep:
         ({}, "'entropic' (axis=q)"),  # the default config: no {q} to sweep
         ({"measure": "qent:{q},0", "axis": "bogus"}, "'qent:{q},0' (axis=bogus)"),
         ({"measure": "qent:{q},0", "metric": "vaule"}, "'qent:{q},0' (axis=q)"),
-    ], ids=["default_config", "unknown_axis", "unknown_metric"])
+        ({"measure": "qent:{q},0", "values": (0.5, 1.5)}, "'qent:1.5,0': q must lie in (0,1]"),
+    ], ids=["default_config", "unknown_axis", "unknown_metric", "last_value_out_of_range"])
     def test_bad_sweep_fails_before_simulating(self, monkeypatch, changes, named):
         monkeypatch.setattr(RunConfig, "build", lambda cfg: pytest.fail("paths were simulated"))
         with pytest.raises(ValueError, match=re.escape(named)):
@@ -256,6 +264,13 @@ class TestVerify:
         monkeypatch.setattr(RunConfig, "build", lambda cfg: pytest.fail("paths were simulated"))
         with pytest.raises(ValueError, match="'tc_medium'"):
             run_verify(RunConfig(checks=("taxonomy", "tc_medium")))
+
+    def test_empty_checks_fail_before_simulating(self, monkeypatch):
+        monkeypatch.setattr(RunConfig, "build", lambda cfg: pytest.fail("paths were simulated"))
+        cfg = parse_config("[run]\nchecks =\n")
+        assert cfg.checks == ()
+        with pytest.raises(ValueError, match=re.escape("[run] checks")):
+            run_verify(cfg)
 
 
 class TestMainEntryPoint:

@@ -359,11 +359,6 @@ class TestTimeConsistencyChecks:
         rep = check_time_consistency(ctx20, m, "order", claim_from_label("brownian", 20), 0, 10, 20)
         assert rep.verdict
 
-    def test_order_soft_probe_on_non_ca(self, ctx20):
-        m = measure_from_label("qent:0.5,0", ctx20.grid)
-        rep = check_time_consistency(ctx20, m, "order", claim_from_label("brownian", 20), 0, 10, 20)
-        assert rep.verdict  # equal-inner twin or vacuous gate, never a false alarm
-
     def test_unknown_kind(self, ctx20):
         m = measure_from_label("mean", ctx20.grid)
         with pytest.raises(ValueError):
@@ -373,6 +368,57 @@ class TestTimeConsistencyChecks:
         m = measure_from_label("mean", ctx20.grid)
         with pytest.raises(ValueError):
             check_time_consistency(ctx20, m, "strong", claim_from_label("brownian", 20), 10, 5, 20)
+
+
+class TestEqualInnerTwin:
+    """tc_order's one rule: every construction gets an F_t-measurable twin X'
+    with rho_{tu}(X') = rho_{tu}(X) within TWIN_GAP on every path.  Iterates
+    that leave a guarded domain would raise, and a RuntimeWarning (an open
+    bracket's inf - inf) is an error under the test configuration."""
+
+    # u - t = 0.25 < beta = 0.5: qent_tr:0.3,0.5,1 then starts on the flat stretch
+    S, T, U = 0, 10, 15
+    OFF_TAXONOMY = [
+        ("qent_tr:0.3,0.5,1", "brownian"),  # the losses transform's flat stretch
+        ("driver:linear_y:5", "call:-2"),  # slopes far from -1
+        ("discounted:entropic,0.1", "call:-2"),
+        ("driver:q_entropic:0.5", "sin"),  # guarded domains
+        ("qent_closed:0.5", "sin"),
+    ]
+
+    @pytest.mark.parametrize("label, claim_label", taxonomy_rows() + OFF_TAXONOMY)
+    def test_twin_meets_the_inner_bound(self, ctx20, label, claim_label):
+        m = measure_from_label(label, ctx20.grid)
+        field = claim_from_label(claim_label, self.U).evaluate(ctx20.ensemble)
+        inner = m.evaluate(ctx20, self.T, field, maturity=self.U)
+        twin, gap = diagnostics._equal_inner_twin(ctx20, m, inner, self.U)
+        assert twin.index == self.T
+        assert np.all(gap <= diagnostics.TWIN_GAP * (1.0 + np.abs(inner.values)))
+        np.testing.assert_array_equal(gap, np.abs(m.evaluate(ctx20, self.T, twin, maturity=self.U).values
+                                                  - inner.values))
+        rep = check_time_consistency(ctx20, m, "order", field, self.S, self.T, self.U)
+        assert rep.details["inner_gap"] == pytest.approx(float(np.max(gap)), rel=1e-8, abs=0.0)
+        assert "note" not in rep.details and "inner_gate" not in rep.details
+
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_a_twin_that_misses_its_bound_fails(self, ctx20, monkeypatch, passes):
+        # csa_example_shift needs 5 passes; after 4 the outer gap alone passes
+        m = measure_from_label("driver:csa_example_shift", ctx20.grid)
+        claim = claim_from_label("call:-2", self.U)
+        assert check_time_consistency(ctx20, m, "order", claim, self.S, self.T, self.U).verdict
+        monkeypatch.setattr(diagnostics, "TWIN_PASSES", passes)
+        rep = check_time_consistency(ctx20, m, "order", claim, self.S, self.T, self.U)
+        assert not rep.verdict
+        assert rep.details["inner_gap"] > 1e-8
+        assert (rep.max_violation <= rep.tolerance) == (passes == 4)
+
+    def test_passes_stay_out_of_the_memo(self, ctx20):
+        m = measure_from_label("driver:csa_example_shift", ctx20.grid)
+        field = claim_from_label("call:-2", self.U).evaluate(ctx20.ensemble)
+        with ctx20.evaluation_memo():
+            inner = m.evaluate(ctx20, self.T, field, maturity=self.U)
+            diagnostics._equal_inner_twin(ctx20, m, inner, self.U)
+            assert len(ctx20.memo) == 1
 
 
 class TestMonotonicityConvexity:
