@@ -149,7 +149,6 @@ class BSDESolution:
 def _step(
     ctx: LsmcContext,
     meas: int,
-    aux: Optional[np.ndarray],
     clip: bool,
     i: int,
     y_next: np.ndarray,
@@ -160,7 +159,7 @@ def _step(
     meas the terminal is already measurable: identity projection, Z = 0."""
     if i >= meas:
         return y_next, np.zeros((y_next.shape[0], ctx.ensemble.dim))
-    proj = ctx.projector(i, aux)
+    proj = ctx.projector(i)
     yhat = proj.fitted(y_next, clip=clip)
     regressand = ctx.ensemble.increment(i)
     regressand *= (y_next - yhat)[:, None]
@@ -173,12 +172,9 @@ def solve(
     maturity: int,
     ctx: LsmcContext,
     stop: int = 0,
-    aux: Optional[np.ndarray] = None,
 ) -> BSDESolution:
     """Backward solve with terminal condition `terminal` at index `maturity`.
 
-    `aux` supplies extra adapted regressors (e.g. earlier-time state a claim
-    depends on) appended to the Brownian basis at every regression node.
     Raises DomainGuardViolation / NonFiniteError on unacceptable states.
     """
     grid, ens = ctx.grid, ctx.ensemble
@@ -197,7 +193,7 @@ def solve(
     # range-clamp the continuation fit only when a domain guard is present:
     # guarded generators must not see polynomial tail overshoot, while
     # unguarded ones keep the exact linearity of raw least squares
-    step = partial(_step, ctx, terminal.index, aux, driver.domain_guard is not None)
+    step = partial(_step, ctx, terminal.index, driver.domain_guard is not None)
 
     def drive(t: float, y: np.ndarray, z: np.ndarray, i: int) -> np.ndarray:
         bad = ~driver.guard_ok(y)

@@ -79,8 +79,8 @@ class RiskMeasure:
 
     While ctx has an evaluation memo open (LsmcContext.evaluation_memo),
     evaluate stores each result as a read-only copy under the measure
-    object, the context's rows and basis, t, maturity, the field's index and
-    bytes, and aux, and serves a repeat from it.
+    object, the context's rows and basis, t, maturity, and the field's index
+    and bytes, and serves a repeat from it.
     """
 
     label: str = ""
@@ -92,7 +92,6 @@ class RiskMeasure:
         t_index: int,
         claim: ClaimLike,
         maturity: Optional[int] = None,
-        aux: Optional[np.ndarray] = None,
     ) -> RandomField:
         field = _terminal(ctx, claim)
         m = field.index if maturity is None else maturity
@@ -102,17 +101,17 @@ class RiskMeasure:
             raise ValueError(f"claim measurable at {field.index} but maturity {m}")
         memo = ctx.memo
         if memo is None:
-            return self._evaluate(ctx, t_index, field, m, aux)
-        key = (id(self), ctx.rows, ctx.basis, t_index, m, field.index, digest(field.values), digest(aux))
+            return self._evaluate(ctx, t_index, field, m)
+        key = (id(self), ctx.rows, ctx.basis, t_index, m, field.index, digest(field.values))
         if key not in memo:
             # a copy: a solve's field_at is a view that would pin its whole Y
-            result = self._evaluate(ctx, t_index, field, m, aux)
+            result = self._evaluate(ctx, t_index, field, m)
             values = result.values.copy()
             values.setflags(write=False)
             memo[key] = (self, RandomField(result.index, values))  # self pins id(self)
         return memo[key][1]
 
-    def _evaluate(self, ctx, t_index, field, maturity, aux) -> RandomField:
+    def _evaluate(self, ctx, t_index, field, maturity) -> RandomField:
         raise NotImplementedError
 
 
@@ -144,7 +143,7 @@ class DriverMeasure(RiskMeasure):
                 self.label = f"{prefix}_losses:{self.driver.label}{beta_tag}"
         self.is_cash_additive = not family and self.beta is None and not self.driver.depends_on_y
 
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
+    def _evaluate(self, ctx, t_index, field, maturity):
         driver = self.driver
         if isinstance(driver, DriverFamily):
             driver = driver.at(maturity * ctx.grid.dt)
@@ -152,7 +151,7 @@ class DriverMeasure(RiskMeasure):
             terminal = -field
         else:
             terminal = RandomField(field.index, _positive_part_of_loss(field.values, self.beta))
-        sol = solve(driver, terminal, maturity, ctx, stop=t_index, aux=aux)
+        sol = solve(driver, terminal, maturity, ctx, stop=t_index)
         return sol.field_at(t_index)
 
 
@@ -162,8 +161,8 @@ class MeanMeasure(RiskMeasure):
     label = "mean"
     is_cash_additive = True
 
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
-        return ctx.cond_expect(-field, t_index, aux=aux)
+    def _evaluate(self, ctx, t_index, field, maturity):
+        return ctx.cond_expect(-field, t_index)
 
 
 @dataclass
@@ -214,7 +213,7 @@ class CertaintyEquivalent(RiskMeasure):
             raise ValueError(f"translation rate must be >= 0, got a({t}) = {r}")
         return r
 
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
+    def _evaluate(self, ctx, t_index, field, maturity):
         if self.beta is None:
             arg = -field.values
             if not tsallis.is_classical(self.q) and not np.all(tsallis.in_domain(arg, self.q)):
@@ -227,7 +226,7 @@ class CertaintyEquivalent(RiskMeasure):
                 dt = ctx.grid.dt
                 arg = arg + sum(self._rate(k * dt) for k in range(t_index, maturity)) * dt
         eq = RandomField(field.index, np.asarray(tsallis.exp_q(arg, self.q)))
-        return _safe_ln_q(ctx.cond_expect(eq, t_index, aux=aux, clip=True), self.q)
+        return _safe_ln_q(ctx.cond_expect(eq, t_index, clip=True), self.q)
 
 
 @dataclass
@@ -250,10 +249,10 @@ class DiscountedMeasure(RiskMeasure):
         self.label = f"discounted:{self.base.label},{tag}"
         self.is_cash_additive = False
 
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
+    def _evaluate(self, ctx, t_index, field, maturity):
         d = self.curve.factor(t_index, maturity)
         scaled = RandomField(field.index, d * field.values)
-        return self.base._evaluate(ctx, t_index, scaled, maturity, aux)
+        return self.base._evaluate(ctx, t_index, scaled, maturity)
 
 
 def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:

@@ -1,9 +1,8 @@
 """Brownian path simulation, claims, discount curves and the regression engine.
 
 Conditional expectations E[. | F_t] are realized by least-squares Monte Carlo:
-projection onto polynomial bases of the Brownian level at the conditioning
-node (all claims handled here are Markovian in B_t, optionally augmented with
-extra regressors for claims carrying earlier-time state).
+projection onto polynomial bases of the Brownian level B_{t_i} at the
+conditioning node, and on nothing else.
 
 Determinism contract: a fixed seed and configuration produce bit-identical
 fields whatever the OpenBLAS thread count (tested at 1 and 2, and at
@@ -373,11 +372,8 @@ def _blocked_gram(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def digest(values: Optional[np.ndarray]):
-    """Cache key of an array: its shape and a 256-bit hash of its float64
-    bytes (None for None)."""
-    if values is None:
-        return None
+def digest(values: np.ndarray):
+    """Cache key of an array: its shape and a 256-bit hash of its float64 bytes."""
     arr = np.ascontiguousarray(values, dtype=float)
     return arr.shape, hashlib.blake2b(arr.view(np.uint8), digest_size=32).digest()
 
@@ -386,7 +382,7 @@ def digest(values: Optional[np.ndarray]):
 class _Reuse:
     """Work shared by every context on one root ensemble.
 
-    factors maps (rows, basis, node, aux digest) to the Cholesky factor of
+    factors maps (rows, basis, node) to the Cholesky factor of
     that normal system, for the life of the contexts: a p x p matrix each
     (None for a constant-only design), while phi (n x p) is rebuilt on every
     use.  memo is the evaluation memo while one is open
@@ -451,30 +447,20 @@ class LsmcContext:
         finally:
             reuse.memo = outer
 
-    def projector(self, at: int, aux: Optional[np.ndarray] = None) -> _Projector:
+    def projector(self, at: int) -> _Projector:
         """Factorized projector onto the basis at node `at`.
 
-        Conditioning variables are the Brownian components at t_at scaled by
-        1/sqrt(t_at), plus any aux columns (extra adapted state a claim needs,
-        scaled by their sample deviation).  At the root node only aux columns
-        remain; with none, _Projector.coefficients gives the sample mean.
-        The normal system is factorised on first use and its factor reused.
+        The conditioning variables are the Brownian components at t_at
+        scaled by 1/sqrt(t_at); at the root there are none, and
+        _Projector.coefficients gives the sample mean.  The normal system is
+        factorised on first use and its factor reused.
         """
-        cols = []
         if at > 0:
-            t = at * self.grid.dt
-            cols.append(self.ensemble.levels(at) / np.sqrt(t))
-        if aux is not None:
-            a = np.asarray(aux, dtype=float)
-            a = a[:, None] if a.ndim == 1 else a
-            scale = np.maximum(np.std(a, axis=0), 1e-12)
-            cols.append(a / scale)
-        if not cols:
-            variables = np.empty((self.ensemble.n_paths, 0))
+            variables = self.ensemble.levels(at) / np.sqrt(at * self.grid.dt)
         else:
-            variables = np.concatenate(cols, axis=1)
+            variables = np.empty((self.ensemble.n_paths, 0))
         phi = self.basis.design(variables)
-        key = (self.rows, self.basis, at, digest(aux))
+        key = (self.rows, self.basis, at)
         factors = self._reuse.factors
         if key in factors:
             return _Projector._from_factor(phi, factors[key])
@@ -482,18 +468,12 @@ class LsmcContext:
         factors[key] = proj._chol
         return proj
 
-    def cond_expect(
-        self,
-        field: RandomField,
-        at: int,
-        aux: Optional[np.ndarray] = None,
-        clip: bool = False,
-    ) -> RandomField:
+    def cond_expect(self, field: RandomField, at: int, clip: bool = False) -> RandomField:
         """Least-squares realization of E[field | F_{t_at}].
 
         Fields already measurable at `at` (field.index <= at) are returned
         unchanged: conditioning on a finer sigma-algebra is the identity.
-        At at = 0 without aux it is the sample mean (_Projector.coefficients).
+        At at = 0 it is the sample mean (_Projector.coefficients).
         Linear in the field; the constant is always in the basis, so sample
         means are preserved exactly.  clip=True clamps the fit to the field's
         sample range (see _Projector.fitted).
@@ -502,7 +482,7 @@ class LsmcContext:
             raise IndexError(f"node {at} beyond grid end {self.grid.n_steps}")
         if field.index <= at:
             return RandomField(at, field.values)
-        fitted = self.projector(at, aux).fitted(field.values, clip=clip)
+        fitted = self.projector(at).fitted(field.values, clip=clip)
         return RandomField(at, fitted)
 
 
@@ -651,9 +631,16 @@ def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
 
 
 def ensemble_from_npz(path) -> PathEnsemble:
+    """Read an ensemble_to_npz file.  A missing key, or levels that are not
+    (n_paths >= 2, n_steps + 1, d >= 1), raise a ValueError naming the file."""
     with np.load(path) as data:
+        missing = [key for key in ("values", "seed", "T", "n_steps") if key not in data.files]
+        if missing:
+            raise ValueError(f"{path}: missing {', '.join(missing)}")
         grid = TimeGrid(T=float(data["T"]), n_steps=int(data["n_steps"]))
         vals = data["values"]
         seed = int(data["seed"])
+    if vals.ndim != 3 or vals.shape[0] < 2 or vals.shape[1] != grid.n_steps + 1 or vals.shape[2] < 1:
+        raise ValueError(f"{path}: values shape {vals.shape}, need (n_paths >= 2, {grid.n_steps + 1}, d >= 1)")
     vals.setflags(write=False)
     return PathEnsemble(grid=grid, seed=seed, values=vals)

@@ -169,6 +169,14 @@ class TestCashAdditivity:
             measured = rep.details[f"mean_gap[{shift:g}]"]
             assert measured == pytest.approx(gap_per_unit * shift, rel=0.02)
 
+    # every regression conditions on B_t alone, so the constant shifts tell
+    # the cash-additive constructions from the others exactly
+    @pytest.mark.parametrize("label", list(TAXONOMY))
+    def test_verdict_follows_the_construction(self, ctx20, label):
+        measure = measure_from_label(label, ctx20.grid)
+        claim = claim_from_label(TAXONOMY[label][0], 20)
+        assert check_cash_additivity(ctx20, measure, claim, 10, 20).verdict == measure.is_cash_additive
+
 
 class TestCashSubadditivity:
     @pytest.mark.parametrize("label", ["discounted:mean,0.1", "driver:csa_example"])
@@ -184,30 +192,29 @@ class TestCashSubadditivity:
 
 
 class TestShiftGaps:
-    """The cash checks evaluate rho(X) once for all constant shifts, and once
-    more with the tanh(B_t) shift in the basis; the reports keep their bytes."""
+    """The cash checks evaluate rho(X) once for all four constant shifts; the
+    constant-shift numbers keep their bytes."""
 
     GAPS = {
         "mean_gap[0]": 0.0,
         "mean_gap[0.1]": 1.37394816e-16,
         "mean_gap[0.5]": -1.19866931e-15,
         "mean_gap[1]": -8.02012374e-16,
-        "mean_gap[0.5*(1+tanh(B_t))]": -0.000524243636,
     }
 
     REPORTS = {
         "cash_additivity": (
             '{"property": "cash_additivity", "construction": "entropic", "params": {"t": 2, "u": 4}, '
-            '"verdict": "fail", "tolerance": 1e-08, "max_violation": 3.95683486e-13, "violation_fraction": 0.0, '
-            '"witness": {"shift": "0.5*(1+tanh(B_t))", "path": 1131, "gap": -0.559325986}, '
+            '"verdict": "pass", "tolerance": 1e-08, "max_violation": 3.95683486e-13, "violation_fraction": 0.0, '
+            '"witness": {"shift": "0.1", "path": 236, "gap": -3.95683486e-13}, '
             '"seed": 31, "n_paths": 2000, "n_steps": 8}\n',
-            {"field_tolerance": 0.147962288, "field_max_violation": 0.559325986},
+            (5, 2),  # rho(X) and the four shifted claims, X + 0 among them
         ),
         "cash_subadditivity": (
             '{"property": "cash_subadditivity", "construction": "entropic", "params": {"t": 2, "u": 4}, '
-            '"verdict": "pass", "tolerance": 0.147962288, "max_violation": 0.559325986, "violation_fraction": 0.0003, '
+            '"verdict": "pass", "tolerance": 0.147962288, "max_violation": 3.95683486e-13, "violation_fraction": 0.0, '
             '"witness": null, "seed": 31, "n_paths": 2000, "n_steps": 8}\n',
-            {},
+            (7, 3),  # and the noise probe's rho(X) at degrees 4 and 5
         ),
     }
 
@@ -219,20 +226,17 @@ class TestShiftGaps:
         calls = []
         original = CertaintyEquivalent._evaluate
 
-        def counted(self, c, t_index, field, maturity, aux):
-            calls.append((c.basis.degree, digest(field.values), digest(aux)))
-            return original(self, c, t_index, field, maturity, aux)
+        def counted(self, c, t_index, field, maturity):
+            calls.append((c.basis.degree, digest(field.values)))
+            return original(self, c, t_index, field, maturity)
 
         monkeypatch.setattr(CertaintyEquivalent, "_evaluate", counted)
         rep = diagnostics.run_check(ctx, name, measure_from_label("entropic", grid), claim, 0, 2, 4, 8)
-        # five shifted claims, rho(X) for the constants and with tanh(B_t),
-        # and the noise probe's rho(X) at degrees 4 and 5
-        assert len(calls) == 9
-        plain = (4, digest(claim.evaluate(ctx.ensemble).values), None)
-        assert calls.count(plain) == 3  # the probe, rho(X) and rho(X + 0)
-        line, extra = self.REPORTS[name]
+        line, (n_calls, n_plain) = self.REPORTS[name]
+        assert len(calls) == n_calls
+        assert calls.count((4, digest(claim.evaluate(ctx.ensemble).values))) == n_plain
         assert reports_to_json_lines([rep]) == line
-        assert rep.details == {**self.GAPS, **extra}
+        assert rep.details == self.GAPS
 
 
 class TestNormalizationChecks:
@@ -265,8 +269,8 @@ class _OnePathBump(riskmeasures.RiskMeasure):
     def __init__(self, bump):
         self.bump = bump
 
-    def _evaluate(self, ctx, t_index, field, maturity, aux):
-        rho = ctx.cond_expect(-field, t_index, aux=aux).values.copy()
+    def _evaluate(self, ctx, t_index, field, maturity):
+        rho = ctx.cond_expect(-field, t_index).values.copy()
         rho[0] += self.bump * (1.0 + np.mean(field.values))
         return RandomField(t_index, rho)
 
@@ -677,10 +681,10 @@ class TestReuse:
         monkeypatch.setattr(stochastic._Projector, "__init__", counted_init)
         for cls in (riskmeasures.DriverMeasure, MeanMeasure, CertaintyEquivalent, riskmeasures.DiscountedMeasure):
 
-            def counted_evaluate(self, ctx, t_index, field, maturity, aux, original=cls._evaluate):
+            def counted_evaluate(self, ctx, t_index, field, maturity, original=cls._evaluate):
                 solved.append((id(self), ctx.rows, ctx.basis, t_index, maturity, field.index,
-                               digest(field.values), digest(aux)))
-                return original(self, ctx, t_index, field, maturity, aux)
+                               digest(field.values)))
+                return original(self, ctx, t_index, field, maturity)
 
             monkeypatch.setattr(cls, "_evaluate", counted_evaluate)
         _, summary = cli.run_verify(cli.RunConfig(n_paths=2000, n_steps=8, seed=4))
