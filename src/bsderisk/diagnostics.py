@@ -141,20 +141,28 @@ def _report(
     exact: bool = False,
     witness: Optional[dict] = None,
     details: Optional[dict] = None,
+    cases: Optional[tuple] = None,
 ) -> PropertyReport:
     """Verdict rule: an exact check passes iff max violation <= tolerance.
     A Monte Carlo check lets at most a FRACTION_CAP share of paths violate
     beyond `tolerance`, and at most FRACTION_CAP/10 beyond HARD_MULT *
     tolerance (polynomial fits throw occasional single-path tail artifacts
-    that say nothing about the property)."""
+    that say nothing about the property).
+
+    violations holds one value per path, or, with cases = (key, labels), one
+    row of them per case, labels[c] naming row c.  A failing check without a
+    witness gets the worst path, and its case under `key`."""
     v = np.asarray(violations, dtype=float)
     max_v = float(np.max(v)) + 0.0 if v.size else 0.0  # + 0.0 writes a -0.0 maximum as 0.0
     frac = float(np.mean(v > tolerance)) if v.size else 0.0
     frac_hard = float(np.mean(v > HARD_MULT * tolerance)) if v.size else 0.0
     ok = (max_v <= tolerance) if exact else (frac <= FRACTION_CAP and frac_hard <= FRACTION_CAP / 10.0)
     if witness is None and v.size and not ok:
-        p = int(np.argmax(v))
-        witness = {"path": p, "violation": _sig9(max_v)}
+        at = np.unravel_index(int(np.argmax(v)), v.shape)
+        witness = {"path": int(at[-1]), "violation": _sig9(max_v)}
+        if cases is not None:
+            key, labels = cases
+            witness[key] = labels[at[0]]
     return PropertyReport(
         property=name,
         construction=construction,
@@ -369,11 +377,11 @@ def check_cash_subadditivity(
     of _shift_gaps."""
     tolerance = NOISE_MULT * noise_sigma(ctx, measure, claim, t, u)
     gaps = _shift_gaps(ctx, measure, claim, t, u)
-    violations = np.concatenate([np.maximum(0.0, -g) for _, g in gaps])
+    violations = np.stack([np.maximum(0.0, -g) for _, g in gaps])
     details = {f"mean_gap[{label}]": _sig9(float(np.mean(g))) for label, g in gaps}
     return _report(
         ctx, "cash_subadditivity", measure.label, {"t": t, "u": u}, violations, tolerance,
-        details=details,
+        details=details, cases=("shift", [label for label, _ in gaps]),
     )
 
 
@@ -509,7 +517,7 @@ def check_convexity(
         violations.append(np.maximum(0.0, rm.values - lam * r1.values - (1 - lam) * r2.values))
     return _report(
         ctx, "convexity", measure.label, {"t": t, "lambdas": list(lambdas)},
-        np.concatenate(violations), tol,
+        np.stack(violations), tol, cases=("lambda", lambdas),
     )
 
 

@@ -14,7 +14,12 @@ differently per thread count.
 
 An ensemble holds one path array, the levels; an increment is the difference
 of two adjacent nodes (PathEnsemble.increment), so a reloaded ensemble solves
-bit for bit like the simulated one.
+bit for bit like the simulated one.  The levels are stored node-major: values
+is indexed [path, node, component] but views an (n_nodes, n_paths, d) buffer,
+so the levels and the increment at one node, which every regression and
+backward step reads, are contiguous.  PathEnsemble copies levels given in any
+other layout into this one once, when it is built; the files keep their
+path-major order.
 """
 
 from __future__ import annotations
@@ -93,13 +98,23 @@ class PathEnsemble:
 
     values[p, i, k] is the level of component k on path p at node i, and
     the only path array held: increment(i) = values[:, i+1] - values[:, i]
-    is formed when asked for.  Immutable after construction and safe to
-    share across threads.
+    is formed when asked for.  values views a node-major (n_steps+1,
+    n_paths, d) buffer, so levels(i) and increment(i) are C-contiguous;
+    levels whose node rows are not contiguous are copied into that layout,
+    read-only, once on construction.  Immutable after construction and safe
+    to share across threads.
     """
 
     grid: TimeGrid
     seed: int
-    values: np.ndarray  # (n_paths, n_steps+1, d)
+    values: np.ndarray  # (n_paths, n_steps+1, d), a view of (n_steps+1, n_paths, d)
+
+    def __post_init__(self):
+        v = self.values
+        if v.strides[0] != v.shape[2] * v.itemsize or v.strides[2] != v.itemsize:
+            nodes = np.ascontiguousarray(v.transpose(1, 0, 2))
+            nodes.setflags(write=False)
+            object.__setattr__(self, "values", nodes.transpose(1, 0, 2))
 
     @property
     def n_paths(self) -> int:
@@ -127,21 +142,24 @@ class PathEnsemble:
 def simulate(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
     """Draw a Brownian ensemble; identical seed gives bit-identical paths.
 
-    The normals are drawn, scaled and summed SIMULATE_ROWS paths at a time;
-    they fill in row order, so the levels are those of one whole-array draw.
+    The normals are drawn SIMULATE_ROWS paths at a time, in path order, so
+    the levels are those of one whole-array draw.  Each block is scaled into
+    the node-major rows, and then each row adds the one before it: the
+    additions of np.cumsum over the nodes, in its order.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    B = np.zeros((n_paths, grid.n_steps + 1, d))
+    B = np.zeros((grid.n_steps + 1, n_paths, d))
     for start in range(0, n_paths, SIMULATE_ROWS):
         dB = rng.standard_normal((min(SIMULATE_ROWS, n_paths - start), grid.n_steps, d))
-        dB *= np.sqrt(grid.dt)
-        np.cumsum(dB, axis=1, out=B[start : start + dB.shape[0], 1:, :])
+        np.multiply(dB.transpose(1, 0, 2), np.sqrt(grid.dt), out=B[1:, start : start + dB.shape[0], :])
+    for i in range(1, grid.n_steps):
+        B[i + 1] += B[i]
     B.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=seed, values=B)
+    return PathEnsemble(grid=grid, seed=seed, values=B.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -534,7 +552,6 @@ def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
     """
     g, d = ensemble.grid, ensemble.dim
     tails = [f",{i},{k}," for i in range(g.n_steps + 1) for k in range(d)]
-    rows = np.asarray(ensemble.values, dtype=float).reshape(ensemble.n_paths, len(tails))
     step = max(1, CSV_BLOCK_ROWS // len(tails))
     with open(path, "w", newline="") as fh:
         fh.write(
@@ -543,7 +560,10 @@ def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
         )
         fh.write("path,node,dim,value\n")
         for start in range(0, ensemble.n_paths, step):
-            block = rows[start : start + step].tolist()
+            # reshape one block of paths at a time: reshaping the whole
+            # node-major view would copy the whole ensemble
+            block = np.asarray(ensemble.values[start : start + step], dtype=float)
+            block = block.reshape(-1, len(tails)).tolist()
             fh.write("".join([
                 f"{p}{tail}{v!r}\n" for p, row in enumerate(block, start) for tail, v in zip(tails, row)
             ]))
@@ -553,17 +573,18 @@ def ensemble_from_csv(path) -> PathEnsemble:
     """Read an ensemble_to_csv file, in any row order, bit-exact.
 
     The rows are parsed from the open file CSV_READ_ROWS lines at a time
-    and scattered into the levels, so besides them the reader holds one
-    block and a mask of the cells seen.  A file whose rows do not hold each
-    (path, node, dim) of its header exactly once raises a ValueError that
-    names the file and its first bad row, counted over the whole file.
+    and scattered into the node-major levels, so besides them the reader
+    holds one block and a mask of the cells seen.  A file whose rows do not
+    hold each (path, node, dim) of its header exactly once raises a
+    ValueError that names the file and its first bad row, counted over the
+    whole file.
     """
     with open(path) as fh:
         header = fh.readline()
         try:
             meta = dict(tok.split("=") for tok in header.lstrip("# ").split())
             grid = TimeGrid(T=float(meta["T"]), n_steps=int(meta["n_steps"]))
-            shape = (int(meta["n_paths"]), grid.n_steps + 1, int(meta["d"]))
+            shape = (grid.n_steps + 1, int(meta["n_paths"]), int(meta["d"]))
             seed = int(meta["seed"])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed header {header!r}") from exc
@@ -585,25 +606,26 @@ def ensemble_from_csv(path) -> PathEnsemble:
             _scatter_csv_rows(path, rows, n_rows, vals, seen)
             n_rows += rows.size
     if n_rows != seen.size:
-        mp, mi, mk = np.unravel_index(int(np.argmin(seen)), shape)
+        by_path = seen.transpose(1, 0, 2)  # the first missing cell in path order
+        mp, mi, mk = np.unravel_index(int(np.argmin(by_path)), by_path.shape)
         raise ValueError(
             f"{path}: {n_rows} data rows, the header needs {seen.size}; "
             f"the first missing is ({mp},{mi},{mk})"
         )
     vals.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=seed, values=vals)
+    return PathEnsemble(grid=grid, seed=seed, values=vals.transpose(1, 0, 2))
 
 
 def _scatter_csv_rows(path, rows, first: int, vals: np.ndarray, seen: np.ndarray) -> None:
     """Write one parsed block of rows, the file's data rows first+1 on, into
-    vals and mark their cells in seen.  Raises at the block's first row whose
-    index lies outside vals or names a cell already written, by an earlier
-    row of this block or of an earlier block."""
-    n_paths, n_nodes, d = vals.shape
+    the node-major vals and mark their cells in seen.  Raises at the block's
+    first row whose index lies outside vals or names a cell already written,
+    by an earlier row of this block or of an earlier block."""
+    n_nodes, n_paths, d = vals.shape
     p, i, k = rows["path"], rows["node"], rows["dim"]
     outside = (p < 0) | (p >= n_paths) | (i < 0) | (i >= n_nodes) | (k < 0) | (k >= d)
     inside = int(np.argmax(outside)) if outside.any() else rows.size  # rows before the first outside
-    flat = ((p * n_nodes + i) * d + k)[:inside]
+    flat = ((i * n_paths + p) * d + k)[:inside]
     repeat = np.ones(inside, dtype=bool)
     repeat[np.unique(flat, return_index=True)[1]] = False  # all but a cell's first row in the block
     repeat |= seen.reshape(-1)[flat]
@@ -621,9 +643,12 @@ def _scatter_csv_rows(path, rows, first: int, vals: np.ndarray, seen: np.ndarray
 
 
 def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
+    """Write the levels path-major in C order, with the seed and the grid.
+    The C-order copy matters at d = 1, where the node-major view is
+    Fortran-contiguous: np.savez would store it so, its bytes in node order."""
     np.savez(
         path,
-        values=ensemble.values,
+        values=np.ascontiguousarray(ensemble.values),
         seed=np.int64(ensemble.seed),
         T=np.float64(ensemble.grid.T),
         n_steps=np.int64(ensemble.grid.n_steps),
@@ -642,5 +667,4 @@ def ensemble_from_npz(path) -> PathEnsemble:
         seed = int(data["seed"])
     if vals.ndim != 3 or vals.shape[0] < 2 or vals.shape[1] != grid.n_steps + 1 or vals.shape[2] < 1:
         raise ValueError(f"{path}: values shape {vals.shape}, need (n_paths >= 2, {grid.n_steps + 1}, d >= 1)")
-    vals.setflags(write=False)
     return PathEnsemble(grid=grid, seed=seed, values=vals)

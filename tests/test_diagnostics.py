@@ -191,6 +191,38 @@ class TestCashSubadditivity:
         assert rep.details["mean_gap[0]"] == 0.0
 
 
+class _ConcaveOnOnePath(riskmeasures.RiskMeasure):
+    """The mean measure minus X_p**2 on path p alone: concave in X there, and
+    rho(X + m) - (rho(X) - m) = -(2 X_p m + m**2) on it."""
+
+    label = "concave_on_one_path"
+
+    def __init__(self, path):
+        self.path = path
+
+    def _evaluate(self, ctx, t_index, field, maturity):
+        rho = ctx.cond_expect(-field, t_index).values.copy()
+        rho[self.path] -= field.values[self.path] ** 2
+        return RandomField(t_index, rho)
+
+
+class TestWitnessNamesTheCase:
+    """The checks that judge several shifts or mixing weights at once name the
+    failing one and a path of the ensemble, not an index into all of them."""
+
+    @pytest.mark.parametrize("check, key, worst", [
+        (check_cash_subadditivity, "shift", "1"),  # 2 X_p m + m**2, largest at m = 1
+        (check_convexity, "lambda", 0.5),  # lam (1 - lam) (X_p - sin X_p)**2
+    ])
+    def test_witness(self, check, key, worst):
+        grid = TimeGrid(1.0, 8)
+        ctx = LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+        p = int(np.argmax(ctx.ensemble.values[:, 4, 0]))  # X_p > 0, far from sin X_p
+        rep = check(ctx, _ConcaveOnOnePath(p), claim_from_label("brownian", 4), 2, 4)
+        assert not rep.verdict
+        assert rep.witness == {key: worst, "path": p, "violation": rep.as_dict()["max_violation"]}
+
+
 class TestShiftGaps:
     """The cash checks evaluate rho(X) once for all four constant shifts; the
     constant-shift numbers keep their bytes."""

@@ -1,5 +1,7 @@
+import io
 import tracemalloc
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from bsderisk.stochastic import (
     ensemble_from_npz,
     ensemble_to_csv,
     ensemble_to_npz,
+    path_block,
 )
 
 from conftest import stderr
@@ -98,6 +101,52 @@ class TestSimulate:
             simulate(grid, 1, 1, seed=0)
         with pytest.raises(ValueError):
             simulate(grid, 0, 10, seed=0)
+
+
+class TestLayout:
+    """values is indexed [path, node, component] over a node-major buffer, so
+    each node's levels are one contiguous row whatever built the ensemble."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("source", ["simulate", "csv", "npz", "path_block", "path_major"])
+    def test_node_rows_are_contiguous(self, tmp_path, source, d):
+        ens = simulate(TimeGrid(1.0, 5), d, 300, seed=4)
+        if source == "csv":
+            ensemble_to_csv(ens, tmp_path / "paths.csv")
+            ens = ensemble_from_csv(tmp_path / "paths.csv")
+        elif source == "npz":
+            ensemble_to_npz(ens, tmp_path / "paths.npz")
+            ens = ensemble_from_npz(tmp_path / "paths.npz")
+        elif source == "path_block":
+            whole, ens = ens, path_block(ens, 17, 250)
+            assert np.shares_memory(ens.values, whole.values)  # a view, not a copy
+        elif source == "path_major":
+            levels = np.ascontiguousarray(ens.values)
+            ens = PathEnsemble(ens.grid, ens.seed, levels)  # copied into the node-major layout
+            np.testing.assert_array_equal(bits(ens.values), bits(levels))
+            assert not np.shares_memory(ens.values, levels) and not ens.values.flags.writeable
+        for i in range(ens.grid.n_steps + 1):
+            assert ens.levels(i).flags.c_contiguous
+        for i in range(ens.grid.n_steps):
+            assert ens.increment(i).flags.c_contiguous
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_files_keep_their_path_major_bytes(self, tmp_path, d):
+        ens = simulate(TimeGrid(1.0, 4), d, 50, seed=9)
+        levels = np.ascontiguousarray(ens.values)
+        members = []
+        for name, e in (("simulated", ens), ("path_major", PathEnsemble(ens.grid, ens.seed, levels))):
+            ensemble_to_csv(e, tmp_path / f"{name}.csv")
+            ensemble_to_npz(e, tmp_path / f"{name}.npz")
+            with zipfile.ZipFile(tmp_path / f"{name}.npz") as z:
+                members.append(z.read("values.npy"))
+        assert (tmp_path / "simulated.csv").read_bytes() == (tmp_path / "path_major.csv").read_bytes()
+        reference = io.BytesIO()
+        np.save(reference, levels)
+        assert members[0] == members[1] == reference.getvalue()
+        member = io.BytesIO(members[0])
+        np.lib.format.read_magic(member)
+        assert np.lib.format.read_array_header_1_0(member)[1] is False  # fortran_order
 
 
 class TestClaims:
@@ -425,12 +474,16 @@ class TestEnsembleIO:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: rows[:5] + rows[6:], r"29 data rows, the header needs 30; the first missing is \(1,2,0\)"),
+        # (5,0,0) comes first in node order, (3,2,0) in the file's path order
+        (lambda rows: rows[:11] + rows[12:15] + rows[16:],
+         r"28 data rows, the header needs 30; the first missing is \(3,2,0\)"),
         (lambda rows: rows + [rows[7]], r"data row 31 repeats \(2,1,0\)"),
         (lambda rows: rows[:4] + [rows[9]] + rows[5:], r"data row 10 repeats \(3,0,0\)"),
         (lambda rows: rows[:3] + ["-1" + rows[3][1:]] + rows[4:], r"data row 4 \(-1,0,0\) lies outside"),
         (lambda rows: rows[:3] + [rows[3].replace("1,0,0,", "1,3,0,")] + rows[4:], r"data row 4 \(1,3,0\)"),
         (lambda rows: rows[:2] + ["0,2,0,oops"] + rows[3:], "could not convert string 'oops'"),
-    ], ids=["missing", "duplicate", "replaced", "negative", "node_past_end", "not_a_number"])
+    ], ids=["missing", "missing_in_path_order", "duplicate", "replaced", "negative", "node_past_end",
+            "not_a_number"])
     def test_csv_malformed_rows_rejected(self, tmp_path, edit, message):
         ens = simulate(TimeGrid(1.0, 2), 1, 10, seed=1)
         path = tmp_path / "paths.csv"
