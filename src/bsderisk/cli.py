@@ -284,8 +284,8 @@ def run_sweep(cfg: RunConfig) -> str:
             rho, se = _value(ctx, measure, claim, t, u)
             est = rho.mean()
         elif cfg.metric == "weak_ratio":
-            rep = check_time_consistency(ctx, measure, "weak", claim, s, t, u)
-            est, se = rep.details.get("ratio") or float("nan"), 0.0
+            ratio = check_time_consistency(ctx, measure, "weak", claim, s, t, u).details.get("ratio")
+            est, se = float("nan") if ratio is None else ratio, 0.0
         else:  # gamma
             res = gamma(ctx, measure, claim, t, u, v)
             est, se = res.gamma_mean, res.gamma_stderr

@@ -7,12 +7,15 @@ constant shifts, ZERO_TOL for rho(0) (normalization, rho0_nonpositive).
 Monte Carlo comparisons size their tolerance as NOISE_MULT times a
 basis-refinement probe (the same quantity recomputed with the polynomial
 degree raised by one; the spread of the difference sets the numerical noise
-scale) and pass when at most a FRACTION_CAP share of paths violates it and
-at most FRACTION_CAP/10 violates HARD_MULT times it: regression noise breaks
+scale, and the probe returns the estimate it probed for the check to judge)
+and pass when at most a FRACTION_CAP share of paths violates it and at most
+FRACTION_CAP/10 violates HARD_MULT times it: regression noise breaks
 pathwise comparison theorems that hold in the continuum.  Mean-level
 violations are judged against Monte Carlo standard errors, and the
 premium-measure identity at PREMIUM_REL / PREMIUM_ABS (WEIGHT_TOL on the
-importance weights).  `run_check` calls every check by its CHECKS name, and
+importance weights).  `_report` alone names a witness: none on a pass, and
+on a fail the worst path, its violation and its case (shift, lambda or
+rho(0) pair).  `run_check` calls every check by its CHECKS name, and
 GAMMA_CROSS holds the drivers of the premium-identity cross-check.
 
 TAXONOMY holds the verify suite's constructions, each with its claim and
@@ -139,25 +142,29 @@ def _report(
     violations: np.ndarray,
     tolerance: float,
     exact: bool = False,
-    witness: Optional[dict] = None,
     details: Optional[dict] = None,
     cases: Optional[tuple] = None,
+    holds: bool = True,
 ) -> PropertyReport:
     """Verdict rule: an exact check passes iff max violation <= tolerance.
     A Monte Carlo check lets at most a FRACTION_CAP share of paths violate
     beyond `tolerance`, and at most FRACTION_CAP/10 beyond HARD_MULT *
     tolerance (polynomial fits throw occasional single-path tail artifacts
-    that say nothing about the property).
+    that say nothing about the property).  `holds` is a further condition
+    the verdict needs beyond the paths (h_longevity's mean, tc_order's twin).
 
     violations holds one value per path, or, with cases = (key, labels), one
-    row of them per case, labels[c] naming row c.  A failing check without a
-    witness gets the worst path, and its case under `key`."""
+    row of them per case, labels[c] naming row c.  The witness rule, the only
+    one in the harness: a passing report has none, and a failing one names
+    its worst path and violation, and that path's case under `key`."""
     v = np.asarray(violations, dtype=float)
     max_v = float(np.max(v)) + 0.0 if v.size else 0.0  # + 0.0 writes a -0.0 maximum as 0.0
     frac = float(np.mean(v > tolerance)) if v.size else 0.0
     frac_hard = float(np.mean(v > HARD_MULT * tolerance)) if v.size else 0.0
     ok = (max_v <= tolerance) if exact else (frac <= FRACTION_CAP and frac_hard <= FRACTION_CAP / 10.0)
-    if witness is None and v.size and not ok:
+    ok = ok and holds
+    witness = None
+    if v.size and not ok:
         at = np.unravel_index(int(np.argmax(v)), v.shape)
         witness = {"path": int(at[-1]), "violation": _sig9(max_v)}
         if cases is not None:
@@ -190,11 +197,14 @@ def _spread(diff: np.ndarray, stderr: float) -> float:
     return float(np.std(diff) + abs(np.mean(diff)) + stderr + 1e-12)
 
 
-def noise_sigma(ctx: LsmcContext, measure: RiskMeasure, claim: ClaimLike, t: int, u: int) -> float:
-    """Per-path numerical noise scale of one evaluation, by the degree+1 probe."""
+def noise_sigma(
+    ctx: LsmcContext, measure: RiskMeasure, claim: ClaimLike, t: int, u: int
+) -> tuple[RandomField, float]:
+    """(rho_{tu}(X), its per-path numerical noise scale by the degree+1 probe):
+    the probed estimate is returned, so no check evaluates it twice."""
     a = measure.evaluate(ctx, t, claim, maturity=u)
     b = measure.evaluate(_refined(ctx), t, claim, maturity=u)
-    return _spread(a.values - b.values, a.stderr())
+    return a, _spread(a.values - b.values, a.stderr())
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +228,20 @@ def gamma(
     field = _terminal(ctx, claim)
     if not (t <= field.index <= u <= v <= ctx.grid.n_steps):
         raise ValueError(f"need t <= claim index <= u <= v, got ({t}, {field.index}, {u}, {v})")
-    rho_u = measure.evaluate(ctx, t, field, maturity=u)
-    rho_v = measure.evaluate(ctx, t, field, maturity=v)
-    g = RandomField(t, rho_v.values - rho_u.values)
+    g = _gamma_field(ctx, measure, field, t, u, v)
 
     def block_gamma(sub, rows):
-        sub_field = RandomField(field.index, field.values[rows])
-        du = measure.evaluate(sub, t, sub_field, maturity=u)
-        dv = measure.evaluate(sub, t, sub_field, maturity=v)
-        return np.mean(dv.values - du.values)
+        return _gamma_field(sub, measure, RandomField(field.index, field.values[rows]), t, u, v).mean()
 
     se = estimate_stderr(ctx, g, block_gamma)
     return LongevityResult(gamma=g, gamma_mean=g.mean(), gamma_stderr=se)
+
+
+def _gamma_field(ctx, measure, field, t, u, v) -> RandomField:
+    """rho_{tv}(X) - rho_{tu}(X) pathwise, without a standard error."""
+    rho_u = measure.evaluate(ctx, t, field, maturity=u)
+    rho_v = measure.evaluate(ctx, t, field, maturity=v)
+    return RandomField(t, rho_v.values - rho_u.values)
 
 
 def gamma_via_premium_measure(
@@ -325,16 +337,16 @@ def gamma_via_premium_measure(
 # Axiom checks
 # ---------------------------------------------------------------------------
 
-def _shift_gaps(ctx, measure, claim, t, u):
-    """(label, pathwise gap rho(X+m) - (rho(X) - m)) per constant shift m in
-    0, 0.1, 0.5, 1, over one evaluation of rho(X)."""
+_SHIFTS = {"0": 0.0, "0.1": 0.1, "0.5": 0.5, "1": 1.0}  # label -> constant shift m
+
+
+def _shift_gaps(ctx, measure, claim, rho_x, t, u):
+    """(pathwise gaps rho(X+m) - (rho(X) - m), one row per shift of _SHIFTS,
+    and their means as report details), for rho_x = rho_{tu}(X)."""
     field = _terminal(ctx, claim)
-    rho_x = measure.evaluate(ctx, t, field, maturity=u).values
-    out = []
-    for label, m in (("0", 0.0), ("0.1", 0.1), ("0.5", 0.5), ("1", 1.0)):
-        rho_xm = measure.evaluate(ctx, t, RandomField(field.index, field.values + m), maturity=u)
-        out.append((label, rho_xm.values - (rho_x - m)))
-    return out
+    gaps = np.stack([measure.evaluate(ctx, t, RandomField(field.index, field.values + m), maturity=u).values
+                     - (rho_x.values - m) for m in _SHIFTS.values()])
+    return gaps, {f"mean_gap[{label}]": _sig9(float(np.mean(g))) for label, g in zip(_SHIFTS, gaps)}
 
 
 def check_cash_additivity(
@@ -346,7 +358,7 @@ def check_cash_additivity(
 ) -> PropertyReport:
     """Equality rho(X+m) = rho(X) - m over the constant shifts of _shift_gaps,
     judged at CASH_TOL: for cash-additive constructions the engine reproduces
-    them exactly up to solver round-off.
+    them exactly up to solver round-off.  A failure names its shift and path.
 
     Constant shifts only: every regression conditions on the Brownian level
     at its node alone, so a random F_t-measurable shift m is outside the basis
@@ -354,15 +366,10 @@ def check_cash_additivity(
     e^{-m} E[e^{-X} | F_t] is outside it too.  The gap of such a shift would
     measure the basis, not the construction.
     """
-    gaps = _shift_gaps(ctx, measure, claim, t, u)
-    details = {f"mean_gap[{label}]": _sig9(float(np.mean(g))) for label, g in gaps}
-    worst_label, worst = max(gaps, key=lambda item: float(np.max(np.abs(item[1]))))
-    p = int(np.argmax(np.abs(worst)))
-    witness = {"shift": worst_label, "path": p, "gap": _sig9(float(worst[p]))}
-    violations = np.concatenate([np.abs(g) for _, g in gaps])
+    gaps, details = _shift_gaps(ctx, measure, claim, measure.evaluate(ctx, t, claim, maturity=u), t, u)
     return _report(
-        ctx, "cash_additivity", measure.label, {"t": t, "u": u}, violations, CASH_TOL,
-        exact=True, witness=witness, details=details,
+        ctx, "cash_additivity", measure.label, {"t": t, "u": u}, np.abs(gaps), CASH_TOL,
+        exact=True, details=details, cases=("shift", list(_SHIFTS)),
     )
 
 
@@ -374,21 +381,23 @@ def check_cash_subadditivity(
     u: int,
 ) -> PropertyReport:
     """One-sided rho(X+m) >= rho(X) - m over the nonnegative constant shifts
-    of _shift_gaps."""
-    tolerance = NOISE_MULT * noise_sigma(ctx, measure, claim, t, u)
-    gaps = _shift_gaps(ctx, measure, claim, t, u)
-    violations = np.stack([np.maximum(0.0, -g) for _, g in gaps])
-    details = {f"mean_gap[{label}]": _sig9(float(np.mean(g))) for label, g in gaps}
+    of _shift_gaps, rho(X) being the noise probe's estimate.  A failure names
+    its shift and path."""
+    rho_x, sigma = noise_sigma(ctx, measure, claim, t, u)
+    gaps, details = _shift_gaps(ctx, measure, claim, rho_x, t, u)
     return _report(
-        ctx, "cash_subadditivity", measure.label, {"t": t, "u": u}, violations, tolerance,
-        details=details, cases=("shift", [label for label, _ in gaps]),
+        ctx, "cash_subadditivity", measure.label, {"t": t, "u": u}, np.maximum(0.0, -gaps),
+        NOISE_MULT * sigma, details=details, cases=("shift", list(_SHIFTS)),
     )
 
 
-def _rho_at_zero(ctx, measure, s, t, u):
-    """((a, b), rho_{ab}(0) values) for the pairs (s, t) and (t, u), in order."""
-    return [((a, b), measure.evaluate(ctx, a, claim_from_label("const:0", b)).values)
-            for a, b in ((s, t), (t, u))]
+def _rho0_check(ctx, measure, name, s, t, u, violation) -> PropertyReport:
+    """An exact check on rho_{ab}(0) for the pairs (a, b) = (s, t), (t, u):
+    one row of pathwise violation(rho_{ab}(0)) per pair, so that a failure
+    names its pair and path."""
+    pairs = [[s, t], [t, u]]
+    rows = [violation(measure.evaluate(ctx, a, claim_from_label("const:0", b)).values) for a, b in pairs]
+    return _report(ctx, name, measure.label, {"pairs": pairs}, rows, ZERO_TOL, exact=True, cases=("pair", pairs))
 
 
 def check_normalization(
@@ -399,14 +408,9 @@ def check_normalization(
     u: int,
 ) -> PropertyReport:
     """|rho_{st}(0)| and |rho_{tu}(0)|: the zero claim is deterministic, so a
-    normalized construction returns exactly zero (no Monte Carlo noise)."""
-    peaks = [(float(np.max(np.abs(rho0))), pair) for pair, rho0 in _rho_at_zero(ctx, measure, s, t, u)]
-    worst, (wt, wu) = max(peaks, key=lambda peak: peak[0])  # the first pair on a tie
-    return _report(
-        ctx, "normalization", measure.label, {"pairs": [[s, t], [t, u]]},
-        np.array([m for m, _ in peaks]), ZERO_TOL, exact=True,
-        witness={"t": wt, "u": wu, "rho0": _sig9(worst)},
-    )
+    normalized construction returns exactly zero (no Monte Carlo noise).  A
+    failure names its pair and path."""
+    return _rho0_check(ctx, measure, "normalization", s, t, u, np.abs)
 
 
 def check_nonpositive_at_zero(
@@ -416,21 +420,18 @@ def check_nonpositive_at_zero(
     t: int,
     u: int,
 ) -> PropertyReport:
-    """rho_{st}(0) <= 0 and rho_{tu}(0) <= 0 (premise of the sub-consistency law)."""
-    violations = [float(np.max(np.maximum(rho0, 0.0))) for _, rho0 in _rho_at_zero(ctx, measure, s, t, u)]
-    return _report(
-        ctx, "rho0_nonpositive", measure.label, {"pairs": [[s, t], [t, u]]},
-        np.array(violations), ZERO_TOL, exact=True,
-    )
+    """rho_{st}(0) <= 0 and rho_{tu}(0) <= 0 (premise of the sub-consistency
+    law), judged like normalization on the positive parts."""
+    return _rho0_check(ctx, measure, "rho0_nonpositive", s, t, u, lambda rho0: np.maximum(rho0, 0.0))
 
 
-def _gamma_noise(ctx, measure, field, t, u, v) -> float:
-    """Noise scale of the horizon correction itself: common components of the
-    two maturities cancel under shared paths, so the single-evaluation probe
-    would badly overstate it."""
-    a = gamma(ctx, measure, field, t, u, v)
-    b = gamma(_refined(ctx), measure, field, t, u, v)
-    return _spread(a.gamma.values - b.gamma.values, a.gamma_stderr)
+def _gamma_noise(ctx, measure, field, t, u, v) -> tuple[LongevityResult, float]:
+    """(gamma(t, u, v, X), the noise scale of the horizon correction itself):
+    common components of the two maturities cancel under shared paths, so
+    the single-evaluation probe would badly overstate it."""
+    res = gamma(ctx, measure, field, t, u, v)
+    twin = _gamma_field(_refined(ctx), measure, field, t, u, v)  # its standard error would go unused
+    return res, _spread(res.gamma.values - twin.values, res.gamma_stderr)
 
 
 def check_restriction(
@@ -443,11 +444,10 @@ def check_restriction(
     """rho_{tu}(X) = rho_{tv}(X) pathwise, u being the claim's index."""
     field = _terminal(ctx, claim)
     u = field.index
-    tolerance = NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, v)
-    res = gamma(ctx, measure, field, t, u, v)
+    res, sigma = _gamma_noise(ctx, measure, field, t, u, v)
     return _report(
         ctx, "restriction", measure.label, {"t": t, "u": u, "v_grid": [v]},
-        np.abs(res.gamma.values), max(tolerance, ZERO_TOL),
+        np.abs(res.gamma.values), max(NOISE_MULT * sigma, ZERO_TOL),
         details={f"gap_mean[v={v}]": _sig9(res.gamma_mean)},
     )
 
@@ -462,17 +462,14 @@ def check_longevity(
 ) -> PropertyReport:
     """gamma(t,u,v,X) >= 0 pathwise; the mean must also clear -2 standard
     errors."""
-    field = _terminal(ctx, claim)
-    tolerance = NOISE_MULT * _gamma_noise(ctx, measure, field, t, u, v)
-    res = gamma(ctx, measure, field, t, u, v)
-    rep = _report(
+    res, sigma = _gamma_noise(ctx, measure, _terminal(ctx, claim), t, u, v)
+    return _report(
         ctx, "h_longevity", measure.label, {"t": t, "u": u, "v_grid": [v]},
-        np.maximum(0.0, -res.gamma.values), tolerance,
+        np.maximum(0.0, -res.gamma.values), NOISE_MULT * sigma,
         details={f"gamma_mean[v={v}]": _sig9(res.gamma_mean),
                  f"gamma_stderr[v={v}]": _sig9(res.gamma_stderr)},
+        holds=not res.gamma_mean < -2.0 * res.gamma_stderr - 1e-12,
     )
-    rep.verdict = rep.verdict and not res.gamma_mean < -2.0 * res.gamma_stderr - 1e-12
-    return rep
 
 
 def check_monotonicity(
@@ -483,15 +480,14 @@ def check_monotonicity(
     u: int,
 ) -> PropertyReport:
     """X - 0.5 <= X pathwise, so rho_{tu}(X - 0.5) >= rho_{tu}(X) pathwise;
-    the tolerance is probed on X - 0.5."""
+    the tolerance is probed on X - 0.5, whose probed estimate is compared."""
     upper = _terminal(ctx, claim)
     lower = RandomField(upper.index, upper.values - 0.5)
-    tol = NOISE_MULT * noise_sigma(ctx, measure, lower, t, u)
-    r1 = measure.evaluate(ctx, t, lower, maturity=u)
+    r1, sigma = noise_sigma(ctx, measure, lower, t, u)
     r2 = measure.evaluate(ctx, t, upper, maturity=u)
     return _report(
         ctx, "monotonicity", measure.label, {"t": t, "pairs": 1},
-        np.maximum(0.0, r2.values - r1.values), tol,
+        np.maximum(0.0, r2.values - r1.values), NOISE_MULT * sigma,
     )
 
 
@@ -504,11 +500,11 @@ def check_convexity(
 ) -> PropertyReport:
     """rho_{tu}(lam X + (1-lam) Y) <= lam rho_{tu}(X) + (1-lam) rho_{tu}(Y) + tol
     at lam = 0.25, 0.5, 0.75, with partner Y = sin(B_u); the tolerance is
-    probed on X."""
+    probed on X, whose probed estimate is rho_{tu}(X).  A failure names its
+    lam and path."""
     lambdas = (0.25, 0.5, 0.75)
     f1, f2 = _terminal(ctx, claim), _terminal(ctx, claim_from_label("sin", u))
-    tol = NOISE_MULT * noise_sigma(ctx, measure, f1, t, u)
-    r1 = measure.evaluate(ctx, t, f1, maturity=u)
+    r1, sigma = noise_sigma(ctx, measure, f1, t, u)
     r2 = measure.evaluate(ctx, t, f2, maturity=u)
     violations = []
     for lam in lambdas:
@@ -517,7 +513,7 @@ def check_convexity(
         violations.append(np.maximum(0.0, rm.values - lam * r1.values - (1 - lam) * r2.values))
     return _report(
         ctx, "convexity", measure.label, {"t": t, "lambdas": list(lambdas)},
-        np.stack(violations), tol, cases=("lambda", lambdas),
+        np.stack(violations), NOISE_MULT * sigma, cases=("lambda", lambdas),
     )
 
 
@@ -578,10 +574,10 @@ def check_time_consistency(
         raise ValueError(f"unknown time-consistency kind {kind!r}")
     field = _terminal(ctx, claim)
     params = {"kind": kind, "s": s, "t": t, "u": u}
-    rho_su = measure.evaluate(ctx, s, field, maturity=u)
+    rho_su, sigma = noise_sigma(ctx, measure, field, s, u)
     # nested evaluations carry regression/clamp noise the direct probe
     # cannot see, so the tolerance is floored at 0.5% of scale
-    tolerance = max(NOISE_MULT * noise_sigma(ctx, measure, field, s, u), 5e-3 * (1.0 + abs(rho_su.mean())))
+    tolerance = max(NOISE_MULT * sigma, 5e-3 * (1.0 + abs(rho_su.mean())))
     inner = measure.evaluate(ctx, t, field, maturity=u)
     if kind in ("strong", "sub"):
         outer = measure.evaluate(ctx, s, -inner, maturity=t)
@@ -595,12 +591,13 @@ def check_time_consistency(
     details = {"lhs_mean": _sig9(lhs_mean), "rhs_mean": _sig9(rhs_mean)}
     if kind == "weak":
         details["ratio"] = _sig9(lhs_mean / rhs_mean) if abs(rhs_mean) > 1e-14 else None
-    violations = np.maximum(0.0, diff) if kind == "sub" else np.abs(diff)
-    rep = _report(ctx, f"tc_{kind}", measure.label, params, violations, tolerance, details=details)
+    holds = True
     if kind == "order":  # a twin that misses its bound proves nothing, so it fails
-        rep.details["inner_gap"] = _sig9(float(np.max(gap)))
-        rep.verdict = rep.verdict and bool(np.all(gap <= TWIN_GAP * (1.0 + np.abs(inner.values))))
-    return rep
+        details["inner_gap"] = _sig9(float(np.max(gap)))
+        holds = bool(np.all(gap <= TWIN_GAP * (1.0 + np.abs(inner.values))))
+    violations = np.maximum(0.0, diff) if kind == "sub" else np.abs(diff)
+    return _report(ctx, f"tc_{kind}", measure.label, params, violations, tolerance,
+                   details=details, holds=holds)
 
 
 def check_premium_identity(

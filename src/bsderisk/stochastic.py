@@ -101,8 +101,8 @@ class PathEnsemble:
     is formed when asked for.  values views a node-major (n_steps+1,
     n_paths, d) buffer, so levels(i) and increment(i) are C-contiguous;
     levels whose node rows are not contiguous are copied into that layout,
-    read-only, once on construction.  Immutable after construction and safe
-    to share across threads.
+    read-only, once on construction; levels not shaped (n_paths, n_steps+1,
+    d >= 1) raise a ValueError.  Immutable and safe to share across threads.
     """
 
     grid: TimeGrid
@@ -111,6 +111,8 @@ class PathEnsemble:
 
     def __post_init__(self):
         v = self.values
+        if v.ndim != 3 or v.shape[1] != self.grid.n_steps + 1 or v.shape[2] < 1:
+            raise ValueError(f"values shape {v.shape}, need (n_paths, {self.grid.n_steps + 1}, d >= 1)")
         if v.strides[0] != v.shape[2] * v.itemsize or v.strides[2] != v.itemsize:
             nodes = np.ascontiguousarray(v.transpose(1, 0, 2))
             nodes.setflags(write=False)
@@ -656,8 +658,8 @@ def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
 
 
 def ensemble_from_npz(path) -> PathEnsemble:
-    """Read an ensemble_to_npz file.  A missing key, or levels that are not
-    (n_paths >= 2, n_steps + 1, d >= 1), raise a ValueError naming the file."""
+    """Read an ensemble_to_npz file.  A missing key, levels that PathEnsemble
+    rejects, or fewer than 2 paths raise a ValueError naming the file."""
     with np.load(path) as data:
         missing = [key for key in ("values", "seed", "T", "n_steps") if key not in data.files]
         if missing:
@@ -665,6 +667,10 @@ def ensemble_from_npz(path) -> PathEnsemble:
         grid = TimeGrid(T=float(data["T"]), n_steps=int(data["n_steps"]))
         vals = data["values"]
         seed = int(data["seed"])
-    if vals.ndim != 3 or vals.shape[0] < 2 or vals.shape[1] != grid.n_steps + 1 or vals.shape[2] < 1:
-        raise ValueError(f"{path}: values shape {vals.shape}, need (n_paths >= 2, {grid.n_steps + 1}, d >= 1)")
-    return PathEnsemble(grid=grid, seed=seed, values=vals)
+    try:
+        ens = PathEnsemble(grid=grid, seed=seed, values=vals)
+        if ens.n_paths < 2:
+            raise ValueError(f"values shape {vals.shape}, need n_paths >= 2")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return ens

@@ -3,11 +3,12 @@ import io
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bsderisk import RandomField, claim_from_label, diagnostics, measure_from_label
+from bsderisk import RandomField, claim_from_label, cli, diagnostics, measure_from_label
 from bsderisk.diagnostics import LongevityResult
 from bsderisk.cli import RunConfig, main, parse_config, run_evaluate, run_sweep, run_verify
 
@@ -160,6 +161,17 @@ class TestSweep:
         for cells in list(csv.reader(io.StringIO(csv_text)))[1:]:
             r, ratio = float(cells[1]), float(cells[7])
             assert ratio == pytest.approx(np.exp(-r * 0.5), rel=0.01)
+
+    def test_weak_ratio_of_zero_is_written_as_zero(self, monkeypatch):
+        # a ratio of exactly 0.0 is a value; only a missing one (rhs mean ~ 0) is NaN
+        def fixed(ctx, measure, kind, claim, s, t, u):
+            return SimpleNamespace(details={"ratio": 0.0 if measure.label == "qent:0.5,0" else None})
+
+        monkeypatch.setattr(cli, "check_time_consistency", fixed)
+        cfg = RunConfig(n_paths=2000, n_steps=8, measure="qent:{q},0", axis="q", values=(0.5, 1.0),
+                        metric="weak_ratio")
+        rows = list(csv.reader(io.StringIO(run_sweep(cfg))))[1:]
+        assert [row[7] for row in rows] == ["0", "nan"]
 
     def test_gamma_metric(self):
         cfg = RunConfig(n_paths=10_000, n_steps=20, t=0.5, u=0.75, v=1.0, seed=7,

@@ -158,7 +158,7 @@ class TestCashAdditivity:
         m = measure_from_label("qent:0.5,0", ctx20.grid)
         rep = check_cash_additivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert not rep.verdict
-        assert rep.witness is not None and rep.witness["gap"] > 0.0
+        assert rep.details[f"mean_gap[{rep.witness['shift']}]"] > 0.0
 
     def test_wrapper_gap_matches_closed_form(self, ctx20):
         m = measure_from_label("discounted:mean,0.1", ctx20.grid)
@@ -224,8 +224,9 @@ class TestWitnessNamesTheCase:
 
 
 class TestShiftGaps:
-    """The cash checks evaluate rho(X) once for all four constant shifts; the
-    constant-shift numbers keep their bytes."""
+    """The cash checks evaluate rho(X) once for all four constant shifts,
+    cash_subadditivity through its noise probe; the constant-shift numbers
+    keep their bytes."""
 
     GAPS = {
         "mean_gap[0]": 0.0,
@@ -238,15 +239,14 @@ class TestShiftGaps:
         "cash_additivity": (
             '{"property": "cash_additivity", "construction": "entropic", "params": {"t": 2, "u": 4}, '
             '"verdict": "pass", "tolerance": 1e-08, "max_violation": 3.95683486e-13, "violation_fraction": 0.0, '
-            '"witness": {"shift": "0.1", "path": 236, "gap": -3.95683486e-13}, '
-            '"seed": 31, "n_paths": 2000, "n_steps": 8}\n',
+            '"witness": null, "seed": 31, "n_paths": 2000, "n_steps": 8}\n',
             (5, 2),  # rho(X) and the four shifted claims, X + 0 among them
         ),
         "cash_subadditivity": (
             '{"property": "cash_subadditivity", "construction": "entropic", "params": {"t": 2, "u": 4}, '
             '"verdict": "pass", "tolerance": 0.147962288, "max_violation": 3.95683486e-13, "violation_fraction": 0.0, '
             '"witness": null, "seed": 31, "n_paths": 2000, "n_steps": 8}\n',
-            (7, 3),  # and the noise probe's rho(X) at degrees 4 and 5
+            (6, 2),  # the noise probe's rho(X) at degrees 4 and 5 and the four shifts
         ),
     }
 
@@ -280,7 +280,8 @@ class TestNormalizationChecks:
         m = measure_from_label("driver:csa_example_shift", ctx20.grid)
         rep = check_normalization(ctx20, m, 0, 10, 20)
         assert not rep.verdict
-        assert rep.witness["rho0"] == pytest.approx(0.5, abs=1e-9)
+        assert rep.witness["violation"] == pytest.approx(0.5, abs=1e-9)
+        assert rep.witness["pair"] in ([0, 10], [10, 20]) and 0 <= rep.witness["path"] < 10_000
 
     def test_zero_driver_passes(self, ctx20):
         m = measure_from_label("driver:zero", ctx20.grid)
@@ -294,17 +295,39 @@ class TestNormalizationChecks:
 
 
 class _OnePathBump(riskmeasures.RiskMeasure):
-    """The mean measure plus bump * (1 + mean of X) on path 0 alone."""
+    """The mean measure plus bump * (1 + mean of X) on one path alone."""
 
     label = "one_path_bump"
 
-    def __init__(self, bump):
-        self.bump = bump
+    def __init__(self, bump, path=0):
+        self.bump, self.path = bump, path
 
     def _evaluate(self, ctx, t_index, field, maturity):
         rho = ctx.cond_expect(-field, t_index).values.copy()
-        rho[0] += self.bump * (1.0 + np.mean(field.values))
+        rho[self.path] += self.bump * (1.0 + np.mean(field.values))
         return RandomField(t_index, rho)
+
+
+class TestWitnessRule:
+    """Every check names a failure by one rule: no witness on a pass; on a
+    fail a path of the ensemble and the report's max_violation, and for the
+    rho(0) checks the pair (s, t) or (t, u) it failed on."""
+
+    def test_every_check(self):
+        grid = TimeGrid(1.0, 8)
+        ctx = LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+        p = 1234  # rho(0) = 0.1 on path p alone, on both pairs
+        measure, claim = _OnePathBump(0.1, path=p), claim_from_label("brownian", 4)
+        reports = {name: diagnostics.run_check(ctx, name, measure, claim, 0, 2, 4, 8) for name in diagnostics.CHECKS}
+        for name, rep in reports.items():
+            if rep.verdict:
+                assert rep.witness is None, name
+            else:
+                assert 0 <= rep.witness["path"] < 2000, name
+                assert rep.witness["violation"] == rep.as_dict()["max_violation"], name
+        for name in ("normalization", "rho0_nonpositive"):
+            assert reports[name].witness == {"pair": [0, 2], "path": p, "violation": 0.1}
+        assert {rep.verdict for rep in reports.values()} == {True, False}
 
 
 class TestVerdictPolicy:
@@ -330,7 +353,7 @@ class TestVerdictPolicy:
         m = measure_from_label("driver:csa_example", ctx20.grid)
         claim = claim_from_label("brownian", 20)
         rep = check_cash_subadditivity(ctx20, m, claim, 10, 20)
-        assert rep.tolerance == 4 * noise_sigma(ctx20, m, claim, 10, 20)
+        assert rep.tolerance == 4 * noise_sigma(ctx20, m, claim, 10, 20)[1]
 
     @pytest.mark.parametrize("gamma_mean, premium, weight_mean, verdict", [
         (0.1, 0.108, 1.0, True),  # 8% relative, but the gap 0.008 is within 0.02

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 import warnings
 import zipfile
@@ -147,6 +148,12 @@ class TestLayout:
         member = io.BytesIO(members[0])
         np.lib.format.read_magic(member)
         assert np.lib.format.read_array_header_1_0(member)[1] is False  # fortran_order
+
+    @pytest.mark.parametrize("shape", [(10, 5), (10,), (10, 3, 1), (10, 6, 1), (10, 5, 0), (10, 5, 1, 1)],
+                             ids=["two_dim", "one_dim", "few_nodes", "many_nodes", "no_component", "four_dim"])
+    def test_shape_off_the_grid_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"values shape {shape}, need (n_paths, 5, d >= 1)")):
+            PathEnsemble(TimeGrid(1.0, 4), 1, np.zeros(shape))
 
 
 class TestClaims:
