@@ -20,6 +20,7 @@ from .bsde import (
     Driver,
     DriverFamily,
     NonFiniteError,
+    backward,
     default_registry_labels,
     driver_from_label,
     family_from_label,

@@ -22,17 +22,15 @@ propagated through the tail (index >= field.index) with Z = 0 and the
 pathwise backward ODE step Y_i = Y_{i+1} + g(t_i, y*, 0) dt: conditioning an
 already-measurable quantity is the identity, and the true Z vanishes there.
 
-A solution stores Y only, not a (maturity, n_paths, d) Z.  Z_i is a
-function of Y_{i+1}, so BSDESolution.z_at(i) recomputes it with the solve's
-own step (the node's cached Cholesky factor, the same fit clamp) and returns
-bit for bit the Z_i the solve formed before clipping at Z_CLIP.
+backward(...) is the one pass: it yields (i, Y_i, Z_i) as each node is
+formed, Z_i before the clip.  solve keeps every Y row; a caller that needs
+one row, or each node's Z once, consumes the pass itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -45,6 +43,7 @@ __all__ = [
     "BSDESolution",
     "DomainGuardViolation",
     "NonFiniteError",
+    "backward",
     "solve",
     "driver_from_label",
     "family_from_label",
@@ -123,27 +122,18 @@ class BSDESolution:
 
     Y has shape (maturity+1, n_paths) with rows < stop unset.  Y at maturity
     equals the terminal condition exactly, and an accepted solution has zero
-    domain-guard violations.  step(i, y_next) -> (Yhat_i, Z_i) is the
-    solve's regression step; z_at(i) applies it to the stored Y[i+1].
+    domain-guard violations.
     """
 
     Y: np.ndarray
     stop: int
     maturity: int
-    step: Callable[[int, np.ndarray], tuple] = dfield(repr=False, compare=False)
     diagnostics: dict = dfield(default_factory=dict)
 
     def field_at(self, i: int) -> RandomField:
         if not (self.stop <= i <= self.maturity):
             raise IndexError(f"index {i} outside solved range [{self.stop}, {self.maturity}]")
         return RandomField(i, self.Y[i])
-
-    def z_at(self, i: int) -> np.ndarray:
-        """Z_i, shape (n_paths, d), unclipped: the control the solve formed
-        at node i, recomputed bit for bit from Y[i+1]."""
-        if not (self.stop <= i < self.maturity):
-            raise IndexError(f"z index {i} outside [{self.stop}, {self.maturity})")
-        return self.step(i, self.Y[i + 1])[1]
 
 
 def _step(
@@ -166,65 +156,62 @@ def _step(
     return yhat, proj.fitted(regressand) / ctx.grid.dt
 
 
-def solve(
-    driver: Driver,
-    terminal: RandomField,
-    maturity: int,
-    ctx: LsmcContext,
-    stop: int = 0,
-) -> BSDESolution:
-    """Backward solve with terminal condition `terminal` at index `maturity`.
+def backward(
+    driver: Driver, terminal: RandomField, maturity: int, ctx: LsmcContext, stop: int = 0
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The backward pass with terminal condition `terminal` at index
+    `maturity`: yields (i, Y_i, Z_i) for i = maturity-1 down to stop, Z_i
+    of shape (n_paths, d) as formed, before the clip at Z_CLIP.
 
     Raises DomainGuardViolation / NonFiniteError on unacceptable states.
     """
-    grid, ens = ctx.grid, ctx.ensemble
-    n, dt = ens.n_paths, grid.dt
+    dt = ctx.grid.dt
     if terminal.index > maturity:
         raise ValueError(f"terminal measurable at {terminal.index} > maturity {maturity}")
-    if maturity > grid.n_steps:
-        raise IndexError(f"maturity {maturity} beyond grid end {grid.n_steps}")
-    if terminal.n_paths != n:
+    if maturity > ctx.grid.n_steps:
+        raise IndexError(f"maturity {maturity} beyond grid end {ctx.grid.n_steps}")
+    if not 0 <= stop <= maturity:
+        raise IndexError(f"stop {stop} outside [0, {maturity}]")
+    if terminal.n_paths != ctx.ensemble.n_paths:
         raise ValueError("terminal field defined on a different ensemble")
-
-    Y = np.empty((maturity + 1, n))
-    Y[maturity] = terminal.values
-    fallbacks_before = ctx.fallback_count
-    picard_total = 0
     # range-clamp the continuation fit only when a domain guard is present:
     # guarded generators must not see polynomial tail overshoot, while
     # unguarded ones keep the exact linearity of raw least squares
-    step = partial(_step, ctx, terminal.index, driver.domain_guard is not None)
-
-    def drive(t: float, y: np.ndarray, z: np.ndarray, i: int) -> np.ndarray:
-        bad = ~driver.guard_ok(y)
-        if np.any(bad):
-            p = int(np.argmax(bad))
-            raise DomainGuardViolation(p, i, float(y[p]), driver.label)
-        return driver(t, y, z)
-
+    clip = driver.domain_guard is not None
+    y = terminal.values
     for i in range(maturity - 1, stop - 1, -1):
-        t_i = i * dt
-        yhat, z_i = step(i, Y[i + 1])
+        # _step's locals, the node's n x p design among them, are freed
+        # before the yield
+        yhat, z_i = _step(ctx, terminal.index, clip, i, y)
         zc = np.clip(z_i, -Z_CLIP, Z_CLIP)
-        ystar = yhat
-        if driver.depends_on_y:
-            for _ in range(PICARD_ITERS):
-                ystar = yhat + drive(t_i, ystar, zc, i) * dt
-                picard_total += 1
-        Y[i] = yhat + drive(t_i, ystar, zc, i) * dt
-        if not np.all(np.isfinite(Y[i])):
+        # y* = Yhat, refined by the Picard passes if g reads y; the last gives Y_i
+        y = yhat
+        for _ in range(1 + PICARD_ITERS * driver.depends_on_y):
+            # no guard mask outlives the check (a kept one fragmented the heap:
+            # sweep_qent peaked at 87 MB RSS, against 83); raise the first path outside
+            if not np.all(driver.guard_ok(y)):
+                p = int(np.argmin(driver.guard_ok(y)))
+                raise DomainGuardViolation(p, i, float(y[p]), driver.label)
+            y = yhat + driver(i * dt, y, zc) * dt
+        if not np.all(np.isfinite(y)):
             raise NonFiniteError(f"driver {driver.label!r}: non-finite Y at node {i}")
+        yield i, y, z_i
 
-    return BSDESolution(
-        Y=Y,
-        stop=stop,
-        maturity=maturity,
-        step=step,
-        diagnostics={
-            "picard_evals": picard_total,
-            "regression_fallbacks": ctx.fallback_count - fallbacks_before,
-        },
-    )
+
+def solve(
+    driver: Driver, terminal: RandomField, maturity: int, ctx: LsmcContext, stop: int = 0
+) -> BSDESolution:
+    """The backward pass with every Y row kept; raises what backward raises."""
+    Y = np.empty((maturity + 1, ctx.ensemble.n_paths))
+    fallbacks_before = ctx.fallback_count
+    for i, y, _ in backward(driver, terminal, maturity, ctx, stop):
+        Y[i] = y
+    Y[maturity] = terminal.values
+    diagnostics = {
+        "picard_evals": PICARD_ITERS * (maturity - stop) if driver.depends_on_y else 0,
+        "regression_fallbacks": ctx.fallback_count - fallbacks_before,
+    }
+    return BSDESolution(Y, stop, maturity, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bsde import Driver, DriverFamily, driver_from_label, family_from_label, shifted, solve
+from .bsde import Driver, DriverFamily, backward, driver_from_label, family_from_label, shifted
+from .bsde import solve  # re-exported: bench/test_bench.py asserts diagnostics.solve is bsde.solve
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
 from .stochastic import LsmcContext, RandomField, claim_from_label, estimate_stderr
 
@@ -254,11 +255,12 @@ def gamma_via_premium_measure(
 ) -> LongevityResult:
     """Horizon-risk correction through the equivalent premium measure.
 
-    Solves the two BSDEs (maturity u, and maturity v via the held-value
-    extension), forms pathwise difference quotients of the generator in y and
-    z (zero where the denominators vanish), accumulates the importance
-    log-weight -0.5 int |dz|^2 ds + int dz dB over [t, v] with left-point
-    evaluation, and returns the weighted expectation of
+    Runs the two backward passes (maturity u, and maturity v via the
+    held-value extension), forms pathwise difference quotients of the
+    generator in y and z (zero where the denominators vanish), accumulates
+    the importance log-weight -0.5 int |dz|^2 ds + int dz dB over [t, v]
+    with left-point evaluation (node by node from v back to t, as the two
+    passes form them in lockstep), and returns the weighted expectation of
     exp(int_t^v dy ds) * int_u^v g(s, -X, 0) ds.  At t = 0 this is an
     importance-weighted mean, and gamma_stderr is None: the direct gamma is
     one root constant there, whose spread is no standard error (gamma()
@@ -271,21 +273,16 @@ def gamma_via_premium_measure(
     n, d, dt = ens.n_paths, ens.dim, grid.dt
     x = field.values
 
-    sol_u = solve(driver, RandomField(field.index, -x), u, ctx, stop=t)
-    sol_v = solve(driver, RandomField(field.index, -x), v, ctx, stop=t)
-
+    terminal = RandomField(field.index, -x)
+    u_pass = backward(driver, terminal, u, ctx, stop=t)
+    # (y_bar, z_bar) is the u-solution, held at (-X, 0) from u on
+    y_bar, z_bar = -x, np.zeros((n, d))
     log_w = np.zeros(n)
     dy_int = np.zeros(n)
-    for i in range(t, v):
+    for i, y_v, z_v in backward(driver, terminal, v, ctx, stop=t):
         t_i = i * dt
-        y_v = sol_v.Y[i]
-        z_v = sol_v.z_at(i)
-        if i <= u:
-            y_bar = sol_u.Y[i]
-            z_bar = sol_u.z_at(i) if i < u else np.zeros((n, d))
-        else:
-            y_bar = -x
-            z_bar = np.zeros((n, d))
+        if i < u:
+            _, y_bar, z_bar = next(u_pass)
 
         # y-difference quotient at the v-solution's z
         num_y = driver(t_i, y_v, z_v) - driver(t_i, y_bar, z_v)
@@ -322,7 +319,7 @@ def gamma_via_premium_measure(
 
     premium = ctx.cond_expect(RandomField(v, weights * payload), t).mean()
 
-    g_direct = RandomField(t, sol_v.Y[t] - sol_u.Y[t])
+    g_direct = RandomField(t, y_v - y_bar)
     return LongevityResult(
         gamma=g_direct,
         gamma_mean=g_direct.mean(),
@@ -527,7 +524,7 @@ def _equal_inner_twin(ctx, measure, inner, u):
     x, lo, hi = -r, np.full_like(r, -np.inf), np.full_like(r, np.inf)
     x_prev, f_prev, was_flat = x, np.full_like(r, np.nan), np.zeros(r.shape, dtype=bool)
     for k in range(TWIN_PASSES):
-        f = measure._evaluate(ctx, t, RandomField(t, x), u).values.copy()  # a view pins a whole solve
+        f = measure._evaluate(ctx, t, RandomField(t, x), u).values
         gap = f - r
         miss = np.abs(gap) > TWIN_GAP * (1.0 + np.abs(r))
         if k == TWIN_PASSES - 1 or not miss.any():

@@ -24,10 +24,10 @@ from .bsde import (
     Driver,
     DriverFamily,
     NonFiniteError,
+    backward,
     driver_from_label,
     family_from_label,
     q_entropic,
-    solve,
 )
 from .stochastic import (
     Claim,
@@ -104,7 +104,7 @@ class RiskMeasure:
             return self._evaluate(ctx, t_index, field, m)
         key = (id(self), ctx.rows, ctx.basis, t_index, m, field.index, digest(field.values))
         if key not in memo:
-            # a copy: a solve's field_at is a view that would pin its whole Y
+            # a read-only copy: a cached result never aliases a caller's array
             result = self._evaluate(ctx, t_index, field, m)
             values = result.values.copy()
             values.setflags(write=False)
@@ -117,7 +117,8 @@ class RiskMeasure:
 
 @dataclass
 class DriverMeasure(RiskMeasure):
-    """rho_{tu}(X) = Y_t of the backward solve to maturity u with generator g_u.
+    """rho_{tu}(X) = Y_t of the backward pass to maturity u with generator g_u;
+    the pass keeps only the row it has reached.
 
     The generator is a Driver (the same g at every maturity) or a DriverFamily
     (g_u = family.at(u)).  The terminal is -X, or with beta >= 0 set the loss
@@ -151,8 +152,10 @@ class DriverMeasure(RiskMeasure):
             terminal = -field
         else:
             terminal = RandomField(field.index, _positive_part_of_loss(field.values, self.beta))
-        sol = solve(driver, terminal, maturity, ctx, stop=t_index)
-        return sol.field_at(t_index)
+        y = terminal.values
+        for _, y, _ in backward(driver, terminal, maturity, ctx, stop=t_index):
+            pass
+        return RandomField(t_index, y)
 
 
 class MeanMeasure(RiskMeasure):

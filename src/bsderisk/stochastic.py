@@ -141,6 +141,13 @@ class PathEnsemble:
         return self.values[:, i + 1, :] - self.values[:, i, :]
 
 
+def _check_n_paths(shape: tuple, where: str = "") -> None:
+    """The path-count floor of simulate and both readers, on the levels shape
+    (n_paths, n_steps+1, d); a reader names its file in where."""
+    if shape[0] < 2:
+        raise ValueError(f"{where}values shape {tuple(shape)}, need n_paths >= 2")
+
+
 def simulate(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
     """Draw a Brownian ensemble; identical seed gives bit-identical paths.
 
@@ -149,8 +156,7 @@ def simulate(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
     the node-major rows, and then each row adds the one before it: the
     additions of np.cumsum over the nodes, in its order.
     """
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths")
+    _check_n_paths((n_paths, grid.n_steps + 1, d))
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
@@ -523,6 +529,8 @@ def block_stderr(ctx: LsmcContext, estimate) -> float:
     calls on one parent factorise each block's normal systems once.
     """
     n, n_blocks = ctx.ensemble.n_paths, 8
+    if n < n_blocks:
+        raise ValueError(f"block standard error over {n_blocks} blocks needs >= {n_blocks} paths, got {n}")
     edges = np.linspace(0, n, n_blocks + 1, dtype=int)
     vals = []
     for k in range(n_blocks):
@@ -579,7 +587,7 @@ def ensemble_from_csv(path) -> PathEnsemble:
     holds one block and a mask of the cells seen.  A file whose rows do not
     hold each (path, node, dim) of its header exactly once raises a
     ValueError that names the file and its first bad row, counted over the
-    whole file.
+    whole file; a header of fewer than 2 paths raises before any row is read.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -590,6 +598,7 @@ def ensemble_from_csv(path) -> PathEnsemble:
             seed = int(meta["seed"])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed header {header!r}") from exc
+        _check_n_paths((shape[1], shape[0], shape[2]), f"{path}: ")  # shape is node-major
         fh.readline()  # column header
         vals, seen = np.zeros(shape), np.zeros(shape, dtype=bool)
         n_rows = 0
@@ -669,8 +678,7 @@ def ensemble_from_npz(path) -> PathEnsemble:
         seed = int(data["seed"])
     try:
         ens = PathEnsemble(grid=grid, seed=seed, values=vals)
-        if ens.n_paths < 2:
-            raise ValueError(f"values shape {vals.shape}, need n_paths >= 2")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    _check_n_paths(vals.shape, f"{path}: ")
     return ens

@@ -12,6 +12,7 @@ from bsderisk import (
     RandomField,
     RegressionBasis,
     TimeGrid,
+    backward,
     default_registry_labels,
     driver_from_label,
     family_from_label,
@@ -34,8 +35,12 @@ class TestSolveBasics:
 
     def test_zero_driver_recovers_martingale_representation(self, ctx50, b1):
         # dB_1 = 1 dB: the Z-component estimates the unit integrand
-        sol = solve(driver_from_label("zero"), RandomField(50, b1), 50, ctx50)
-        z_means = [np.mean(sol.z_at(i)[:, 0]) for i in range(0, 50, 7)]
+        z_means = [
+            np.mean(z[:, 0])
+            for i, _, z in backward(driver_from_label("zero"), RandomField(50, b1), 50, ctx50)
+            if i % 7 == 0
+        ]
+        assert len(z_means) == 8
         np.testing.assert_allclose(z_means, 1.0, atol=0.05)
 
     def test_linear_driver_closed_form_constant(self, ctx50):
@@ -64,8 +69,14 @@ class TestSolveBasics:
         sol = solve(driver_from_label("zero"), term, 20, ctx20, stop=5)
         with pytest.raises(IndexError):
             sol.field_at(4)
-        with pytest.raises(IndexError):
-            sol.z_at(20)
+        # the pass yields Z at the nodes [stop, maturity) only
+        nodes = [i for i, _, _ in backward(driver_from_label("zero"), term, 20, ctx20, stop=5)]
+        assert nodes == list(range(19, 4, -1))
+        for maturity, stop in ((21, 0), (20, 21), (20, -1)):
+            with pytest.raises(IndexError):
+                next(backward(driver_from_label("zero"), term, maturity, ctx20, stop=stop))
+            with pytest.raises(IndexError):
+                solve(driver_from_label("zero"), term, maturity, ctx20, stop=stop)
         with pytest.raises(ValueError):
             solve(driver_from_label("zero"), RandomField(21, np.zeros(10_000)), 20, ctx20)
 
@@ -161,7 +172,8 @@ class TestInvariants:
         short = solve(drv, term, 10, ctx20)
         long = solve(drv, term, 20, ctx20)
         np.testing.assert_array_equal(short.field_at(0).values, long.field_at(0).values)
-        assert all(np.all(long.z_at(i) == 0.0) for i in range(10, 20))
+        tail = [z for i, _, z in backward(drv, term, 20, ctx20) if i >= 10]
+        assert len(tail) == 10 and all(np.all(z == 0.0) for z in tail)
 
 
 # A quad_z solve of B_1 at 20000 paths x 4 steps, seed 7: one 16384-row
@@ -183,8 +195,8 @@ def test_root_bytes_do_not_depend_on_blas_threads():
 
 
 class TestStoredY:
-    """A solve stores Y only: z_at(i) re-forms the Z_i the solve used from
-    Y[i+1], the node's cached factor and the solve's fit clamp."""
+    """The pass yields each node's (Y_i, Z_i) as formed, Z_i from Y_{i+1},
+    the node's cached factor and the fit clamp; a solve stores Y only."""
 
     @pytest.fixture(scope="class")
     def ctx(self):
@@ -192,7 +204,7 @@ class TestStoredY:
         return LsmcContext(grid, simulate(grid, 1, 4000, seed=3), RegressionBasis(4))
 
     @pytest.mark.parametrize("guarded", [False, True])
-    def test_z_at_is_the_solve_z(self, ctx, guarded):
+    def test_pass_z_is_the_projection(self, ctx, guarded):
         # a guard, even one that always holds, turns on the fit clamp; the
         # clipped terminal makes the degree-4 fit overshoot its range
         dt, inc = ctx.grid.dt, ctx.ensemble.increments
@@ -204,16 +216,27 @@ class TestStoredY:
 
         guard = (lambda y: np.ones(y.shape, dtype=bool)) if guarded else None
         terminal = RandomField(8, np.clip(ctx.ensemble.values[:, 8, 0], -0.5, 0.5))
-        sol = solve(Driver(g, "recorded", domain_guard=guard), terminal, 8, ctx)
-        clamp_moved = 0
-        for i in range(8):
-            proj, y_next = ctx.projector(i), sol.Y[i + 1]
+        y_next, clamp_moved = terminal.values, 0
+        for i, y, z in backward(Driver(g, "recorded", domain_guard=guard), terminal, 8, ctx):
+            proj = ctx.projector(i)
             by_hand = proj.fitted((y_next - proj.fitted(y_next, clip=guarded))[:, None] * inc[:, i, :]) / dt
             unclamped = proj.fitted((y_next - proj.fitted(y_next))[:, None] * inc[:, i, :]) / dt
-            np.testing.assert_array_equal(sol.z_at(i), by_hand)
-            np.testing.assert_array_equal(np.clip(sol.z_at(i), -bsde.Z_CLIP, bsde.Z_CLIP), seen[i])
+            np.testing.assert_array_equal(z, by_hand)
+            np.testing.assert_array_equal(np.clip(z, -bsde.Z_CLIP, bsde.Z_CLIP), seen[i])
             clamp_moved += not np.array_equal(by_hand, unclamped)
+            y_next = y
         assert (clamp_moved > 0) == guarded
+
+    @pytest.mark.parametrize("label", ["quad_z", "q_entropic:0.5", "csa_example"])
+    def test_solve_keeps_the_rows_of_the_pass(self, ctx, label):
+        drv = driver_from_label(label)
+        terminal = RandomField(8, np.sin(ctx.ensemble.values[:, 8, 0]))
+        sol = solve(drv, terminal, 8, ctx, stop=2)
+        rows = {i: y for i, y, _ in backward(drv, terminal, 8, ctx, stop=2)}
+        assert sorted(rows) == list(range(2, 8))
+        assert all(sol.Y[i].tobytes() == y.tobytes() for i, y in rows.items())
+        assert sol.Y[8].tobytes() == terminal.values.tobytes()
+        assert sol.diagnostics["picard_evals"] == (bsde.PICARD_ITERS * 6 if drv.depends_on_y else 0)
 
     def test_solve_peak_memory_is_y_and_per_node_arrays(self):
         # Y plus a few n x p arrays of one node (phi, fits, the Z regressand);

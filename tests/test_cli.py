@@ -101,6 +101,11 @@ class TestEvaluate:
         assert header == "axis,value,measure,claim,t,u,v,estimate,stderr,seed,n_paths,n_steps"
         assert next(csv.reader([row]))[9:] == ["4242", "2000", "8"]
 
+    def test_root_stderr_needs_a_path_a_block(self):
+        cfg = RunConfig(n_paths=7, n_steps=4, t=0.0, seed=1)
+        with pytest.raises(ValueError, match=r"8 blocks needs >= 8 paths, got 7"):
+            run_evaluate(cfg)
+
     def test_conditional_value_reports_coefficients(self):
         cfg = RunConfig(n_paths=4000, n_steps=10, t=0.5, u=1.0, measure="entropic",
                         claim="brownian", seed=5)

@@ -140,6 +140,17 @@ class TestPremiumMeasure:
         res = gamma_via_premium_measure(ctx20, drv, claim, 5, 10, 20)
         assert res.gamma_stderr == res.gamma.stderr() > 0.0
 
+    def test_one_projector_call_per_node_of_each_pass(self, ctx20, monkeypatch):
+        # the u- and v-passes run in lockstep, each forming its Z as it goes:
+        # regression nodes [5, 8) before the claim's index 8 in each pass,
+        # and the premium's conditional expectation at t = 5
+        calls = []
+        original = LsmcContext.projector
+        monkeypatch.setattr(LsmcContext, "projector", lambda self, at: calls.append(at) or original(self, at))
+        drv = shifted(driver_from_label("csa_example"), 0.1)
+        gamma_via_premium_measure(ctx20, drv, claim_from_label("brownian", 8), 5, 12, 20)
+        assert sorted(calls) == [5, 5, 5, 6, 6, 7, 7]
+
     def test_window_validation(self, ctx20):
         with pytest.raises(ValueError):
             gamma_via_premium_measure(

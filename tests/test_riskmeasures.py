@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bsderisk import (
     simulate,
     tsallis,
 )
+from bsderisk.cli import RunConfig
 from bsderisk.tsallis import DomainError
 
 from conftest import stderr
@@ -58,6 +60,21 @@ class TestRhoFromDriver:
             ctx50, 0, claim_from_label("const:0", 50)
         )
         assert rho.mean() == pytest.approx(1.0, abs=1e-12)
+
+    def test_evaluation_holds_one_row(self):
+        # the pass keeps the row it has reached, not every Y row: one
+        # (n_steps+1) x n array is 6.56 MB at 20k x 40, and a kept Y peaked
+        # at 8.80 MB against 2.40 MB for the pass
+        ctx = RunConfig(n_steps=40, n_paths=20_000, seed=5).build()
+        measure = measure_from_label("driver:quad_z", ctx.grid)
+        claim = claim_from_label("sin", 40)
+        tracemalloc.start()
+        try:
+            measure.evaluate(ctx, 0, claim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ctx.ensemble.values.nbytes
 
 
 class TestRhoFromFamily:

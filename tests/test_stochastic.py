@@ -26,6 +26,7 @@ from bsderisk.stochastic import (
     ensemble_from_npz,
     ensemble_to_csv,
     ensemble_to_npz,
+    block_stderr,
     path_block,
 )
 
@@ -222,8 +223,8 @@ class TestCondExpect:
         np.testing.assert_allclose(out.values, 3.25, atol=1e-12)
 
     def test_root_node_is_mean(self, ctx50, b1):
-        # one rule at the root: cond_expect and the projector that solve and
-        # z_at read both give the sample mean, bit for bit
+        # one rule at the root: cond_expect and the projector that the
+        # backward pass reads both give the sample mean, bit for bit
         mean = np.full(b1.size, np.mean(b1))
         np.testing.assert_array_equal(bits(ctx50.cond_expect(RandomField(50, b1), 0).values), bits(mean))
         np.testing.assert_array_equal(bits(ctx50.projector(0).fitted(b1)), bits(mean))
@@ -286,6 +287,17 @@ class TestCondExpect:
         out = ctx50.cond_expect(f, 25, clip=True)
         assert np.min(out.values) >= 0.0
         assert np.max(out.values) <= np.max(f.values)
+
+
+class TestBlockStderr:
+    def test_fewer_paths_than_blocks_rejected(self):
+        # 7 paths leave an 8-block split with an empty block; nothing is evaluated
+        grid = TimeGrid(1.0, 4)
+        ctx = LsmcContext(grid, simulate(grid, 1, 7, seed=1), RegressionBasis(2))
+        blocks = []
+        with pytest.raises(ValueError, match=r"8 blocks needs >= 8 paths, got 7"):
+            block_stderr(ctx, lambda sub, rows: blocks.append(rows) or 0.0)
+        assert blocks == []
 
 
 class TestFactorCache:
@@ -567,6 +579,18 @@ class TestEnsembleIO:
         Y = quad_z_rows(ens)
         for back in (ensemble_from_npz(tmp_path / "paths.npz"), ensemble_from_csv(tmp_path / "paths.csv")):
             np.testing.assert_array_equal(bits(quad_z_rows(back)), bits(Y))
+
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    def test_csv_header_below_two_paths_rejected(self, tmp_path, n_paths):
+        # the floor of simulate and ensemble_from_npz, judged on the header
+        # before any row: the unparsable row appended is never read
+        path = tmp_path / "paths.csv"
+        ensemble_to_csv(path_block(simulate(TimeGrid(1.0, 2), 1, 3, seed=1), 0, n_paths), path)
+        with open(path, "a") as fh:
+            fh.write("0,0,0,oops\n")
+        with pytest.raises(ValueError, match=rf"values shape \({n_paths}, 3, 1\), need n_paths >= 2") as info:
+            ensemble_from_csv(path)
+        assert str(path) in str(info.value)
 
     def test_csv_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "paths.csv"
