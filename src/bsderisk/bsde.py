@@ -62,10 +62,13 @@ Z_CLIP = 10.0
 
 class DomainGuardViolation(RuntimeError):
     def __init__(self, path: int, index: int, y: float, label: str):
-        self.path, self.index, self.y = path, index, y
+        self.path, self.index, self.y, self.label = path, index, y, label
         super().__init__(
             f"driver {label!r}: domain guard violated on path {path} at node {index} (y={y})"
         )
+
+    def __reduce__(self):  # rebuilt from its fields when it leaves a worker process
+        return type(self), (self.path, self.index, self.y, self.label)
 
 
 class NonFiniteError(RuntimeError):

@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from dataclasses import InitVar, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -24,17 +25,20 @@ import numpy as np
 from .diagnostics import (
     CHECKS,
     EXPECTED_VERDICTS,  # re-exported: bench/test_bench.py reads cli.EXPECTED_VERDICTS
+    GAMMA_CROSS,
     PropertyReport,
     audit_expected,
+    check_premium_identity,
     check_time_consistency,
     gamma,
+    implication_failures,
     reports_to_csv,
     reports_to_json_lines,
     run_check,
-    run_gamma_cross,
-    run_taxonomy,
+    taxonomy_row,
     taxonomy_rows,
 )
+from .parallel import in_processes
 from .riskmeasures import measure_from_label
 from .stochastic import (
     LsmcContext,
@@ -278,8 +282,9 @@ def run_sweep(cfg: RunConfig) -> str:
     labels = [cfg.measure.replace(placeholder, _fmt(float(value))) for value in cfg.values]
     measures = [measure_from_label(label, cfg.grid()) for label in labels]
     ctx = cfg.build()
-    rows = [SWEEP_HEADER]
-    for value, label, measure in zip(cfg.values, labels, measures):
+
+    def row(item) -> str:
+        value, label, measure = item
         if cfg.metric == "value":
             rho, se = _value(ctx, measure, claim, t, u)
             est = rho.mean()
@@ -289,8 +294,10 @@ def run_sweep(cfg: RunConfig) -> str:
         else:  # gamma
             res = gamma(ctx, measure, claim, t, u, v)
             est, se = res.gamma_mean, res.gamma_stderr
-        rows.append(_sweep_row(cfg.axis, value, label, cfg.claim, cfg.t, cfg.u, cfg.v, est, se, cfg))
-    return "\n".join(rows) + "\n"
+        return _sweep_row(cfg.axis, value, label, cfg.claim, cfg.t, cfg.u, cfg.v, est, se, cfg)
+
+    rows = in_processes(row, list(zip(cfg.values, labels, measures)))
+    return "\n".join([SWEEP_HEADER, *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +309,13 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
 
     The taxonomy check runs the full implication matrix over the standard
     construction registry and audits observed verdicts against the expected
-    table.  gamma_cross runs `run_gamma_cross`, comparing the direct and
-    premium-measure gamma computations.  Any other name is one `run_check` on
-    the configured measure and claim.  The names (at least one), the window
-    and the labels the checks use are checked before any path is drawn.
-    summary["ok"] is the exit-status signal.
+    table.  gamma_cross runs `check_premium_identity` on each GAMMA_CROSS
+    driver, comparing the direct and premium-measure gamma computations.  Any
+    other name is one `run_check` on the configured measure and claim.  The
+    names (at least one), the window and the labels the checks use are
+    checked before any path is drawn.  Every taxonomy row, GAMMA_CROSS driver
+    and single check is one task of a single `in_processes` map; the reports
+    keep the order of the checks.  summary["ok"] is the exit-status signal.
     """
     if not cfg.checks:
         raise ValueError("[run] checks is empty: name at least one check")
@@ -318,27 +327,34 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
     single = set(cfg.checks) - {"taxonomy", "gamma_cross"}
     measure = measure_from_label(cfg.measure, cfg.grid()) if single else None
     ctx = cfg.build()
-    reports: list[PropertyReport] = []
-    failures: list[dict] = []
 
+    # per check: (name, the label each task's report is audited under, the tasks)
+    groups = []
     for name in cfg.checks:
         if name == "taxonomy":
-            rows = [
-                (measure_from_label(lbl, ctx.grid), claim_from_label(claim_lbl, u))
-                for lbl, claim_lbl in taxonomy_rows()
-            ]
-            t_reports, implication_failures = run_taxonomy(ctx, rows, s, t, u, v)
-            reports.extend(t_reports)
-            failures.extend(implication_failures + audit_expected(t_reports))
-            continue
-        if name == "gamma_cross":
-            labelled = run_gamma_cross(ctx, cfg.claim, s, t, u)
+            rows = [(measure_from_label(lbl, ctx.grid), claim_from_label(claim_lbl, u))
+                    for lbl, claim_lbl in taxonomy_rows()]
+            groups.append((name, None, [partial(taxonomy_row, ctx, m, x, s, t, u, v) for m, x in rows]))
+        elif name == "gamma_cross":
+            held = claim_from_label(cfg.claim, t)
+            groups.append((name, [drv.label for drv in GAMMA_CROSS],
+                           [partial(check_premium_identity, ctx, drv, held, s, t, u) for drv in GAMMA_CROSS]))
         else:
-            labelled = [(cfg.measure, run_check(ctx, name, measure, claim, s, t, u, v))]
-        for label, rep in labelled:
-            reports.append(rep)
-            if not rep.verdict:
-                failures.append({"measure": label, "check": rep.property})
+            groups.append((name, [cfg.measure], [partial(run_check, ctx, name, measure, claim, s, t, u, v)]))
+    done = iter(in_processes(lambda task: task(), [task for _, _, tasks in groups for task in tasks]))
+
+    reports: list[PropertyReport] = []
+    failures: list[dict] = []
+    for name, labels, tasks in groups:
+        got = [next(done) for _ in tasks]
+        if name == "taxonomy":
+            t_reports = [r for row in got for r in row]
+            reports.extend(t_reports)
+            failures.extend(implication_failures(t_reports) + audit_expected(t_reports))
+            continue
+        reports.extend(got)
+        failures.extend({"measure": label, "check": rep.property} for label, rep in zip(labels, got)
+                        if not rep.verdict)
 
     summary = {
         "ok": not failures,

@@ -47,6 +47,7 @@ import numpy as np
 
 from .bsde import Driver, DriverFamily, backward, driver_from_label, family_from_label, shifted
 from .bsde import solve  # re-exported: bench/test_bench.py asserts diagnostics.solve is bsde.solve
+from .parallel import in_processes
 from .riskmeasures import RiskMeasure, ClaimLike, _terminal
 from .stochastic import LsmcContext, RandomField, claim_from_label, estimate_stderr
 
@@ -70,8 +71,9 @@ __all__ = [
     "taxonomy_rows",
     "generator_verdicts",
     "run_check",
+    "taxonomy_row",
+    "implication_failures",
     "run_taxonomy",
-    "run_gamma_cross",
     "audit_expected",
     "reports_to_json_lines",
     "reports_to_csv",
@@ -742,59 +744,60 @@ EXPECTED_VERDICTS: dict[str, dict[str, bool]] = {
 }
 
 
-def run_taxonomy(
-    ctx: LsmcContext, rows: Sequence[tuple[RiskMeasure, ClaimLike]], s: int, t: int, u: int, v: int
-) -> tuple[list[PropertyReport], list[dict]]:
-    """Every PROPERTIES check on every (measure, claim) row, plus the
-    implication audit.
-
-    Returns (reports, implication_failures); a failure names a measure that
-    passed every premise check of an implication and failed its conclusion.
-    """
-    reports: list[PropertyReport] = []
+def taxonomy_row(
+    ctx: LsmcContext, measure: RiskMeasure, claim: ClaimLike, s: int, t: int, u: int, v: int
+) -> list[PropertyReport]:
+    """Every PROPERTIES check on one (measure, claim) row, in PROPERTIES order."""
     # sign-indefinite probe for the gamma sign law: g(.,y,0) must be exercised
     # on both signs of y, which a one-sided claim cannot do; gamma is read at
     # the interior node t so pathwise sign failures stay visible
     longevity_probe = RandomField(u, ctx.ensemble.levels(u)[:, 0])
-    for measure, claim in rows:
-        field = _terminal(ctx, claim)
-        # the checks of one row re-evaluate the same (t, maturity, field)
-        # many times; the memo lives for the row only, which bounds its size
-        with ctx.evaluation_memo():
-            per_measure = [
-                run_check(ctx, name, measure, longevity_probe if name == "h_longevity" else field,
-                          s, t, u, v)
-                for name in PROPERTIES
-            ]
-        reports.extend(per_measure)
+    field = _terminal(ctx, claim)
+    # the checks of one row re-evaluate the same (t, maturity, field) many
+    # times; the memo lives for the row only, which bounds its size
+    with ctx.evaluation_memo():
+        return [
+            run_check(ctx, name, measure, longevity_probe if name == "h_longevity" else field, s, t, u, v)
+            for name in PROPERTIES
+        ]
 
+
+def implication_failures(reports: Sequence[PropertyReport]) -> list[dict]:
+    """Per construction, in report order, each IMPLICATIONS entry whose
+    premise checks all passed and whose conclusion failed."""
     verdicts = {(r.construction, r.property): r.verdict for r in reports}
-    failures = [
-        {"measure": m.label, "implication": name}
-        for m, _ in rows
+    return [
+        {"measure": label, "implication": name}
+        for label in dict.fromkeys(r.construction for r in reports)
         for name, premises, conclusion in IMPLICATIONS
-        if all(verdicts[(m.label, p)] for p in premises) and not verdicts[(m.label, conclusion)]
+        if all(verdicts[(label, p)] for p in premises) and not verdicts[(label, conclusion)]
     ]
-    return reports, failures
+
+
+def run_taxonomy(
+    ctx: LsmcContext, rows: Sequence[tuple[RiskMeasure, ClaimLike]], s: int, t: int, u: int, v: int
+) -> tuple[list[PropertyReport], list[dict]]:
+    """`taxonomy_row` on every (measure, claim) row, the rows run by
+    `in_processes`, plus the implication audit.
+
+    Returns (reports, implication_failures); a failure names a measure that
+    passed every premise check of an implication and failed its conclusion.
+    """
+    per_row = in_processes(lambda row: taxonomy_row(ctx, *row, s, t, u, v), rows)
+    reports = [r for row in per_row for r in row]
+    return reports, implication_failures(reports)
 
 
 # The premium-identity cross-check: gamma through the premium measure against
-# the direct gamma, for csa_example shifted by 0.1 and for the entropic driver
-# (q = 1) translated by 0.1; both have a nonzero gamma.
+# the direct gamma (check_premium_identity), for csa_example shifted by 0.1
+# and for the entropic driver (q = 1) translated by 0.1; both have a nonzero
+# gamma.  The verify runs it over s <= t <= u with the claim held at t, so
+# gamma(s, t, u, X) sits one place earlier in the window than the taxonomy's
+# gamma(t, u, v, X).
 GAMMA_CROSS = (
     shifted(driver_from_label("csa_example"), 0.1),
     driver_from_label("q_entropic_translated:1,0.1"),
 )
-
-
-def run_gamma_cross(
-    ctx: LsmcContext, claim_label: str, s: int, t: int, u: int
-) -> list[tuple[str, PropertyReport]]:
-    """(driver label, check_premium_identity report) per GAMMA_CROSS driver,
-    over the window s <= t <= u: the claim is held at t, so gamma(s, t, u, X)
-    sits one place earlier in the window than the taxonomy's gamma(t, u, v, X)."""
-    held = claim_from_label(claim_label, t)
-    return [(drv.label, check_premium_identity(ctx, drv, held, s, t, u)) for drv in GAMMA_CROSS]
 
 
 def audit_expected(reports: Sequence[PropertyReport]) -> list[dict]:

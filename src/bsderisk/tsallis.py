@@ -36,6 +36,9 @@ class DomainError(ValueError):
         self.bound = bound
         super().__init__(f"{func}: x={x!r} outside domain for q={q} (requires {bound})")
 
+    def __reduce__(self):  # rebuilt from its fields when it leaves a worker process
+        return type(self), (self.func, self.x, self.q, self.bound)
+
 
 def is_classical(q: float) -> bool:
     """Whether q is close enough to 1 to take the classical exp/ln branch."""

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +54,43 @@ def run_at_blas_threads(args, threads: int) -> str:
 def stderr(values) -> float:
     values = np.asarray(values)
     return float(np.std(values) / np.sqrt(values.size))
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Call with n to make `in_processes` see n usable CPUs, whatever the
+    machine has (it reads os.sched_getaffinity, where the platform has it)."""
+
+    def force(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return force
+
+
+class ProcessLog:
+    """Records made in this process or in any process forked from it, read
+    back as (pid, record) pairs, each process's in the order it made them.
+    Every process appends to a file of its own, so no writer ever waits for
+    the reader."""
+
+    def __init__(self, directory: Path):
+        self.dir = directory
+
+    def add(self, *record) -> None:
+        with open(self.dir / f"{os.getpid()}.pickle", "ab") as fh:
+            pickle.dump(record, fh)
+
+    def records(self) -> list:
+        out = []
+        for path in sorted(self.dir.glob("*.pickle")):
+            with open(path, "rb") as fh:
+                while fh.peek(1):
+                    out.append((int(path.stem), pickle.load(fh)))
+        return out
+
+
+@pytest.fixture
+def process_log(tmp_path):
+    log_dir = tmp_path / "process_log"
+    log_dir.mkdir()
+    return ProcessLog(log_dir)

@@ -252,17 +252,20 @@ class TestVerify:
         (rep,), summary = run_verify(cfg)
         assert rep.property == "monotonicity" and rep.verdict and summary["ok"]
 
-    def test_gamma_cross_holds_the_claim_at_t_and_names_each_failing_driver(self, monkeypatch):
-        held = []
+    def test_gamma_cross_holds_the_claim_at_t_and_names_each_failing_driver(
+        self, monkeypatch, usable_cpus, process_log
+    ):
+        # the two drivers are two tasks, run in two worker processes
+        usable_cpus(2)
 
         def mismatched(ctx, driver, claim, t, u, v):
-            held.append((claim.maturity, t, u, v))
+            process_log.add(claim.maturity, t, u, v)
             return LongevityResult(RandomField(t, np.zeros(1)), 1.0, None, 2.0, 1.0, 9.0)
 
         monkeypatch.setattr(diagnostics, "gamma_via_premium_measure", mismatched)
         cfg = RunConfig(n_paths=500, n_steps=8, seed=3, checks=("gamma_cross",))
         reports, summary = run_verify(cfg)
-        assert held == [(4, 0, 4, 6)] * 2
+        assert [held for _, held in process_log.records()] == [(4, 0, 4, 6)] * 2
         assert [(r.construction, r.params) for r in reports] == [
             ("driver:csa_example+0.1", {"t": 0, "u": 4, "v": 6}),
             ("driver:q_entropic_translated:1,0.1", {"t": 0, "u": 4, "v": 6}),

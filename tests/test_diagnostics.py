@@ -1,4 +1,6 @@
 import json
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -593,13 +595,14 @@ class TestTaxonomy:
             {"measure": "discounted:mean,0.1", "check": "h_longevity", "expected": False, "observed": True},
         ]
 
-    def test_checks_are_called_through_module_attributes(self, ctx20, monkeypatch):
+    def test_checks_are_called_through_module_attributes(self, ctx20, monkeypatch, usable_cpus, process_log):
         # the benchmark's per-layer trace rebinds diagnostics.check_*; the
-        # taxonomy must reach the rebound functions, one call per check
-        calls = {"check_longevity": 0, "check_time_consistency": 0}
-        for name in calls:
+        # taxonomy must reach the rebound functions, one call per check,
+        # also in the worker processes that run its rows
+        usable_cpus(2)
+        for name in ("check_longevity", "check_time_consistency"):
             def counted(*args, _original=getattr(diagnostics, name), _name=name, **kwargs):
-                calls[_name] += 1
+                process_log.add(_name)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(diagnostics, name, counted)
@@ -608,7 +611,9 @@ class TestTaxonomy:
             for lbl, claim_lbl in taxonomy_rows()[:2]
         ]
         run_taxonomy(ctx20, rows, 0, 10, 15, 20)
-        assert calls == {"check_longevity": 2, "check_time_consistency": 8}
+        calls = process_log.records()
+        assert Counter(name for _, (name,) in calls) == {"check_longevity": 2, "check_time_consistency": 8}
+        assert os.getpid() not in {pid for pid, _ in calls}
 
 
 class TestGeneratorVerdicts:
@@ -736,48 +741,85 @@ class TestReuse:
         assert [r.as_dict() for r in reports] == [r.as_dict() for r in alone]
         assert [r.details for r in reports] == [r.details for r in alone]
 
-    def test_verify_factorises_and_solves_each_thing_once(self, monkeypatch):
-        builds, solved = [], []
-        init = stochastic._Projector.__init__
+    def test_verify_factorises_and_solves_each_thing_once(self, monkeypatch, usable_cpus, process_log):
+        # the rows run in two worker processes, each with its own copy of the
+        # factor cache: a normal system is factorised once in each process
+        # that needs it, and an evaluation once in all
+        usable_cpus(2)
+        init, projector = stochastic._Projector.__init__, stochastic.LsmcContext.projector
 
         def counted_init(self, phi, ridge, ctx):
-            builds.append((ctx.basis.degree, ctx.rows, digest(phi)))
+            process_log.add("build", (ctx.basis.degree, ctx.rows, digest(phi)))
             init(self, phi, ridge, ctx)
 
+        def counted_projector(self, at):
+            process_log.add("need", (self.basis.degree, self.rows, at))
+            return projector(self, at)
+
         monkeypatch.setattr(stochastic._Projector, "__init__", counted_init)
+        monkeypatch.setattr(stochastic.LsmcContext, "projector", counted_projector)
         for cls in (riskmeasures.DriverMeasure, MeanMeasure, CertaintyEquivalent, riskmeasures.DiscountedMeasure):
 
             def counted_evaluate(self, ctx, t_index, field, maturity, original=cls._evaluate):
-                solved.append((id(self), ctx.rows, ctx.basis, t_index, maturity, field.index,
-                               digest(field.values)))
+                process_log.add("solve", (id(self), ctx.rows, ctx.basis, t_index, maturity, field.index,
+                                          digest(field.values)))
                 return original(self, ctx, t_index, field, maturity)
 
             monkeypatch.setattr(cls, "_evaluate", counted_evaluate)
         _, summary = cli.run_verify(cli.RunConfig(n_paths=2000, n_steps=8, seed=4))
         assert summary["n_checks"] > 0
-        # every row builds its own measure objects, so a repeated key would
-        # be the same evaluation solved twice within one row
+        seen = {"build": [], "need": [], "solve": []}
+        for pid, (kind, key) in process_log.records():
+            seen[kind].append((pid, key))
+        pids = {pid for pid, _ in seen["build"] + seen["solve"]}
+        assert pids and os.getpid() not in pids
+        builds, solved = seen["build"], seen["solve"]
         assert builds and len(set(builds)) == len(builds)
-        assert solved and len(set(solved)) == len(solved)
+        # each process factorises every system it needs, and none twice; one
+        # needed by k processes is factorised k times
+        needed = {pid: {key for p, key in seen["need"] if p == pid} for pid in pids}
+        for pid in pids:
+            assert sum(p == pid for p, _ in builds) == len(needed[pid])
+        distinct = {key for _, key in builds}
+        assert len(distinct) == len(set().union(*needed.values()))
+        duplicates = len(builds) - len(distinct)
+        assert duplicates == sum(len(keys) for keys in needed.values()) - len(distinct)
+        # every row builds its own measure objects, so a repeated key would
+        # be the same evaluation solved twice within one row: there is none,
+        # within a process or across processes
+        assert solved and len({key for _, key in solved}) == len(solved)
 
-    def test_memo_is_row_scoped_and_factors_are_p_by_p(self, ctx, monkeypatch):
-        sizes = []
-        evaluate = riskmeasures.RiskMeasure.evaluate
+    def test_memo_is_row_scoped_and_factors_are_p_by_p(self, ctx, monkeypatch, usable_cpus, process_log):
+        usable_cpus(2)
+        evaluate, row = riskmeasures.RiskMeasure.evaluate, diagnostics.taxonomy_row
 
         def watched(self, c, *args, **kwargs):
             out = evaluate(self, c, *args, **kwargs)
-            sizes.append(len(c.memo))
+            process_log.add("memo", len(c.memo))
+            return out
+
+        def watched_row(c, *args):
+            out = row(c, *args)
+            factors = [chol.shape for chol in c._reuse.factors.values() if chol is not None]
+            process_log.add("row", c.memo is None, factors)
             return out
 
         monkeypatch.setattr(riskmeasures.RiskMeasure, "evaluate", watched)
+        monkeypatch.setattr(diagnostics, "taxonomy_row", watched_row)
         run_taxonomy(ctx, self.rows(ctx), self.S, self.T, self.U, self.V)
         assert ctx.memo is None
+        records = process_log.records()
+        assert os.getpid() not in {pid for pid, _ in records}
+        sizes = [r[1] for _, r in records if r[0] == "memo"]
+        rows = [r[1:] for _, r in records if r[0] == "row"]
         assert 0 < max(sizes) <= 18
+        # each row ends with its memo dropped, in the process that ran it
+        assert len(rows) == len(self.rows(ctx)) and all(closed for closed, _ in rows)
         # one conditioning variable at degree <= 5: at most 6 monomials,
         # whatever the path count; a constant-only design keeps no factor
-        factors = [chol for chol in ctx._reuse.factors.values() if chol is not None]
+        factors = [shape for _, shapes in rows for shape in shapes]
         assert factors
-        assert all(chol.shape[0] == chol.shape[1] <= 6 for chol in factors)
+        assert all(shape[0] == shape[1] <= 6 for shape in factors)
 
     def test_memoised_value_is_read_only(self, ctx):
         m = measure_from_label("driver:quad_z", ctx.grid)
