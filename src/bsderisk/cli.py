@@ -48,6 +48,7 @@ from .stochastic import (
     ensemble_to_csv,
     ensemble_to_npz,
     estimate_stderr,
+    label_number,
     simulate,
 )
 
@@ -260,9 +261,11 @@ def run_sweep(cfg: RunConfig) -> str:
     """Sweep one axis; returns the CSV text.
 
     The measure label may carry {q}, {beta} or {r} placeholders that each
-    sweep value substitutes.  metric = value reports the risk estimate at
-    (t, u); metric = weak_ratio reports the weak-consistency ratio over
-    (s, t, u); metric = gamma reports the horizon correction over (t, u, v).
+    sweep value substitutes, written so that it reads back exactly
+    (label_number); the value column keeps 9 digits.  metric = value
+    reports the risk estimate at (t, u); metric = weak_ratio reports the
+    weak-consistency ratio over (s, t, u); metric = gamma reports the
+    horizon correction over (t, u, v).
     A bad axis, metric, label (it must carry the axis placeholder and no
     other, and resolve at every sweep value) or window is rejected before
     any path is drawn.
@@ -279,7 +282,7 @@ def run_sweep(cfg: RunConfig) -> str:
         raise ValueError(f"unknown sweep metric {cfg.metric!r} for {where}")
     s, t, u, v = cfg.indices()
     claim = claim_from_label(cfg.claim, u)
-    labels = [cfg.measure.replace(placeholder, _fmt(float(value))) for value in cfg.values]
+    labels = [cfg.measure.replace(placeholder, label_number(float(value))) for value in cfg.values]
     measures = [measure_from_label(label, cfg.grid()) for label in labels]
     ctx = cfg.build()
 

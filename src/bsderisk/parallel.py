@@ -10,7 +10,8 @@ worker count.  The call runs serially where one CPU is usable, where the
 platform cannot fork, inside a daemonic process, which may not have
 children, and while another Python thread runs: a fork copies no thread,
 and a lock that one holds would stay held in the child.  The workers are
-joined before the call returns, so none outlives it.
+joined before the call returns, so none outlives it: while they run, a
+SIGTERM to the main thread raises SystemExit(143), which terminates them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
 import threading
 from typing import Callable, Iterable
 
@@ -35,6 +37,10 @@ def _usable_cpus() -> int:
 def _receive(fn: Callable, items: list) -> None:
     global _work
     _work = (fn, items)
+
+
+def _stop(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def _run(i: int):
@@ -61,6 +67,9 @@ def in_processes(fn: Callable, items: Iterable) -> list:
     # a forked worker gets its initializer's arguments without a pickle,
     # so fn may be a closure over the context
     pool = multiprocessing.get_context("fork").Pool(workers, _receive, (fn, items))
+    # installed after the fork, so the workers keep the default action
+    main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _stop) if main else None
     try:
         out = pool.map(_run, range(len(items)), chunksize=1)
         pool.close()
@@ -68,5 +77,7 @@ def in_processes(fn: Callable, items: Iterable) -> list:
         pool.terminate()
         raise
     finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
         pool.join()
     return out

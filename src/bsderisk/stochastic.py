@@ -141,11 +141,11 @@ class PathEnsemble:
         return self.values[:, i + 1, :] - self.values[:, i, :]
 
 
-def _check_n_paths(shape: tuple, where: str = "") -> None:
-    """The path-count floor of simulate and both readers, on the levels shape
-    (n_paths, n_steps+1, d); a reader names its file in where."""
-    if shape[0] < 2:
-        raise ValueError(f"{where}values shape {tuple(shape)}, need n_paths >= 2")
+def _check_levels(shape: tuple, where: str = "") -> None:
+    """The path-count and component floors of simulate and both readers, on
+    the levels shape (n_paths, n_steps+1, d); a reader names its file in where."""
+    if shape[0] < 2 or shape[2] < 1:
+        raise ValueError(f"{where}values shape {tuple(shape)}, need n_paths >= 2 and d >= 1")
 
 
 def simulate(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
@@ -156,9 +156,7 @@ def simulate(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
     the node-major rows, and then each row adds the one before it: the
     additions of np.cumsum over the nodes, in its order.
     """
-    _check_n_paths((n_paths, grid.n_steps + 1, d))
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_levels((n_paths, grid.n_steps + 1, d))
     rng = np.random.default_rng(seed)
     B = np.zeros((grid.n_steps + 1, n_paths, d))
     for start in range(0, n_paths, SIMULATE_ROWS):
@@ -349,7 +347,7 @@ class _Projector:
         except np.linalg.LinAlgError:
             if ridge == 0.0:
                 # rank-deficient normal system: retry with a tiny ridge and flag it
-                ctx.fallback_count += 1
+                ctx._reuse.fallbacks += 1
                 with suppress(np.linalg.LinAlgError):
                     self._chol = np.linalg.cholesky(gram + 1e-10 * np.eye(p))
             if self._chol is None:
@@ -411,11 +409,13 @@ class _Reuse:
     factors maps (rows, basis, node) to the Cholesky factor of
     that normal system, for the life of the contexts: a p x p matrix each
     (None for a constant-only design), while phi (n x p) is rebuilt on every
-    use.  memo is the evaluation memo while one is open
-    (LsmcContext.evaluation_memo), None otherwise.
+    use.  fallbacks counts the cache's misses whose normal system needed the
+    automatic 1e-10 ridge retry.  memo is the evaluation memo while one is
+    open (LsmcContext.evaluation_memo), None otherwise.
     """
 
     factors: dict = field(default_factory=dict)
+    fallbacks: int = 0
     memo: Optional[dict] = None
 
 
@@ -426,15 +426,14 @@ class LsmcContext:
     Contexts derived from one another (with_basis, block) share a factor
     cache, so each distinct normal system is factorised once; rows is the
     slice of the root ensemble's paths this context holds.  fallback_count
-    records how many distinct normal systems needed the automatic 1e-10
-    ridge retry when first factorised (zero for a clean run); one served
-    again from the cache is not counted again.
+    reads how many distinct normal systems of the shared cache needed the
+    automatic 1e-10 ridge retry when first factorised (zero for a clean
+    run), in this context or in any that shares the cache.
     """
 
     grid: TimeGrid
     ensemble: PathEnsemble
     basis: RegressionBasis = field(default_factory=RegressionBasis)
-    fallback_count: int = field(default=0, init=False)
     rows: tuple = field(init=False, compare=False)
     _reuse: _Reuse = field(default_factory=_Reuse, init=False, repr=False, compare=False)
 
@@ -456,6 +455,10 @@ class LsmcContext:
         """The paths [start, stop) of this context, sharing the factor cache."""
         lo = self.rows[0]
         return self._derived(path_block(self.ensemble, start, stop), self.basis, (lo + start, lo + stop))
+
+    @property
+    def fallback_count(self) -> int:
+        return self._reuse.fallbacks
 
     @property
     def memo(self) -> Optional[dict]:
@@ -580,14 +583,15 @@ def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
 
 
 def ensemble_from_csv(path) -> PathEnsemble:
-    """Read an ensemble_to_csv file, in any row order, bit-exact.
+    """Read an ensemble_to_csv file bit-exact.
 
-    The rows are parsed from the open file CSV_READ_ROWS lines at a time
-    and scattered into the node-major levels, so besides them the reader
-    holds one block and a mask of the cells seen.  A file whose rows do not
-    hold each (path, node, dim) of its header exactly once raises a
-    ValueError that names the file and its first bad row, counted over the
-    whole file; a header of fewer than 2 paths raises before any row is read.
+    Data row r (from 0) must hold the cell where ensemble_to_csv writes it,
+    (r // (n_nodes*d), r // d % n_nodes, r % d).  The rows are parsed from
+    the open file CSV_READ_ROWS lines at a time into the node-major levels,
+    so besides them the reader holds one block.  The first row out of place
+    or past the header's count raises a ValueError naming the file, the data
+    row, the cell it holds and the one expected; a short file names its first
+    missing cell, and a header of fewer than 2 paths or d < 1 raises first.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -598,9 +602,9 @@ def ensemble_from_csv(path) -> PathEnsemble:
             seed = int(meta["seed"])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed header {header!r}") from exc
-        _check_n_paths((shape[1], shape[0], shape[2]), f"{path}: ")  # shape is node-major
+        _check_levels((shape[1], shape[0], shape[2]), f"{path}: ")  # shape is node-major
         fh.readline()  # column header
-        vals, seen = np.zeros(shape), np.zeros(shape, dtype=bool)
+        (n_nodes, n_paths, d), vals = shape, np.empty(shape)
         n_rows = 0
         # each pass takes one line to see that data remains, then parses it
         # and the lines after it; a block that starts on a data row is never
@@ -614,43 +618,23 @@ def ensemble_from_csv(path) -> PathEnsemble:
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}: in the data rows from {n_rows + 1}: {exc}") from exc
-            _scatter_csv_rows(path, rows, n_rows, vals, seen)
+            r = np.arange(n_rows, n_rows + rows.size)
+            p, i, k = r // (n_nodes * d), r // d % n_nodes, r % d
+            bad = (rows["path"] != p) | (rows["node"] != i) | (rows["dim"] != k) | (p >= n_paths)
+            if bad.any():
+                j = int(np.argmax(bad))
+                held = f"({rows['path'][j]},{rows['node'][j]},{rows['dim'][j]})"
+                want = f"({p[j]},{i[j]},{k[j]})" if p[j] < n_paths else f"nothing, the header has {vals.size} rows"
+                raise ValueError(f"{path}: data row {r[j] + 1} holds {held}, expected {want}")
+            vals.reshape(-1)[(i * n_paths + p) * d + k] = rows["value"]
             n_rows += rows.size
-    if n_rows != seen.size:
-        by_path = seen.transpose(1, 0, 2)  # the first missing cell in path order
-        mp, mi, mk = np.unravel_index(int(np.argmin(by_path)), by_path.shape)
+    if n_rows != vals.size:
+        p, i, k = n_rows // (n_nodes * d), n_rows // d % n_nodes, n_rows % d
         raise ValueError(
-            f"{path}: {n_rows} data rows, the header needs {seen.size}; "
-            f"the first missing is ({mp},{mi},{mk})"
+            f"{path}: {n_rows} data rows, the header needs {vals.size}; the first missing is ({p},{i},{k})"
         )
     vals.setflags(write=False)
     return PathEnsemble(grid=grid, seed=seed, values=vals.transpose(1, 0, 2))
-
-
-def _scatter_csv_rows(path, rows, first: int, vals: np.ndarray, seen: np.ndarray) -> None:
-    """Write one parsed block of rows, the file's data rows first+1 on, into
-    the node-major vals and mark their cells in seen.  Raises at the block's
-    first row whose index lies outside vals or names a cell already written,
-    by an earlier row of this block or of an earlier block."""
-    n_nodes, n_paths, d = vals.shape
-    p, i, k = rows["path"], rows["node"], rows["dim"]
-    outside = (p < 0) | (p >= n_paths) | (i < 0) | (i >= n_nodes) | (k < 0) | (k >= d)
-    inside = int(np.argmax(outside)) if outside.any() else rows.size  # rows before the first outside
-    flat = ((i * n_paths + p) * d + k)[:inside]
-    repeat = np.ones(inside, dtype=bool)
-    repeat[np.unique(flat, return_index=True)[1]] = False  # all but a cell's first row in the block
-    repeat |= seen.reshape(-1)[flat]
-    if repeat.any():
-        j = int(np.argmax(repeat))
-        raise ValueError(f"{path}: data row {first + j + 1} repeats ({p[j]},{i[j]},{k[j]})")
-    if inside < rows.size:
-        j = inside
-        raise ValueError(
-            f"{path}: data row {first + j + 1} ({p[j]},{i[j]},{k[j]}) lies outside "
-            f"n_paths={n_paths} n_steps={n_nodes - 1} d={d}"
-        )
-    vals.reshape(-1)[flat] = rows["value"]
-    seen.reshape(-1)[flat] = True
 
 
 def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
@@ -680,5 +664,5 @@ def ensemble_from_npz(path) -> PathEnsemble:
         ens = PathEnsemble(grid=grid, seed=seed, values=vals)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    _check_n_paths(vals.shape, f"{path}: ")
+    _check_levels(vals.shape, f"{path}: ")
     return ens

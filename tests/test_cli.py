@@ -188,6 +188,12 @@ class TestSweep:
         assert float(rows[0][7]) == pytest.approx(0.1 * 0.25, abs=5e-3)
         assert float(rows[1][7]) == pytest.approx(0.2 * 0.25, abs=5e-3)
 
+    def test_value_substituted_exactly(self):
+        # 10 significant digits: the label evaluated keeps them all, the value column 9
+        cfg = RunConfig(n_paths=2000, n_steps=8, measure="qent:{q},0", axis="q", values=(0.1234567891,))
+        (row,) = list(csv.reader(io.StringIO(run_sweep(cfg))))[1:]
+        assert row[1:3] == ["0.123456789", "qent:0.1234567891,0"]
+
     def test_unresolved_placeholder(self):
         cfg = RunConfig(measure="qent:{q},0", axis="r", values=(0.1,))
         with pytest.raises(ValueError, match="unresolved placeholder"):

@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -16,6 +19,8 @@ from bsderisk import (
     taxonomy_rows,
 )
 from bsderisk.parallel import in_processes
+
+from conftest import ROOT
 
 
 def _pid_of(x):
@@ -120,6 +125,36 @@ class TestInProcesses:
         with pytest.raises(RuntimeError, match="^Unrebuildable: 1 and 2$"):
             in_processes(_raise, [Unrebuildable(1, 2), None])
         assert multiprocessing.active_children() == []
+
+    def test_sigterm_stops_the_workers(self, tmp_path):
+        # the first task sends SIGTERM to the caller while every task sleeps:
+        # the caller exits 143 and takes its workers with it, none of them
+        # left to finish its task and fail to send the result back
+        script = f"""
+import os, signal, time
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from bsderisk.parallel import in_processes
+
+def task(x):
+    open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+    if x == 0:
+        time.sleep(0.5)
+        os.kill(os.getppid(), signal.SIGTERM)
+    time.sleep(20)
+
+in_processes(task, range(4))
+"""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        started = time.monotonic()
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 128 + signal.SIGTERM, done.stderr
+        assert "Traceback" not in done.stderr
+        assert time.monotonic() - started < 15  # no task ran to its end
+        pids = [int(f.name) for f in tmp_path.iterdir()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_inside_a_daemonic_worker_runs_serially(self, usable_cpus):
         usable_cpus(2)
