@@ -21,7 +21,6 @@ from .bsde import (
     DriverFamily,
     NonFiniteError,
     backward,
-    default_registry_labels,
     driver_from_label,
     family_from_label,
     q_entropic,

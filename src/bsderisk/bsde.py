@@ -49,7 +49,6 @@ __all__ = [
     "family_from_label",
     "shifted",
     "q_entropic",
-    "default_registry_labels",
     "PICARD_ITERS",
     "Z_CLIP",
 ]
@@ -282,16 +281,3 @@ def family_from_label(label: str) -> DriverFamily:
         )
     raise KeyError(f"unknown family label {label!r}")
 
-
-def default_registry_labels() -> list[str]:
-    """Standard driver parametrizations exercised by the verification harness."""
-    return [
-        "zero",
-        "abs_z",
-        "quad_z",
-        "linear_y:0.1",
-        "csa_example",
-        "csa_example_shift",
-        "q_entropic:0.5",
-        "q_entropic_translated:0.5,0.1",
-    ]

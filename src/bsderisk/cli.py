@@ -71,12 +71,10 @@ class RunConfig:
     T: float = 1.0
     n_steps: int = 40
     # [ensemble]
-    d: int = 1
     n_paths: int = 20000
     seed: int = 12345
     # [basis]
     degree: int = 4
-    ridge: float = 0.0
     # [run]
     measure: str = "entropic"
     claim: str = "brownian"
@@ -108,8 +106,8 @@ class RunConfig:
 
     def build(self):
         grid = self.grid()
-        ens = simulate(grid, self.d, self.n_paths, self.seed)
-        return LsmcContext(grid, ens, RegressionBasis(self.degree, self.ridge))
+        ens = simulate(grid, 1, self.n_paths, self.seed)
+        return LsmcContext(grid, ens, RegressionBasis(self.degree))
 
     def indices(self) -> tuple[int, int, int, int]:
         """Grid indices of the window (s, t, u, v), checked before any path is
@@ -145,8 +143,8 @@ def _floats(raw: str) -> tuple:
 # section -> (key, RunConfig field, converter), in canonical order
 _CONFIG_FIELDS = {
     "grid": (("T", "T", float), ("n_steps", "n_steps", int)),
-    "ensemble": (("d", "d", int), ("n_paths", "n_paths", int), ("seed", "seed", int)),
-    "basis": (("degree", "degree", int), ("ridge", "ridge", float)),
+    "ensemble": (("n_paths", "n_paths", int), ("seed", "seed", int)),
+    "basis": (("degree", "degree", int),),
     "run": (
         ("measure", "measure", str),
         ("claim", "claim", str),

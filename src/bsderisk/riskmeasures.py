@@ -140,7 +140,7 @@ class DriverMeasure(RiskMeasure):
             if self.beta is None:
                 self.label = f"{prefix}:{self.driver.label}"
             else:  # beta = 0 keeps the registry's family_losses:<family> bytes
-                beta_tag = f",{float(self.beta)!r}" if self.beta else ""
+                beta_tag = f",{label_number(float(self.beta))}" if self.beta else ""
                 self.label = f"{prefix}_losses:{self.driver.label}{beta_tag}"
         self.is_cash_additive = not family and self.beta is None and not self.driver.depends_on_y
 

@@ -28,7 +28,7 @@ import hashlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, islice
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -60,7 +60,7 @@ _CSV_ROW = np.dtype([("path", "i8"), ("node", "i8"), ("dim", "i8"), ("value", "f
 
 
 class SingularRegression(RuntimeError):
-    """Normal system rank-deficient and the ridge fallback also failed."""
+    """Normal system rank-deficient and the 1e-10 ridge retry also failed."""
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,9 @@ class PathEnsemble:
     is formed when asked for.  values views a node-major (n_steps+1,
     n_paths, d) buffer, so levels(i) and increment(i) are C-contiguous;
     levels whose node rows are not contiguous are copied into that layout,
-    read-only, once on construction; levels not shaped (n_paths, n_steps+1,
-    d >= 1) raise a ValueError.  Immutable and safe to share across threads.
+    read-only, once on construction; levels not float64 or not shaped
+    (n_paths, n_steps+1, d >= 1) raise a ValueError.  Immutable and safe to
+    share across threads.
     """
 
     grid: TimeGrid
@@ -113,6 +114,8 @@ class PathEnsemble:
         v = self.values
         if v.ndim != 3 or v.shape[1] != self.grid.n_steps + 1 or v.shape[2] < 1:
             raise ValueError(f"values shape {v.shape}, need (n_paths, {self.grid.n_steps + 1}, d >= 1)")
+        if v.dtype != np.float64:
+            raise ValueError(f"values dtype {v.dtype}, need float64")
         if v.strides[0] != v.shape[2] * v.itemsize or v.strides[2] != v.itemsize:
             nodes = np.ascontiguousarray(v.transpose(1, 0, 2))
             nodes.setflags(write=False)
@@ -265,13 +268,13 @@ class RegressionBasis:
     """Monomials of the conditioning variables up to total degree `degree`."""
 
     degree: int = 4
-    ridge: float = 0.0
+    # not a field: bench/spans.py keys its trace on it until the benchmark
+    # refresh (ROADMAP item 1) drops it
+    ridge: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be >= 0")
 
     def design(self, variables: np.ndarray) -> np.ndarray:
         """Design matrix for (n, k) conditioning variables: all monomials
@@ -336,33 +339,32 @@ class _Projector:
     A constant-only design (p = 1) has no factor: coefficients gives the
     sample mean, so neither the Gram pass nor the Cholesky step is run."""
 
-    def __init__(self, phi: np.ndarray, ridge: float, ctx: "LsmcContext"):
+    def __init__(self, phi: np.ndarray, ctx: "LsmcContext"):
         self._phi, self._chol = phi, None
         p = phi.shape[1]
         if p == 1:
             return
         gram = _blocked_gram(phi, phi)
         try:
-            self._chol = np.linalg.cholesky(gram + ridge * np.eye(p) if ridge > 0.0 else gram)
+            self._chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            if ridge == 0.0:
-                # rank-deficient normal system: retry with a tiny ridge and flag it
-                ctx._reuse.fallbacks += 1
-                with suppress(np.linalg.LinAlgError):
-                    self._chol = np.linalg.cholesky(gram + 1e-10 * np.eye(p))
+            # rank-deficient normal system: retry with a tiny ridge and count it
+            ctx._reuse.fallbacks += 1
+            with suppress(np.linalg.LinAlgError):
+                self._chol = np.linalg.cholesky(gram + 1e-10 * np.eye(p))
             if self._chol is None:
-                raise SingularRegression(f"normal system singular (p={p}, ridge={ridge})") from None
+                raise SingularRegression(f"normal system singular (p={p})") from None
 
     @classmethod
     def _from_factor(cls, phi: np.ndarray, chol: Optional[np.ndarray]) -> "_Projector":
         """The projector of an already factorised normal system: phi rebuilt,
-        the Cholesky factor of phi.T @ phi (+ ridge) reused."""
+        the Cholesky factor of phi.T @ phi (+ the retry's 1e-10 ridge) reused."""
         proj = cls.__new__(cls)
         proj._phi, proj._chol = phi, chol
         return proj
 
     def coefficients(self, targets: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients; the constant alone gives the sample mean, ridge ignored."""
+        """Least-squares coefficients; the constant alone gives the sample mean."""
         if self._phi.shape[1] == 1:
             return np.mean(targets, axis=0, keepdims=True)
         rhs = _blocked_gram(self._phi, targets)
@@ -493,7 +495,7 @@ class LsmcContext:
         factors = self._reuse.factors
         if key in factors:
             return _Projector._from_factor(phi, factors[key])
-        proj = _Projector(phi, self.basis.ridge, self)
+        proj = _Projector(phi, self)
         factors[key] = proj._chol
         return proj
 
@@ -651,8 +653,9 @@ def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
 
 
 def ensemble_from_npz(path) -> PathEnsemble:
-    """Read an ensemble_to_npz file.  A missing key, levels that PathEnsemble
-    rejects, or fewer than 2 paths raise a ValueError naming the file."""
+    """Read an ensemble_to_npz file.  A missing key, fewer than 2 paths, or
+    levels that PathEnsemble rejects (not float64, or off the grid) raise a
+    ValueError naming the file."""
     with np.load(path) as data:
         missing = [key for key in ("values", "seed", "T", "n_steps") if key not in data.files]
         if missing:
@@ -661,8 +664,8 @@ def ensemble_from_npz(path) -> PathEnsemble:
         vals = data["values"]
         seed = int(data["seed"])
     try:
-        ens = PathEnsemble(grid=grid, seed=seed, values=vals)
+        if vals.ndim == 3:  # the floor first, so a refused file is never copied
+            _check_levels(vals.shape)
+        return PathEnsemble(grid=grid, seed=seed, values=vals)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    _check_levels(vals.shape, f"{path}: ")
-    return ens

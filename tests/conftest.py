@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bsderisk import LsmcContext, RegressionBasis, TimeGrid, simulate
+from bsderisk.diagnostics import TAXONOMY
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +34,9 @@ def b1(ctx50):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The driver generators of the verify suite's taxonomy, each once, in order.
+TAXONOMY_DRIVERS = list(dict.fromkeys(gen for _, gen in TAXONOMY.values() if not gen.startswith("family:")))
 
 # The OpenBLAS thread counts a determinism test compares: 1 and 2, and up to 4
 # where the machine has the cores (OpenBLAS caps its pool at the core count).

@@ -27,7 +27,7 @@ from bsderisk import (
 from bsderisk.cli import RunConfig, run_verify
 from bsderisk.diagnostics import check_cash_additivity, check_cash_subadditivity, generator_verdicts
 
-from conftest import BLAS_THREADS, run_at_blas_threads, stderr
+from conftest import BLAS_THREADS, TAXONOMY_DRIVERS, run_at_blas_threads, stderr
 
 
 def _announce(n: int, text: str) -> None:
@@ -126,7 +126,7 @@ def test_criterion_5_longevity_sign_and_value(ctx50):
     assert abs(res.gamma_mean - 0.05) <= 0.01
 
     lines = []
-    for label in br.default_registry_labels():
+    for label in TAXONOMY_DRIVERS:
         driver = driver_from_label(label)
         measure = br.DriverMeasure(driver)
         claim = _sign_claim_for(driver, ctx50)

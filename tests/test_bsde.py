@@ -13,7 +13,6 @@ from bsderisk import (
     RegressionBasis,
     TimeGrid,
     backward,
-    default_registry_labels,
     driver_from_label,
     family_from_label,
     shifted,
@@ -24,7 +23,7 @@ from bsderisk import bsde
 from bsderisk.cli import RunConfig
 from bsderisk.diagnostics import generator_verdicts
 
-from conftest import BLAS_THREADS, run_at_blas_threads, stderr
+from conftest import BLAS_THREADS, TAXONOMY_DRIVERS, run_at_blas_threads, stderr
 
 
 class TestSolveBasics:
@@ -271,7 +270,7 @@ class TestStoredY:
 
 class TestRegistry:
     def test_labels_parse(self):
-        for label in default_registry_labels():
+        for label in TAXONOMY_DRIVERS:
             drv = driver_from_label(label)
             assert drv.label
 

@@ -49,6 +49,21 @@ claim = brownian
             parse_config("[run]\nmesure = entropic\n")
 
 
+class TestNoRidgeOrDimension:
+    """The CLI regresses one Brownian component with the retry as its only
+    regularisation; neither the dimension nor a ridge can be set."""
+
+    @pytest.mark.parametrize("section, key, value", [("ensemble", "d", "1"), ("basis", "ridge", "0")])
+    def test_config_key_rejected(self, section, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"unknown config key [{section}] {key}")):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    def test_canonical_text_has_neither(self):
+        lines = RunConfig().canonical_text().splitlines()
+        assert not [line for line in lines if line.startswith(("d =", "ridge ="))]
+        assert "n_paths = 20000" in lines and "degree = 4" in lines
+
+
 class TestNoWorkerCount:
     """The regression runs serially; there is no worker count to set."""
 

@@ -748,9 +748,9 @@ class TestReuse:
         usable_cpus(2)
         init, projector = stochastic._Projector.__init__, stochastic.LsmcContext.projector
 
-        def counted_init(self, phi, ridge, ctx):
+        def counted_init(self, phi, ctx):
             process_log.add("build", (ctx.basis.degree, ctx.rows, digest(phi)))
-            init(self, phi, ridge, ctx)
+            init(self, phi, ctx)
 
         def counted_projector(self, at):
             process_log.add("need", (self.basis.degree, self.rows, at))

@@ -299,6 +299,10 @@ class TestConstructionStrings:
             "family_losses:translated_family:0.5,0.4,0.3",
         ]
 
+    def test_losses_label_prints_beta_as_other_labels_do(self):
+        fam = family_from_label("translated_family:0.5,0.4")
+        assert DriverMeasure(fam, 2.0).label == "family_losses:translated_family:0.5,0.4,2"
+
     def test_qent_bsde_solves_at_the_exact_q(self):
         m = measure_from_label("qent_bsde:0.1234567,0", TimeGrid(1.0, 10))
         assert m.label == "qent_bsde:0.1234567,0"

@@ -333,9 +333,9 @@ class TestFactorCache:
         builds = []
         init = stochastic._Projector.__init__
 
-        def counted(self, phi, ridge, ctx):
+        def counted(self, phi, ctx):
             builds.append(phi.shape)
-            init(self, phi, ridge, ctx)
+            init(self, phi, ctx)
 
         monkeypatch.setattr(stochastic._Projector, "__init__", counted)
         return builds
@@ -424,8 +424,8 @@ class TestRegressionBasis:
     def test_validation(self):
         with pytest.raises(ValueError):
             RegressionBasis(-1)
-        with pytest.raises(ValueError):
-            RegressionBasis(2, ridge=-0.5)
+        with pytest.raises(TypeError):  # the retry is the only regularisation
+            RegressionBasis(2, ridge=0.1)
 
 
 class TestDiscountCurve:
@@ -694,7 +694,8 @@ class TestEnsembleIO:
         ensemble_to_npz(ens, path)
         back = ensemble_from_npz(path)
         assert back.seed == 3
-        np.testing.assert_array_equal(back.values, ens.values)
+        np.testing.assert_array_equal(bits(back.values), bits(ens.values))
+        assert back.values.strides == ens.values.strides
 
     @pytest.mark.parametrize("edit, message", [
         (lambda arrays: {**arrays, "values": np.zeros((100, 61, 1))}, r"shape \(100, 61, 1\), need .*41"),
@@ -703,7 +704,11 @@ class TestEnsembleIO:
         (lambda arrays: {**arrays, "values": np.zeros((100, 41, 0))}, r"shape \(100, 41, 0\)"),
         (lambda arrays: {k: v for k, v in arrays.items() if k != "seed"}, "missing seed"),
         (lambda arrays: {"values": arrays["values"]}, "missing seed, T, n_steps"),
-    ], ids=["nodes_off_grid", "two_dim", "one_path", "no_component", "no_seed", "values_only"])
+        # an int64 file used to load and fail in the first backward step
+        *[(lambda arrays, t=t: {**arrays, "values": arrays["values"].astype(t)}, f"values dtype {t}, need float64")
+          for t in ("int64", "float32", "complex128")],
+    ], ids=["nodes_off_grid", "two_dim", "one_path", "no_component", "no_seed", "values_only",
+            "int64", "float32", "complex128"])
     def test_npz_malformed_rejected(self, tmp_path, edit, message):
         path = tmp_path / "paths.npz"
         ensemble_to_npz(simulate(TimeGrid(1.0, 40), 1, 100, seed=1), path)
@@ -711,5 +716,16 @@ class TestEnsembleIO:
             arrays = {key: data[key] for key in data.files}
         np.savez(path, **edit(arrays))
         with pytest.raises(ValueError, match=message) as info:
+            ensemble_from_npz(path)
+        assert str(path) in str(info.value)
+
+    def test_npz_one_path_refused_before_the_ensemble_is_built(self, tmp_path, monkeypatch):
+        path = tmp_path / "paths.npz"
+        ensemble_to_npz(simulate(TimeGrid(1.0, 4), 1, 2, seed=1), path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez(path, **{**arrays, "values": arrays["values"][:1]})
+        monkeypatch.setattr(stochastic, "PathEnsemble", lambda **kw: pytest.fail("levels were copied"))
+        with pytest.raises(ValueError, match=r"values shape \(1, 5, 1\), need n_paths >= 2") as info:
             ensemble_from_npz(path)
         assert str(path) in str(info.value)
