@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -57,6 +58,17 @@ __all__ = ["RunConfig", "parse_config", "main", "run_evaluate", "run_sweep", "ru
 SWEEP_HEADER = "axis,value,measure,claim,t,u,v,estimate,stderr,seed,n_paths,n_steps"
 SWEEP_AXES = ("q", "beta", "r")
 SWEEP_METRICS = ("value", "weak_ratio", "gamma")
+
+
+@contextmanager
+def _refused_input():
+    """Mark a ValueError or KeyError raised in the block as refused input,
+    which main reports in one line; any other fault keeps its traceback."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        exc.refused_input = True
+        raise
 
 
 def _fmt(x) -> str:
@@ -105,8 +117,9 @@ class RunConfig:
         return TimeGrid(self.T, self.n_steps)
 
     def build(self):
-        grid = self.grid()
-        ens = simulate(grid, 1, self.n_paths, self.seed)
+        with _refused_input():  # the path count, grid and seed
+            grid = self.grid()
+            ens = simulate(grid, 1, self.n_paths, self.seed)
         return LsmcContext(grid, ens, RegressionBasis(self.degree))
 
     def indices(self) -> tuple[int, int, int, int]:
@@ -191,20 +204,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _sweep_row(axis, value, measure, claim, t, u, v, estimate, stderr, cfg) -> str:
     """One CSV row; fields with commas (measure labels) are quoted."""
-    cells = [
-        axis,
-        _fmt(float(value)),
-        measure,
-        claim,
-        _fmt(float(t)),
-        _fmt(float(u)),
-        _fmt(float(v)),
-        _fmt(float(estimate)),
-        _fmt(float(stderr)),
-        str(cfg.seed),
-        str(cfg.n_paths),
-        str(cfg.n_steps),
-    ]
+    cells = [axis, _fmt(float(value)), measure, claim, *(_fmt(float(x)) for x in (t, u, v, estimate, stderr)),
+             cfg.seed, cfg.n_paths, cfg.n_steps]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(cells)
     return buf.getvalue()
@@ -228,9 +229,10 @@ def run_evaluate(cfg: RunConfig) -> tuple[str, str, Optional[str]]:
     values at t > 0 are reported both pathwise and as the coefficients of
     their basis representation.  A bad window or label is rejected before
     any path is drawn."""
-    s, t, u, v = cfg.indices()
-    claim = claim_from_label(cfg.claim, u)
-    measure = measure_from_label(cfg.measure, cfg.grid())
+    with _refused_input():
+        s, t, u, v = cfg.indices()
+        claim = claim_from_label(cfg.claim, u)
+        measure = measure_from_label(cfg.measure, cfg.grid())
     ctx = cfg.build()
     rho, se = _value(ctx, measure, claim, t, u)
     est = rho.mean()
@@ -268,20 +270,21 @@ def run_sweep(cfg: RunConfig) -> str:
     other, and resolve at every sweep value) or window is rejected before
     any path is drawn.
     """
-    where = f"measure label {cfg.measure!r} (axis={cfg.axis})"
-    if cfg.axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {', '.join(SWEEP_AXES)}: {where}")
-    placeholder = "{" + cfg.axis + "}"
-    if "{" in cfg.measure.replace(placeholder, ""):
-        raise ValueError(f"unresolved placeholder in {where}")
-    if placeholder not in cfg.measure:
-        raise ValueError(f"no {placeholder} placeholder for the sweep axis in {where}")
-    if cfg.metric not in SWEEP_METRICS:
-        raise ValueError(f"unknown sweep metric {cfg.metric!r} for {where}")
-    s, t, u, v = cfg.indices()
-    claim = claim_from_label(cfg.claim, u)
-    labels = [cfg.measure.replace(placeholder, label_number(float(value))) for value in cfg.values]
-    measures = [measure_from_label(label, cfg.grid()) for label in labels]
+    with _refused_input():
+        where = f"measure label {cfg.measure!r} (axis={cfg.axis})"
+        if cfg.axis not in SWEEP_AXES:
+            raise ValueError(f"sweep axis must be one of {', '.join(SWEEP_AXES)}: {where}")
+        placeholder = "{" + cfg.axis + "}"
+        if "{" in cfg.measure.replace(placeholder, ""):
+            raise ValueError(f"unresolved placeholder in {where}")
+        if placeholder not in cfg.measure:
+            raise ValueError(f"no {placeholder} placeholder for the sweep axis in {where}")
+        if cfg.metric not in SWEEP_METRICS:
+            raise ValueError(f"unknown sweep metric {cfg.metric!r} for {where}")
+        s, t, u, v = cfg.indices()
+        claim = claim_from_label(cfg.claim, u)
+        labels = [cfg.measure.replace(placeholder, label_number(float(value))) for value in cfg.values]
+        measures = [measure_from_label(label, cfg.grid()) for label in labels]
     ctx = cfg.build()
 
     def row(item) -> str:
@@ -318,15 +321,16 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
     and single check is one task of a single `in_processes` map; the reports
     keep the order of the checks.  summary["ok"] is the exit-status signal.
     """
-    if not cfg.checks:
-        raise ValueError("[run] checks is empty: name at least one check")
-    unknown = [name for name in cfg.checks if name not in ("taxonomy", "gamma_cross", *CHECKS)]
-    if unknown:
-        raise ValueError(f"unknown check(s) {', '.join(map(repr, unknown))} in checks = {','.join(cfg.checks)}")
-    s, t, u, v = cfg.indices()
-    claim = claim_from_label(cfg.claim, u)
-    single = set(cfg.checks) - {"taxonomy", "gamma_cross"}
-    measure = measure_from_label(cfg.measure, cfg.grid()) if single else None
+    with _refused_input():
+        if not cfg.checks:
+            raise ValueError("[run] checks is empty: name at least one check")
+        unknown = [name for name in cfg.checks if name not in ("taxonomy", "gamma_cross", *CHECKS)]
+        if unknown:
+            raise ValueError(f"unknown check(s) {', '.join(map(repr, unknown))} in checks = {','.join(cfg.checks)}")
+        s, t, u, v = cfg.indices()
+        claim = claim_from_label(cfg.claim, u)
+        single = set(cfg.checks) - {"taxonomy", "gamma_cross"}
+        measure = measure_from_label(cfg.measure, cfg.grid()) if single else None
     ctx = cfg.build()
 
     # per check: (name, the label each task's report is audited under, the tasks)
@@ -375,16 +379,8 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(Path(args.config).read_text()) if args.config else RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.paths is not None:
-        overrides["n_paths"] = args.paths
-    if args.steps is not None:
-        overrides["n_steps"] = args.steps
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    return replace(cfg, **overrides) if overrides else cfg
+    flags = {"seed": args.seed, "n_paths": args.paths, "n_steps": args.steps, "out_dir": args.out}
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -412,7 +408,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     rep.add_argument("bundle", nargs="?", help="results directory (defaults to the output dir)")
 
     args = parser.parse_args(argv)
-    cfg = _load_config(args)
+    try:
+        return _run(args)
+    except (ValueError, KeyError) as exc:
+        if not getattr(exc, "refused_input", False):
+            raise
+        print(f"bsderisk: error: {exc.args[0]}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
+    with _refused_input():
+        cfg = _load_config(args)
     out_dir = Path(cfg.out_dir)
 
     if args.command == "simulate":

@@ -2,7 +2,9 @@
 
 Conditional expectations E[. | F_t] are realized by least-squares Monte Carlo:
 projection onto polynomial bases of the Brownian level B_{t_i} at the
-conditioning node, and on nothing else.
+conditioning node, and on nothing else.  The design matrix is basis-major:
+indexed (n_paths, p), it views a (p, n_paths) buffer whose rows are the
+monomials, so the Gram and fit products stream long contiguous rows.
 
 Determinism contract: a fixed seed and configuration produce bit-identical
 fields whatever the OpenBLAS thread count (tested at 1 and 2, and at
@@ -52,7 +54,6 @@ __all__ = [
 ]
 
 _BLOCK = 16384  # fixed path-block size for reductions, summed in block order
-DESIGN_ROWS = 4096  # rows of the design matrix built per block
 SIMULATE_ROWS = 4096  # paths whose normals simulate draws at a time
 CSV_BLOCK_ROWS = 65536  # rows per write of ensemble_to_csv, rounded down to whole paths
 CSV_READ_ROWS = 8192  # lines ensemble_from_csv parses at a time
@@ -280,25 +281,21 @@ class RegressionBasis:
         """Design matrix for (n, k) conditioning variables: all monomials
         of total degree <= degree, the constant first.
 
-        Each monomial column is its prefix monomial's column times one
-        variable, so the products run left to right over the sorted index
-        tuple.  Rows are filled DESIGN_ROWS at a time, so each column write
-        stays within one cache-sized block of phi."""
+        Each monomial is its prefix monomial times one variable, so the
+        products run left to right over the sorted index tuple.  The result
+        is shaped (n, p) but views a basis-major (p, n) buffer, in which each
+        monomial is one contiguous row made by one whole-row product: the
+        Gram and fit products then stream long contiguous rows."""
         n, k = variables.shape
         combos = [()]
         for deg in range(1, self.degree + 1):
             combos += combinations_with_replacement(range(k), deg)
-        column = {combo: j for j, combo in enumerate(combos)}
-        phi = np.empty((n, len(combos)))
-        for start in range(0, n, DESIGN_ROWS):
-            block, var = phi[start : start + DESIGN_ROWS], variables[start : start + DESIGN_ROWS]
-            block[:, 0] = 1.0
-            for j, combo in enumerate(combos[1:], 1):
-                if len(combo) == 1:
-                    block[:, j] = var[:, combo[0]]
-                else:
-                    np.multiply(block[:, column[combo[:-1]]], var[:, combo[-1]], out=block[:, j])
-        return phi
+        row = {combo: j for j, combo in enumerate(combos)}
+        phi = np.empty((len(combos), n))
+        phi[0] = 1.0
+        for j, combo in enumerate(combos[1:], 1):
+            np.multiply(phi[row[combo[:-1]]], variables[:, combo[-1]], out=phi[j])
+        return phi.T
 
 
 @dataclass(frozen=True)

@@ -362,3 +362,34 @@ class TestMainEntryPoint:
                    "--seed", "777", "simulate"])
         assert rc == 0
         assert "seed=777" in (tmp_path / "paths.csv").read_text().splitlines()[0]
+
+
+class TestRefusedInput:
+    """A refused config, window, label or path count is one line on stderr
+    and exit status 2, as argparse's own errors; other faults keep their
+    traceback."""
+
+    @pytest.mark.parametrize("config, argv, message", [
+        ("[basis]\nridge = 0\n", ["verify"], "unknown config key [basis] ridge"),
+        ("[run]\nt = 0.33\n", ["evaluate"], "[run] t = 0.33: not a node"),
+        ("[run]\nclaim = bogus\n", ["verify"], "unknown claim label 'bogus'"),
+        ("[run]\nmeasure = qent:{q},0\n\n[sweep]\nmetric = vaule\n", ["sweep"], "unknown sweep metric 'vaule'"),
+        ("[run]\nchecks = tc_medium\n", ["verify"], "unknown check(s) 'tc_medium'"),
+        ("", ["--paths", "1", "simulate"], "need n_paths >= 2"),
+    ], ids=["ridge_key", "window", "claim_label", "sweep_metric", "check_name", "path_count"])
+    def test_one_line_and_status_2(self, tmp_path, capsys, config, argv, message):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(config)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bsderisk: error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_internal_fault_keeps_its_traceback(self, monkeypatch, tmp_path):
+        def fault(fn, items):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "in_processes", fault)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["--out", str(tmp_path), "--paths", "200", "--steps", "4", "verify"])

@@ -243,21 +243,21 @@ class TestShiftGaps:
 
     GAPS = {
         "mean_gap[0]": 0.0,
-        "mean_gap[0.1]": 1.37394816e-16,
-        "mean_gap[0.5]": -1.19866931e-15,
-        "mean_gap[1]": -8.02012374e-16,
+        "mean_gap[0.1]": 4.86544453e-16,
+        "mean_gap[0.5]": 2.81180678e-16,
+        "mean_gap[1]": 4.08355261e-16,
     }
 
     REPORTS = {
         "cash_additivity": (
             '{"property": "cash_additivity", "construction": "entropic", "params": {"t": 2, "u": 4}, '
-            '"verdict": "pass", "tolerance": 1e-08, "max_violation": 3.95683486e-13, "violation_fraction": 0.0, '
+            '"verdict": "pass", "tolerance": 1e-08, "max_violation": 3.0375702e-13, "violation_fraction": 0.0, '
             '"witness": null, "seed": 31, "n_paths": 2000, "n_steps": 8}\n',
             (5, 2),  # rho(X) and the four shifted claims, X + 0 among them
         ),
         "cash_subadditivity": (
             '{"property": "cash_subadditivity", "construction": "entropic", "params": {"t": 2, "u": 4}, '
-            '"verdict": "pass", "tolerance": 0.147962288, "max_violation": 3.95683486e-13, "violation_fraction": 0.0, '
+            '"verdict": "pass", "tolerance": 0.147962288, "max_violation": 3.0375702e-13, "violation_fraction": 0.0, '
             '"witness": null, "seed": 31, "n_paths": 2000, "n_steps": 8}\n',
             (6, 2),  # the noise probe's rho(X) at degrees 4 and 5 and the four shifts
         ),

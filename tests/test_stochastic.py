@@ -411,15 +411,30 @@ class TestRegressionBasis:
         x = np.random.default_rng(k).standard_normal((500, k))
         phi = RegressionBasis(degree).design(x)
         np.testing.assert_array_equal(phi, self.column_products(x, degree))
-        assert phi.flags.c_contiguous
+        assert phi.T.flags.c_contiguous  # basis-major: each monomial one contiguous row
 
-    @pytest.mark.parametrize("n", [5, stochastic.DESIGN_ROWS, stochastic.DESIGN_ROWS + 1, 20_000])
+    @pytest.mark.parametrize("n", [5, 4096, 4097, 16385, 20_000])
     @pytest.mark.parametrize("k", [1, 2])
     def test_row_blocked_design_is_the_whole_array_design(self, k, n):
-        # the design is filled DESIGN_ROWS rows at a time; on either side of
-        # a block edge it must be the whole-array design bit for bit
+        # small and large path counts, on either side of 4096 and of the
+        # reduction block: the design is the column products bit for bit
         x = np.random.default_rng(n + k).standard_normal((n, k))
         np.testing.assert_array_equal(RegressionBasis(5).design(x), self.column_products(x, 5))
+
+    @pytest.mark.parametrize("n", [16383, 16384, 16385, 2 * 16384 + 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fit_matches_lstsq_across_reduction_blocks(self, d, n):
+        # an independent solver on the same design: the blocked Gram and
+        # right-hand side, on either side of a 16384-path block edge
+        assert stochastic._BLOCK == 16384
+        grid = TimeGrid(1.0, 4)
+        ctx = LsmcContext(grid, simulate(grid, d, n, seed=n + d), RegressionBasis(4))
+        b = ctx.ensemble.values[:, -1, :]
+        field = RandomField(4, np.sin(b[:, 0]) + b[:, -1] ** 3)
+        fit = ctx.cond_expect(field, 2).values
+        phi = RegressionBasis(4).design(ctx.ensemble.levels(2) / np.sqrt(2 * grid.dt))
+        ref = phi @ np.linalg.lstsq(phi, field.values, rcond=None)[0]
+        assert np.max(np.abs(fit - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_validation(self):
         with pytest.raises(ValueError):
