@@ -118,6 +118,8 @@ class RunConfig:
 
     def build(self):
         with _refused_input():  # the path count, grid and seed
+            if self.seed < 0:
+                raise ValueError(f"--seed / [ensemble] seed = {self.seed}: need a non-negative integer")
             grid = self.grid()
             ens = simulate(grid, 1, self.n_paths, self.seed)
         return LsmcContext(grid, ens, RegressionBasis(self.degree))
@@ -377,8 +379,17 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _read_input(path: Path) -> str:
+    """The text of an input file; one that cannot be read or decoded is
+    refused input that names the path."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(Path(args.config).read_text()) if args.config else RunConfig()
+    cfg = parse_config(_read_input(Path(args.config))) if args.config else RunConfig()
     flags = {"seed": args.seed, "n_paths": args.paths, "n_steps": args.steps, "out_dir": args.out}
     return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
@@ -458,8 +469,10 @@ def _run(args) -> int:
 
     if args.command == "report":
         bundle = Path(args.bundle) if args.bundle else out_dir
-        summary = json.loads((bundle / "summary.json").read_text())
-        for line in (bundle / "checks.jsonl").read_text().splitlines():
+        with _refused_input():
+            summary_text, checks_text = _read_input(bundle / "summary.json"), _read_input(bundle / "checks.jsonl")
+        summary = json.loads(summary_text)
+        for line in checks_text.splitlines():
             r = json.loads(line)
             print(f"[{r['verdict'].upper()}] {r['construction']}: {r['property']} "
                   f"(max_violation={r['max_violation']}, tol={r['tolerance']})")

@@ -10,7 +10,10 @@ Determinism contract: a fixed seed and configuration produce bit-identical
 fields whatever the OpenBLAS thread count (tested at 1 and 2, and at
 min(CPU count, 4) where that exceeds 2; higher counts are not).  Every
 reduction over paths runs serially over a fixed block partition, summed in
-block order.  The root node regresses to the sample
+block order.  A block's Gram is one dgemm against a Fortran-ordered copy of
+the block (_gram): numpy would hand the block and its own transpose to
+dsyrk, which OpenBLAS runs 2-4x slower at these shapes; both give the same
+bytes at any thread count tested.  The root node regresses to the sample
 mean (_Projector.coefficients): a one-column BLAS product there rounds
 differently per thread count.
 
@@ -57,6 +60,7 @@ _BLOCK = 16384  # fixed path-block size for reductions, summed in block order
 SIMULATE_ROWS = 4096  # paths whose normals simulate draws at a time
 CSV_BLOCK_ROWS = 65536  # rows per write of ensemble_to_csv, rounded down to whole paths
 CSV_READ_ROWS = 8192  # lines ensemble_from_csv parses at a time
+NPZ_READ_VALUES = 1 << 16  # levels ensemble_from_npz reads at a time, rounded down to whole paths
 _CSV_ROW = np.dtype([("path", "i8"), ("node", "i8"), ("dim", "i8"), ("value", "f8")])
 
 
@@ -113,10 +117,7 @@ class PathEnsemble:
 
     def __post_init__(self):
         v = self.values
-        if v.ndim != 3 or v.shape[1] != self.grid.n_steps + 1 or v.shape[2] < 1:
-            raise ValueError(f"values shape {v.shape}, need (n_paths, {self.grid.n_steps + 1}, d >= 1)")
-        if v.dtype != np.float64:
-            raise ValueError(f"values dtype {v.dtype}, need float64")
+        _check_values(v.shape, v.dtype, self.grid)
         if v.strides[0] != v.shape[2] * v.itemsize or v.strides[2] != v.itemsize:
             nodes = np.ascontiguousarray(v.transpose(1, 0, 2))
             nodes.setflags(write=False)
@@ -143,6 +144,15 @@ class PathEnsemble:
     def increment(self, i: int) -> np.ndarray:
         """Increments B_{t_{i+1}} - B_{t_i}, shape (n_paths, d)."""
         return self.values[:, i + 1, :] - self.values[:, i, :]
+
+
+def _check_values(shape: tuple, dtype: np.dtype, grid: TimeGrid) -> None:
+    """The levels PathEnsemble accepts on grid: float64, shaped
+    (n_paths, n_steps+1, d >= 1)."""
+    if len(shape) != 3 or shape[1] != grid.n_steps + 1 or shape[2] < 1:
+        raise ValueError(f"values shape {shape}, need (n_paths, {grid.n_steps + 1}, d >= 1)")
+    if dtype != np.float64:
+        raise ValueError(f"values dtype {dtype}, need float64")
 
 
 def _check_levels(shape: tuple, where: str = "") -> None:
@@ -333,15 +343,17 @@ class DiscountCurve:
 class _Projector:
     """One factorized normal system at a fixed conditioning index.
 
-    A constant-only design (p = 1) has no factor: coefficients gives the
-    sample mean, so neither the Gram pass nor the Cholesky step is run."""
+    The Gram is formed by _gram, one dgemm per path block against a copy of
+    the block, and then Cholesky-factorised.  A constant-only design (p = 1)
+    has no factor: coefficients gives the sample mean, so neither the Gram
+    pass nor the Cholesky step is run."""
 
     def __init__(self, phi: np.ndarray, ctx: "LsmcContext"):
         self._phi, self._chol = phi, None
         p = phi.shape[1]
         if p == 1:
             return
-        gram = _blocked_gram(phi, phi)
+        gram = _gram(phi)
         try:
             self._chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -393,6 +405,25 @@ def _blocked_gram(phi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for start in range(_BLOCK, phi.shape[0], _BLOCK):
         acc += phi[start : start + _BLOCK].T @ rhs[start : start + _BLOCK]
     return acc
+
+
+def _gram(phi: np.ndarray) -> np.ndarray:
+    """phi.T @ phi over the path blocks of _blocked_gram, in block order.
+
+    Each block is multiplied by its copy in one reused Fortran-ordered
+    scratch, so that numpy calls dgemm: given one buffer on both sides it
+    calls dsyrk, which OpenBLAS runs 2-4x slower at these tall, narrow
+    shapes (a 200k x 5 projector build took 2.5 ms with dsyrk, 0.85 ms
+    with dgemm, at one BLAS thread)."""
+    n, p = phi.shape
+    copy = np.empty((min(_BLOCK, n), p), order="F")
+    gram = np.zeros((p, p))
+    for start in range(0, n, _BLOCK):
+        block = phi[start : start + _BLOCK]
+        scratch = copy[: block.shape[0]]
+        np.copyto(scratch, block)
+        gram += block.T @ scratch
+    return gram
 
 
 def digest(values: np.ndarray):
@@ -650,19 +681,61 @@ def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
 
 
 def ensemble_from_npz(path) -> PathEnsemble:
-    """Read an ensemble_to_npz file.  A missing key, fewer than 2 paths, or
-    levels that PathEnsemble rejects (not float64, or off the grid) raise a
-    ValueError naming the file."""
+    """Read an ensemble_to_npz file.
+
+    The values.npy member's header is read first, and then its data,
+    NPZ_READ_VALUES levels at a time in whole paths, straight into the
+    node-major levels: besides them the reader holds one block.  A missing
+    key, fewer than 2 paths, or levels that PathEnsemble rejects (not
+    float64, or off the grid) raise a ValueError naming the file before any
+    level is read."""
     with np.load(path) as data:
         missing = [key for key in ("values", "seed", "T", "n_steps") if key not in data.files]
         if missing:
             raise ValueError(f"{path}: missing {', '.join(missing)}")
         grid = TimeGrid(T=float(data["T"]), n_steps=int(data["n_steps"]))
-        vals = data["values"]
         seed = int(data["seed"])
-    try:
-        if vals.ndim == 3:  # the floor first, so a refused file is never copied
-            _check_levels(vals.shape)
-        return PathEnsemble(grid=grid, seed=seed, values=vals)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        try:
+            with data.zip.open("values.npy") as member:
+                shape, fortran, dtype = _npy_header(member)
+                if len(shape) == 3:  # the floor first
+                    _check_levels(shape)
+                _check_values(shape, dtype, grid)
+                nodes = _read_node_major(member, shape, fortran)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    nodes.setflags(write=False)
+    return PathEnsemble(grid=grid, seed=seed, values=nodes.transpose(1, 0, 2))
+
+
+def _npy_header(member) -> tuple:
+    """(shape, fortran_order, dtype) from the header of an open .npy member."""
+    version = np.lib.format.read_magic(member)
+    if version == (1, 0):
+        return np.lib.format.read_array_header_1_0(member)
+    if version == (2, 0):
+        return np.lib.format.read_array_header_2_0(member)
+    raise ValueError(f"values.npy format version {version[0]}.{version[1]} not supported")
+
+
+def _read_node_major(member, shape: tuple, fortran: bool) -> np.ndarray:
+    """The float64 data of a .npy member of shape (n_paths, n_nodes, d), read
+    into a new node-major (n_nodes, n_paths, d) buffer one block at a time."""
+    n_paths, n_nodes, d = shape
+    nodes = np.empty((n_nodes, n_paths, d))
+
+    def take(count: int) -> np.ndarray:
+        buf = member.read(8 * count)
+        if len(buf) != 8 * count:
+            raise ValueError(f"values.npy ends before the {n_paths * n_nodes * d} levels of shape {shape}")
+        return np.frombuffer(buf)
+
+    if fortran:  # stored (d, n_nodes, n_paths) in C order: one node of one component at a time
+        for k, i in np.ndindex(d, n_nodes):
+            nodes[i, :, k] = take(n_paths)
+    else:
+        step = max(1, NPZ_READ_VALUES // (n_nodes * d))
+        for start in range(0, n_paths, step):
+            block = take(min(step, n_paths - start) * n_nodes * d).reshape(-1, n_nodes, d)
+            nodes[:, start : start + block.shape[0]] = block.transpose(1, 0, 2)
+    return nodes

@@ -123,6 +123,35 @@ class TestQuadraticDriver:
         tight = solve(driver_from_label("quad_z"), term, 20, ctx20).field_at(0).mean()
         assert abs(base - 0.5) < abs(tight - 0.5)
 
+    @pytest.mark.parametrize("label", ["quad_z", "csa_example", "q_entropic:1"])
+    def test_unguarded_driver_never_asks_the_guard(self, ctx20, monkeypatch, label):
+        def refuse(self, y):
+            raise AssertionError("guard_ok called")
+
+        monkeypatch.setattr(Driver, "guard_ok", refuse)
+        drv = driver_from_label(label)
+        assert drv.domain_guard is None
+        solve(drv, RandomField(20, np.sin(ctx20.ensemble.values[:, 20, 0])), 20, ctx20)
+
+    def test_guard_names_the_first_path_outside(self, ctx20):
+        # a terminal already measurable at node 19 is carried there unchanged,
+        # so the guard sees it as written
+        y = np.zeros(10_000)
+        y[[3, 7]] = -2.0, -5.0
+        drv = Driver(lambda t, y, z: np.zeros(y.shape), "guarded", domain_guard=lambda y: y > -1.0)
+        with pytest.raises(DomainGuardViolation) as err:
+            solve(drv, RandomField(19, y), 20, ctx20)
+        assert (err.value.path, err.value.index, err.value.y) == (3, 19, -2.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_squared_norm_is_the_row_sum_of_squares(self, d):
+        # bit for bit, over magnitudes from subnormal to past the Z clip,
+        # and on clipped rows
+        rng = np.random.default_rng(d)
+        z = rng.standard_normal((50_000, d)) * 10.0 ** rng.uniform(-310, 2, (50_000, d))
+        z = np.concatenate([z, np.clip(rng.standard_normal((50_000, d)) * 8.0, -bsde.Z_CLIP, bsde.Z_CLIP)])
+        assert bsde._sq_norm(z).tobytes() == np.sum(z * z, axis=1).tobytes()
+
     def test_non_finite_aborts(self, ctx20):
         drv = Driver(lambda t, y, z: np.full(y.shape, np.inf), "bad")
         with pytest.raises(NonFiniteError):

@@ -376,7 +376,10 @@ class TestRefusedInput:
         ("[run]\nmeasure = qent:{q},0\n\n[sweep]\nmetric = vaule\n", ["sweep"], "unknown sweep metric 'vaule'"),
         ("[run]\nchecks = tc_medium\n", ["verify"], "unknown check(s) 'tc_medium'"),
         ("", ["--paths", "1", "simulate"], "need n_paths >= 2"),
-    ], ids=["ridge_key", "window", "claim_label", "sweep_metric", "check_name", "path_count"])
+        ("", ["--seed", "-1", "simulate"], "--seed / [ensemble] seed = -1: need a non-negative integer"),
+        ("[ensemble]\nseed = -3\n", ["verify"], "[ensemble] seed = -3"),
+    ], ids=["ridge_key", "window", "claim_label", "sweep_metric", "check_name", "path_count", "seed_flag",
+            "seed_key"])
     def test_one_line_and_status_2(self, tmp_path, capsys, config, argv, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(config)
@@ -385,6 +388,25 @@ class TestRefusedInput:
         assert err.startswith("bsderisk: error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(cli, "simulate", lambda *args: pytest.fail("paths were simulated"))
+        with pytest.raises(ValueError, match=re.escape("[ensemble] seed = -1")):
+            RunConfig(seed=-1).build()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--config", "{tmp}/missing.cfg", "verify"], "{tmp}/missing.cfg: No such file"),
+        (["--config", "{tmp}", "verify"], "{tmp}: Is a directory"),
+        (["--config", "{tmp}/binary.cfg", "verify"], "{tmp}/binary.cfg: "),  # the codec's message follows
+        (["report", "{tmp}/missing"], "{tmp}/missing/summary.json: No such file"),
+        (["--out", "{tmp}/missing", "report"], "{tmp}/missing/summary.json: No such file"),
+    ], ids=["config", "config_directory", "config_binary", "bundle", "default_bundle"])
+    def test_unreadable_file_named_in_one_line(self, tmp_path, capsys, argv, named):
+        (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe[run]\n")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bsderisk: error: cannot read {named.format(tmp=tmp_path)}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_internal_fault_keeps_its_traceback(self, monkeypatch, tmp_path):
         def fault(fn, items):

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import tracemalloc
 import warnings
@@ -356,7 +357,8 @@ class TestFactorCache:
         grid = TimeGrid(1.0, 10)
         ctx = LsmcContext(grid, simulate(grid, 1, 4000, seed=8), RegressionBasis(3))
         builds = self._count_builds(monkeypatch)
-        monkeypatch.setattr(stochastic, "_blocked_gram", lambda phi, rhs: pytest.fail("Gram pass"))
+        monkeypatch.setattr(stochastic, "_gram", lambda phi: pytest.fail("Gram pass"))
+        monkeypatch.setattr(stochastic, "_blocked_gram", lambda phi, rhs: pytest.fail("right-hand side pass"))
         target = np.sin(ctx.ensemble.values[:, 10, 0])
         fits = [ctx.projector(0).fitted(target) for _ in range(2)]
         assert builds == [(4000, 1)]
@@ -379,6 +381,21 @@ class TestFactorCache:
         block = ctx.block(1000, 3000).block(0, 1000).projector(6).fitted(target[1000:2000])
         alone = LsmcContext(grid, stochastic.path_block(ens, 1000, 2000), ctx.basis)
         np.testing.assert_array_equal(block, alone.projector(6).fitted(target[1000:2000]))
+
+    def test_cache_hit_across_gram_blocks_fits_like_a_fresh_build(self, monkeypatch):
+        # 2 * 16384 + 3 paths: the Gram spans three blocks
+        n = 2 * 16384 + 3
+        grid = TimeGrid(1.0, 10)
+        ens = simulate(grid, 1, n, seed=5)
+        ctx = LsmcContext(grid, ens, RegressionBasis(4))
+        target = np.sin(ens.values[:, 10, 0])
+        builds = self._count_builds(monkeypatch)
+        first = ctx.projector(6).fitted(target)
+        again = ctx.projector(6).fitted(target)  # a cache hit, through _from_factor
+        fresh = LsmcContext(grid, ens, RegressionBasis(4)).projector(6).fitted(target)
+        assert builds == [(n, 5), (n, 5)]
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(again, fresh)
 
 
 class TestRegressionBasis:
@@ -435,6 +452,22 @@ class TestRegressionBasis:
         phi = RegressionBasis(4).design(ctx.ensemble.levels(2) / np.sqrt(2 * grid.dt))
         ref = phi @ np.linalg.lstsq(phi, field.values, rcond=None)[0]
         assert np.max(np.abs(fit - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [16383, 16384, 16385, 2 * 16384 + 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gram_matches_exactly_rounded_sums(self, d, n):
+        # each entry against math.fsum of its products, on either side of a
+        # block edge; the projector factorises exactly this Gram
+        assert stochastic._BLOCK == 16384
+        grid = TimeGrid(1.0, 4)
+        ctx = LsmcContext(grid, simulate(grid, d, n, seed=n + d), RegressionBasis(4))
+        phi = ctx.basis.design(ctx.ensemble.levels(2) / np.sqrt(2 * grid.dt))
+        gram = stochastic._gram(phi)
+        cols = [phi[:, j].copy() for j in range(phi.shape[1])]
+        ref = np.array([[math.fsum((a * b).tolist()) for b in cols] for a in cols])
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(gram - ref) <= 1e-12 * scale)
+        np.testing.assert_array_equal(ctx.projector(2)._chol, np.linalg.cholesky(gram))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -724,13 +757,59 @@ class TestEnsembleIO:
           for t in ("int64", "float32", "complex128")],
     ], ids=["nodes_off_grid", "two_dim", "one_path", "no_component", "no_seed", "values_only",
             "int64", "float32", "complex128"])
-    def test_npz_malformed_rejected(self, tmp_path, edit, message):
+    def test_npz_malformed_rejected(self, tmp_path, monkeypatch, edit, message):
         path = tmp_path / "paths.npz"
         ensemble_to_npz(simulate(TimeGrid(1.0, 40), 1, 100, seed=1), path)
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
         np.savez(path, **edit(arrays))
+        monkeypatch.setattr(stochastic, "_read_node_major", lambda *args: pytest.fail("levels were read"))
         with pytest.raises(ValueError, match=message) as info:
+            ensemble_from_npz(path)
+        assert str(path) in str(info.value)
+
+    def test_npz_reader_holds_one_block_besides_the_levels(self, tmp_path):
+        # the levels are read straight into the node-major buffer; a reader
+        # that loads the path-major array and then copies it holds 6.6 MB
+        # more at 20000 x 40
+        path = tmp_path / "paths.npz"
+        ens = simulate(TimeGrid(1.0, 40), 1, 20_000, seed=2)
+        ensemble_to_npz(ens, path)
+        tracemalloc.start()
+        try:
+            back = ensemble_from_npz(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - back.values.nbytes < 2.5 * 8 * stochastic.NPZ_READ_VALUES
+        np.testing.assert_array_equal(bits(back.values), bits(ens.values))
+        assert back.values.strides == ens.values.strides
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n_paths", [5, 3000])
+    def test_npz_fortran_order_member_read(self, tmp_path, monkeypatch, d, n_paths):
+        # np.savez stores a Fortran-ordered array as such; the reader puts it
+        # node-major all the same, across several blocks
+        monkeypatch.setattr(stochastic, "NPZ_READ_VALUES", 1000)
+        ens = simulate(TimeGrid(1.0, 6), d, n_paths, seed=4)
+        path = tmp_path / "paths.npz"
+        for values in (np.asfortranarray(ens.values), np.ascontiguousarray(ens.values)):
+            np.savez(path, values=values, seed=np.int64(4), T=np.float64(1.0), n_steps=np.int64(6))
+            back = ensemble_from_npz(path)
+            np.testing.assert_array_equal(bits(back.values), bits(ens.values))
+            assert back.values.strides == ens.values.strides
+
+    def test_npz_short_member_rejected(self, tmp_path):
+        path = tmp_path / "paths.npz"
+        ensemble_to_npz(simulate(TimeGrid(1.0, 4), 1, 10, seed=1), path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != "values"}
+        np.savez(path, **arrays)
+        member = io.BytesIO()
+        np.lib.format.write_array_header_1_0(member, {"descr": "<f8", "fortran_order": False, "shape": (10, 5, 1)})
+        with zipfile.ZipFile(path, "a") as z:
+            z.writestr("values.npy", member.getvalue() + np.zeros(49).tobytes())
+        with pytest.raises(ValueError, match=r"values.npy ends before the 50 levels of shape \(10, 5, 1\)") as info:
             ensemble_from_npz(path)
         assert str(path) in str(info.value)
 
