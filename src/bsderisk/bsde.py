@@ -1,16 +1,18 @@
 """BSDE drivers, horizon-indexed driver families and the backward solver.
 
-The solver runs an explicit backward Euler scheme with optional Picard
-refinement of the y-argument.  At each step i (maturity m down to `stop`):
+The solver runs an explicit backward Euler scheme, the same step for every
+driver.  At each step i (maturity m down to `stop`):
 
     Z_i   = (1/dt) * Pi_i[(Y_{i+1} - Pi_i[Y_{i+1}]) * dB_i]   componentwise
     Yhat  = Pi_i[Y_{i+1}]
-    Y_i   = Yhat + g(t_i, y*, Z_i) * dt
+    Y_i   = Yhat + g(t_i, Yhat, Z_i) * dt
 
-where Pi_i is the least-squares projection at node i, y* starts at Yhat and
-is refined by PICARD_ITERS fixed-point passes when the driver depends on y,
-and |Z_i| is clipped componentwise at Z_CLIP before driver evaluation (tail
-guard for the quadratic drivers, inactive for Lipschitz ones at desk scale).
+where Pi_i is the least-squares projection at node i, g is called once, at
+Yhat, after the driver's domain guard accepts Yhat, and |Z_i| is clipped
+componentwise at Z_CLIP first (tail guard for the quadratic drivers,
+inactive for Lipschitz ones at desk scale).  Explicit in y, the step
+converges at the order of the implicit one (Bouchard & Touzi, SPA 111,
+2004; Gobet, Lemor & Warin, AAP 15, 2005).
 
 Centering the Z-regressand on Pi_i[Y_{i+1}] estimates the same conditional
 expectation (the centering term has zero conditional mean) and makes the
@@ -19,8 +21,9 @@ additivity contract for y-free drivers requires at the 1e-8 level.
 
 Terminal conditions measurable before maturity (field.index < maturity) are
 propagated through the tail (index >= field.index) with Z = 0 and the
-pathwise backward ODE step Y_i = Y_{i+1} + g(t_i, y*, 0) dt: conditioning an
-already-measurable quantity is the identity, and the true Z vanishes there.
+pathwise backward ODE step Y_i = Y_{i+1} + g(t_i, Y_{i+1}, 0) dt:
+conditioning an already-measurable quantity is the identity, and the true Z
+vanishes there.
 
 backward(...) is the one pass: it yields (i, Y_i, Z_i) as each node is
 formed, Z_i before the clip.  solve keeps every Y row; a caller that needs
@@ -49,12 +52,9 @@ __all__ = [
     "family_from_label",
     "shifted",
     "q_entropic",
-    "PICARD_ITERS",
     "Z_CLIP",
 ]
 
-# Fixed-point passes on the y-argument of a y-dependent driver.
-PICARD_ITERS = 3
 # Componentwise |Z| bound before the driver is evaluated.
 Z_CLIP = 10.0
 
@@ -188,15 +188,12 @@ def backward(
         # before the yield
         yhat, z_i = _step(ctx, terminal.index, guarded, i, y)
         zc = np.clip(z_i, -Z_CLIP, Z_CLIP)
-        # y* = Yhat, refined by the Picard passes if g reads y; the last gives Y_i
-        y = yhat
-        for _ in range(1 + PICARD_ITERS * driver.depends_on_y):
-            # no guard mask outlives the check (a kept one fragmented the heap:
-            # sweep_qent peaked at 87 MB RSS, against 83); raise the first path outside
-            if guarded and not np.all(driver.guard_ok(y)):
-                p = int(np.argmin(driver.guard_ok(y)))
-                raise DomainGuardViolation(p, i, float(y[p]), driver.label)
-            y = yhat + driver(i * dt, y, zc) * dt
+        # no guard mask outlives the check (a kept one fragmented the heap:
+        # sweep_qent peaked at 87 MB RSS, against 83); raise the first path outside
+        if guarded and not np.all(driver.guard_ok(yhat)):
+            p = int(np.argmin(driver.guard_ok(yhat)))
+            raise DomainGuardViolation(p, i, float(yhat[p]), driver.label)
+        y = yhat + driver(i * dt, yhat, zc) * dt
         if not np.all(np.isfinite(y)):
             raise NonFiniteError(f"driver {driver.label!r}: non-finite Y at node {i}")
         yield i, y, z_i
@@ -211,10 +208,7 @@ def solve(
     for i, y, _ in backward(driver, terminal, maturity, ctx, stop):
         Y[i] = y
     Y[maturity] = terminal.values
-    diagnostics = {
-        "picard_evals": PICARD_ITERS * (maturity - stop) if driver.depends_on_y else 0,
-        "regression_fallbacks": ctx.fallback_count - fallbacks_before,
-    }
+    diagnostics = {"regression_fallbacks": ctx.fallback_count - fallbacks_before}
     return BSDESolution(Y, stop, maturity, diagnostics)
 
 

@@ -388,6 +388,17 @@ def _read_input(path: Path) -> str:
         raise ValueError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _json_record(where: Path | str, text: str, keys: tuple[str, ...]) -> dict:
+    """text, read from `where` (a file, or a line of one), as a JSON object
+    holding keys; anything else is refused input that names the file."""
+    try:
+        record = json.loads(text)
+        return {key: record[key] for key in keys}
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: JSON, but not an object
+        what = f"no key {exc}" if isinstance(exc, KeyError) else f"not a JSON object ({exc})"
+        raise ValueError(f"cannot read {where}: {what}") from exc
+
+
 def _load_config(args) -> RunConfig:
     cfg = parse_config(_read_input(Path(args.config))) if args.config else RunConfig()
     flags = {"seed": args.seed, "n_paths": args.paths, "n_steps": args.steps, "out_dir": args.out}
@@ -469,12 +480,15 @@ def _run(args) -> int:
 
     if args.command == "report":
         bundle = Path(args.bundle) if args.bundle else out_dir
+        summary_path, checks_path = bundle / "summary.json", bundle / "checks.jsonl"
         with _refused_input():
-            summary_text, checks_text = _read_input(bundle / "summary.json"), _read_input(bundle / "checks.jsonl")
-        summary = json.loads(summary_text)
-        for line in checks_text.splitlines():
-            r = json.loads(line)
-            print(f"[{r['verdict'].upper()}] {r['construction']}: {r['property']} "
+            summary_text, checks_text = _read_input(summary_path), _read_input(checks_path)
+            summary = _json_record(summary_path, summary_text, ("ok", "n_failures"))
+            keys = ("verdict", "construction", "property", "max_violation", "tolerance")
+            checks = [_json_record(f"{checks_path}, line {n}", line, keys)
+                      for n, line in enumerate(checks_text.splitlines(), 1)]
+        for r in checks:
+            print(f"[{str(r['verdict']).upper()}] {r['construction']}: {r['property']} "
                   f"(max_violation={r['max_violation']}, tol={r['tolerance']})")
         print(f"ok={summary['ok']} failures={summary['n_failures']}")
         return 0 if summary["ok"] else 1

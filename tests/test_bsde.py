@@ -91,6 +91,16 @@ class TestDeterministicOracle:
         oracle = 2.0 + sum(a(i * dt) for i in range(20)) * dt
         assert sol.field_at(0).mean() == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("label, r, c", [("linear_y:0.5", 0.5, 2.0), ("csa_example", 0.1, -2.0)])
+    def test_y_dependent_step_is_explicit(self, ctx20, label, r, c):
+        # constant terminal c, Z = 0: g = -r y (csa_example's r max(-y, 0) at c < 0),
+        # so each explicit step scales by 1 - r dt; a step refined in y would
+        # scale by a truncated series in r dt, off at order (r dt)^2
+        m, dt = 20, ctx20.grid.dt
+        sol = solve(driver_from_label(label), RandomField(m, np.full(10_000, c)), m, ctx20)
+        oracle = c * (1.0 - r * dt) ** (m - np.arange(m + 1.0))
+        np.testing.assert_allclose(sol.Y, np.broadcast_to(oracle[:, None], sol.Y.shape), rtol=1e-12, atol=0.0)
+
     def test_g_expectation_zero_driver_matches_cond_expect(self, ctx50, b1):
         field = RandomField(50, np.sin(b1))
         ge = solve(driver_from_label("zero"), field, 50, ctx50).field_at(0)
@@ -264,7 +274,7 @@ class TestStoredY:
         assert sorted(rows) == list(range(2, 8))
         assert all(sol.Y[i].tobytes() == y.tobytes() for i, y in rows.items())
         assert sol.Y[8].tobytes() == terminal.values.tobytes()
-        assert sol.diagnostics["picard_evals"] == (bsde.PICARD_ITERS * 6 if drv.depends_on_y else 0)
+        assert sol.diagnostics == {"regression_fallbacks": 0}
 
     def test_solve_peak_memory_is_y_and_per_node_arrays(self):
         # Y plus a few n x p arrays of one node (phi, fits, the Z regressand);

@@ -400,13 +400,30 @@ class TestRefusedInput:
         (["--config", "{tmp}/binary.cfg", "verify"], "{tmp}/binary.cfg: "),  # the codec's message follows
         (["report", "{tmp}/missing"], "{tmp}/missing/summary.json: No such file"),
         (["--out", "{tmp}/missing", "report"], "{tmp}/missing/summary.json: No such file"),
-    ], ids=["config", "config_directory", "config_binary", "bundle", "default_bundle"])
+        (["report", "{tmp}/summary_text"], "{tmp}/summary_text/summary.json: not a JSON object"),
+        (["report", "{tmp}/summary_key"], "{tmp}/summary_key/summary.json: no key 'n_failures'"),
+        (["report", "{tmp}/summary_list"], "{tmp}/summary_list/summary.json: not a JSON object"),
+        (["report", "{tmp}/check_text"], "{tmp}/check_text/checks.jsonl, line 2: not a JSON object"),
+        (["report", "{tmp}/check_key"], "{tmp}/check_key/checks.jsonl, line 2: no key 'tolerance'"),
+    ], ids=["config", "config_directory", "config_binary", "bundle", "default_bundle", "summary_text",
+            "summary_key", "summary_list", "check_text", "check_key"])
     def test_unreadable_file_named_in_one_line(self, tmp_path, capsys, argv, named):
         (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe[run]\n")
+        summary = '{"ok": true, "n_failures": 0}'
+        check = '{"construction": "c", "property": "p", "verdict": "pass", "max_violation": 0.0, "tolerance": 1.0}'
+        for name, summary_text, second in [("summary_text", "{oops", check),
+                                           ("summary_key", '{"ok": true}', check),
+                                           ("summary_list", "[true, 0]", check),
+                                           ("check_text", summary, "{oops"),
+                                           ("check_key", summary, check.replace(', "tolerance": 1.0', ""))]:
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(summary_text)
+            (tmp_path / name / "checks.jsonl").write_text(f"{check}\n{second}\n")
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(f"bsderisk: error: cannot read {named.format(tmp=tmp_path)}")
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert out == ""  # no check line printed before the refusal
 
     def test_internal_fault_keeps_its_traceback(self, monkeypatch, tmp_path):
         def fault(fn, items):
