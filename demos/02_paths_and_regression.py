@@ -10,7 +10,7 @@ import numpy as np
 from bsderisk import LsmcContext, RandomField, RegressionBasis, TimeGrid, simulate
 
 grid = TimeGrid(T=1.0, n_steps=50)
-ens = simulate(grid, d=1, n_paths=100_000, seed=42)
+ens = simulate(grid, n_paths=100_000, seed=42)
 ctx = LsmcContext(grid, ens, RegressionBasis(degree=4))
 
 print(f"ensemble: {ens.n_paths} paths x {grid.n_steps} steps, seed {ens.seed}")
@@ -32,7 +32,7 @@ print(f"mean preservation: {abs(ctx.cond_expect(payoff, 25).mean() - payoff.mean
 print()
 print("determinism: the same seed re-simulated gives bit-identical projections")
 reference = ctx.cond_expect(payoff, 25).values
-again = simulate(grid, d=1, n_paths=100_000, seed=42)
+again = simulate(grid, n_paths=100_000, seed=42)
 ctx_again = LsmcContext(grid, again, RegressionBasis(4))
 payoff_again = RandomField(50, np.maximum(again.values[:, 50, 0] - 0.5, 0.0))
 same = np.array_equal(ctx_again.cond_expect(payoff_again, 25).values, reference)

@@ -20,7 +20,7 @@ from bsderisk import (
 )
 
 grid = TimeGrid(1.0, 50)
-ens = simulate(grid, d=1, n_paths=50_000, seed=123)
+ens = simulate(grid, n_paths=50_000, seed=123)
 ctx = LsmcContext(grid, ens, RegressionBasis(4))
 b1 = ens.values[:, 50, 0]
 
@@ -40,7 +40,7 @@ print()
 print("refinement ladder (halve dt, quadruple paths):")
 for n_steps, n_paths in ((10, 4_000), (20, 16_000), (40, 64_000)):
     g = TimeGrid(1.0, n_steps)
-    e = simulate(g, 1, n_paths, seed=123)
+    e = simulate(g, n_paths, seed=123)
     c = LsmcContext(g, e, RegressionBasis(4))
     y0 = solve(
         driver_from_label("quad_z"), RandomField(n_steps, e.values[:, n_steps, 0]), n_steps, c

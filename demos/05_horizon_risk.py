@@ -25,7 +25,7 @@ from bsderisk import (
 )
 
 grid = TimeGrid(1.0, 50)
-ens = simulate(grid, d=1, n_paths=50_000, seed=123)
+ens = simulate(grid, n_paths=50_000, seed=123)
 ctx = LsmcContext(grid, ens, RegressionBasis(4))
 claim = claim_from_label("brownian", 25)  # F_{0.5}-measurable claim
 t, u, v = 0, 25, 50

@@ -3,16 +3,16 @@
 The solver runs an explicit backward Euler scheme, the same step for every
 driver.  At each step i (maturity m down to `stop`):
 
-    Z_i   = (1/dt) * Pi_i[(Y_{i+1} - Pi_i[Y_{i+1}]) * dB_i]   componentwise
+    Z_i   = (1/dt) * Pi_i[(Y_{i+1} - Pi_i[Y_{i+1}]) * dB_i]
     Yhat  = Pi_i[Y_{i+1}]
     Y_i   = Yhat + g(t_i, Yhat, Z_i) * dt
 
-where Pi_i is the least-squares projection at node i, g is called once, at
-Yhat, after the driver's domain guard accepts Yhat, and |Z_i| is clipped
-componentwise at Z_CLIP first (tail guard for the quadratic drivers,
-inactive for Lipschitz ones at desk scale).  Explicit in y, the step
-converges at the order of the implicit one (Bouchard & Touzi, SPA 111,
-2004; Gobet, Lemor & Warin, AAP 15, 2005).
+where Pi_i is the least-squares projection at node i, dB_i the increment of
+the one Brownian motion, g is called once, at Yhat, after the driver's
+domain guard accepts Yhat, and |Z_i| is clipped at Z_CLIP first (tail guard
+for the quadratic drivers, inactive for Lipschitz ones at desk scale).
+Explicit in y, the step converges at the order of the implicit one
+(Bouchard & Touzi, SPA 111, 2004; Gobet, Lemor & Warin, AAP 15, 2005).
 
 Centering the Z-regressand on Pi_i[Y_{i+1}] estimates the same conditional
 expectation (the centering term has zero conditional mean) and makes the
@@ -55,7 +55,7 @@ __all__ = [
     "Z_CLIP",
 ]
 
-# Componentwise |Z| bound before the driver is evaluated.
+# Bound on |Z| before the driver is evaluated.
 Z_CLIP = 10.0
 
 
@@ -78,7 +78,7 @@ class NonFiniteError(RuntimeError):
 class Driver:
     """BSDE generator g(t, y, z) evaluated pathwise.
 
-    fn maps (t: float, y: (n,), z: (n, d)) -> (n,).  The axioms a measure
+    fn maps (t: float, y: (n,), z: (n, 1)) -> (n,).  The axioms a measure
     built on it satisfies follow from y -> g(t, y, 0); see
     diagnostics.generator_verdicts.
     """
@@ -150,7 +150,7 @@ def _step(
     Pi_i[(Y_{i+1} - Yhat_i) dB_i] / dt.  At and after the terminal's index
     meas the terminal is already measurable: identity projection, Z = 0."""
     if i >= meas:
-        return y_next, np.zeros((y_next.shape[0], ctx.ensemble.dim))
+        return y_next, np.zeros((y_next.shape[0], 1))
     proj = ctx.projector(i)
     yhat = proj.fitted(y_next, clip=clip)
     regressand = ctx.ensemble.increment(i)
@@ -165,7 +165,7 @@ def backward(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The backward pass with terminal condition `terminal` at index
     `maturity`: yields (i, Y_i, Z_i) for i = maturity-1 down to stop, Z_i
-    of shape (n_paths, d) as formed, before the clip at Z_CLIP.
+    of shape (n_paths, 1) as formed, before the clip at Z_CLIP.
 
     Raises DomainGuardViolation / NonFiniteError on unacceptable states.
     """
@@ -248,6 +248,8 @@ def driver_from_label(label: str) -> Driver:
     | q_entropic:q | q_entropic_translated:q,a
     """
     name, _, arg = label.partition(":")
+    if name in ("zero", "abs_z", "quad_z"):
+        label_floats(label, arg, 0)
     if name == "zero":
         return Driver(lambda t, y, z: np.zeros(y.shape), "zero")
     if name == "linear_y":

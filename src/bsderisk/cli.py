@@ -121,7 +121,7 @@ class RunConfig:
             if self.seed < 0:
                 raise ValueError(f"--seed / [ensemble] seed = {self.seed}: need a non-negative integer")
             grid = self.grid()
-            ens = simulate(grid, 1, self.n_paths, self.seed)
+            ens = simulate(grid, self.n_paths, self.seed)
         return LsmcContext(grid, ens, RegressionBasis(self.degree))
 
     def indices(self) -> tuple[int, int, int, int]:

@@ -30,9 +30,8 @@ The horizon-risk correction gamma(t,u,v,X) = rho_{tv}(X) - rho_{tu}(X) is
 computed twice: directly, and through the equivalent change-of-measure
 representation (importance weights built from the z-difference quotient of
 the generator, with left-point Ito discretization of the stochastic
-integral).  The z-difference quotient uses the componentwise telescoping
-construction, which makes dz . (Z^v - Zbar) reproduce the generator gap
-exactly.
+integral).  The z-difference quotient (g(Ybar, Z^v) - g(Ybar, Zbar)) /
+(Z^v - Zbar) makes dz (Z^v - Zbar) reproduce the generator gap exactly.
 """
 
 from __future__ import annotations
@@ -272,13 +271,13 @@ def gamma_via_premium_measure(
     if not (t <= field.index <= u < v <= ctx.grid.n_steps):
         raise ValueError(f"need t <= claim index <= u < v, got ({t}, {field.index}, {u}, {v})")
     ens, grid = ctx.ensemble, ctx.grid
-    n, d, dt = ens.n_paths, ens.dim, grid.dt
+    n, dt = ens.n_paths, grid.dt
     x = field.values
 
     terminal = RandomField(field.index, -x)
     u_pass = backward(driver, terminal, u, ctx, stop=t)
     # (y_bar, z_bar) is the u-solution, held at (-X, 0) from u on
-    y_bar, z_bar = -x, np.zeros((n, d))
+    y_bar, z_bar = -x, np.zeros((n, 1))
     log_w = np.zeros(n)
     dy_int = np.zeros(n)
     for i, y_v, z_v in backward(driver, terminal, v, ctx, stop=t):
@@ -292,19 +291,13 @@ def gamma_via_premium_measure(
         dy = np.where(den_y != 0.0, num_y / np.where(den_y != 0.0, den_y, 1.0), 0.0)
         dy_int += dy * dt
 
-        # componentwise telescoping z-difference quotient:
-        # dz_k * (z_v - z_bar)_k sums exactly to g(., y_bar, z_v) - g(., y_bar, z_bar)
-        zeta = z_bar.copy()
-        g_prev = driver(t_i, y_bar, zeta)
-        dz = np.zeros((n, d))
-        for k in range(d):
-            zeta[:, k] = z_v[:, k]
-            g_next = driver(t_i, y_bar, zeta)
-            den = z_v[:, k] - z_bar[:, k]
-            dz[:, k] = np.where(den != 0.0, (g_next - g_prev) / np.where(den != 0.0, den, 1.0), 0.0)
-            g_prev = g_next
+        # z-difference quotient at y_bar: dz * (z_v - z_bar) is exactly
+        # g(., y_bar, z_v) - g(., y_bar, z_bar)
+        num_z = driver(t_i, y_bar, z_v) - driver(t_i, y_bar, z_bar)
+        den_z = (z_v - z_bar)[:, 0]
+        dz = np.where(den_z != 0.0, num_z / np.where(den_z != 0.0, den_z, 1.0), 0.0)
 
-        log_w += -0.5 * np.sum(dz * dz, axis=1) * dt + np.sum(dz * ens.increment(i), axis=1)
+        log_w += -0.5 * (dz * dz) * dt + dz * ens.increment(i)[:, 0]
 
     weights = np.exp(log_w)
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
@@ -314,7 +307,7 @@ def gamma_via_premium_measure(
         raise DegenerateWeights(f"effective sample size {ess:.1f} below 10% of {n} paths")
 
     integrand = np.zeros(n)
-    z0 = np.zeros((n, d))
+    z0 = np.zeros((n, 1))
     for i in range(u, v):
         integrand += driver(i * dt, -x, z0) * dt
     payload = np.exp(dy_int) * integrand

@@ -1,10 +1,10 @@
 """Brownian path simulation, claims, discount curves and the regression engine.
 
-Conditional expectations E[. | F_t] are realized by least-squares Monte Carlo:
-projection onto polynomial bases of the Brownian level B_{t_i} at the
-conditioning node, and on nothing else.  The design matrix is basis-major:
-indexed (n_paths, p), it views a (p, n_paths) buffer whose rows are the
-monomials, so the Gram and fit products stream long contiguous rows.
+Conditional expectations E[. | F_t] are realized by least-squares Monte Carlo
+on paths of one Brownian motion B: projection onto the powers of its level
+B_{t_i} at the conditioning node, and on nothing else.  The design matrix is
+basis-major: indexed (n_paths, p), it views a (p, n_paths) buffer whose rows
+are the powers, so the Gram and fit products stream long contiguous rows.
 
 Determinism contract: a fixed seed and configuration produce bit-identical
 fields whatever the OpenBLAS thread count (tested at 1 and 2, and at
@@ -20,9 +20,9 @@ differently per thread count.
 An ensemble holds one path array, the levels; an increment is the difference
 of two adjacent nodes (PathEnsemble.increment), so a reloaded ensemble solves
 bit for bit like the simulated one.  The levels are stored node-major: values
-is indexed [path, node, component] but views an (n_nodes, n_paths, d) buffer,
-so the levels and the increment at one node, which every regression and
-backward step reads, are contiguous.  PathEnsemble copies levels given in any
+is indexed [path, node, 0] but views an (n_nodes, n_paths, 1) buffer, so the
+levels and the increment at one node, which every regression and backward
+step reads, are contiguous.  PathEnsemble copies levels given in any
 other layout into this one once, when it is built; the files keep their
 path-major order.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, islice
+from itertools import chain, islice
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -99,26 +99,25 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Seeded d-dimensional Brownian paths on a uniform grid.
+    """Seeded Brownian paths on a uniform grid.
 
-    values[p, i, k] is the level of component k on path p at node i, and
-    the only path array held: increment(i) = values[:, i+1] - values[:, i]
-    is formed when asked for.  values views a node-major (n_steps+1,
-    n_paths, d) buffer, so levels(i) and increment(i) are C-contiguous;
-    levels whose node rows are not contiguous are copied into that layout,
-    read-only, once on construction; levels not float64 or not shaped
-    (n_paths, n_steps+1, d >= 1) raise a ValueError.  Immutable and safe to
-    share across threads.
+    values[p, i, 0] is the level of path p at node i, and the only path
+    array held: increment(i) = values[:, i+1] - values[:, i] is formed when
+    asked for.  values views a node-major (n_steps+1, n_paths, 1) buffer, so
+    levels(i) and increment(i) are C-contiguous; levels whose node rows are
+    not contiguous are copied into that layout, read-only, once on
+    construction; levels not float64 or not shaped (n_paths, n_steps+1, 1)
+    raise a ValueError.  Immutable and safe to share across threads.
     """
 
     grid: TimeGrid
     seed: int
-    values: np.ndarray  # (n_paths, n_steps+1, d), a view of (n_steps+1, n_paths, d)
+    values: np.ndarray  # (n_paths, n_steps+1, 1), a view of (n_steps+1, n_paths, 1)
 
     def __post_init__(self):
         v = self.values
         _check_values(v.shape, v.dtype, self.grid)
-        if v.strides[0] != v.shape[2] * v.itemsize or v.strides[2] != v.itemsize:
+        if v.strides[0] != v.itemsize:
             nodes = np.ascontiguousarray(v.transpose(1, 0, 2))
             nodes.setflags(write=False)
             object.__setattr__(self, "values", nodes.transpose(1, 0, 2))
@@ -128,41 +127,39 @@ class PathEnsemble:
         return self.values.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.values.shape[2]
-
-    @property
     def increments(self) -> np.ndarray:
-        """All increments, shape (n_paths, n_steps, d): np.diff(values),
+        """All increments, shape (n_paths, n_steps, 1): np.diff(values),
         column i bit for bit increment(i).  A new array on every call."""
         return np.diff(self.values, axis=1)
 
     def levels(self, i: int) -> np.ndarray:
-        """Brownian levels B_{t_i}, shape (n_paths, d)."""
+        """Brownian levels B_{t_i}, shape (n_paths, 1)."""
         return self.values[:, i, :]
 
     def increment(self, i: int) -> np.ndarray:
-        """Increments B_{t_{i+1}} - B_{t_i}, shape (n_paths, d)."""
+        """Increments B_{t_{i+1}} - B_{t_i}, shape (n_paths, 1)."""
         return self.values[:, i + 1, :] - self.values[:, i, :]
 
 
-def _check_values(shape: tuple, dtype: np.dtype, grid: TimeGrid) -> None:
-    """The levels PathEnsemble accepts on grid: float64, shaped
-    (n_paths, n_steps+1, d >= 1)."""
-    if len(shape) != 3 or shape[1] != grid.n_steps + 1 or shape[2] < 1:
-        raise ValueError(f"values shape {shape}, need (n_paths, {grid.n_steps + 1}, d >= 1)")
+def _check_values(shape: tuple, dtype: np.dtype, grid: TimeGrid, where: str = "") -> None:
+    """The levels PathEnsemble accepts on grid: float64, shaped (n_paths,
+    n_steps+1, 1), one Brownian component; a reader names its file in where."""
+    if len(shape) != 3 or shape[1] != grid.n_steps + 1:
+        raise ValueError(f"{where}values shape {shape}, need (n_paths, {grid.n_steps + 1}, 1)")
+    if shape[2] != 1:
+        raise ValueError(f"{where}values shape {shape} holds d={shape[2]} Brownian components, need d=1")
     if dtype != np.float64:
-        raise ValueError(f"values dtype {dtype}, need float64")
+        raise ValueError(f"{where}values dtype {dtype}, need float64")
 
 
 def _check_levels(shape: tuple, where: str = "") -> None:
-    """The path-count and component floors of simulate and both readers, on
-    the levels shape (n_paths, n_steps+1, d); a reader names its file in where."""
-    if shape[0] < 2 or shape[2] < 1:
-        raise ValueError(f"{where}values shape {tuple(shape)}, need n_paths >= 2 and d >= 1")
+    """The path-count floor of simulate and both readers, on the levels
+    shape (n_paths, n_steps+1, d); a reader names its file in where."""
+    if shape[0] < 2:
+        raise ValueError(f"{where}values shape {tuple(shape)}, need n_paths >= 2")
 
 
-def simulate(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
+def simulate(grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Draw a Brownian ensemble; identical seed gives bit-identical paths.
 
     The normals are drawn SIMULATE_ROWS paths at a time, in path order, so
@@ -170,12 +167,12 @@ def simulate(grid: TimeGrid, d: int, n_paths: int, seed: int) -> PathEnsemble:
     the node-major rows, and then each row adds the one before it: the
     additions of np.cumsum over the nodes, in its order.
     """
-    _check_levels((n_paths, grid.n_steps + 1, d))
+    _check_levels((n_paths, grid.n_steps + 1, 1))
     rng = np.random.default_rng(seed)
-    B = np.zeros((grid.n_steps + 1, n_paths, d))
+    B = np.zeros((grid.n_steps + 1, n_paths, 1))
     for start in range(0, n_paths, SIMULATE_ROWS):
-        dB = rng.standard_normal((min(SIMULATE_ROWS, n_paths - start), grid.n_steps, d))
-        np.multiply(dB.transpose(1, 0, 2), np.sqrt(grid.dt), out=B[1:, start : start + dB.shape[0], :])
+        dB = rng.standard_normal((min(SIMULATE_ROWS, n_paths - start), grid.n_steps))
+        np.multiply(dB.T, np.sqrt(grid.dt), out=B[1:, start : start + dB.shape[0], 0])
     for i in range(1, grid.n_steps):
         B[i + 1] += B[i]
     B.setflags(write=False)
@@ -234,13 +231,14 @@ def label_floats(label: str, arg: str, n: int) -> list[float]:
     `arg`.
 
     Anything else, NaN and infinities included, raises one ValueError that
-    names the whole label.
+    names the whole label; at n = 0 that is any argument at all.
     """
     try:
-        values = [float(p) for p in arg.split(",")]
+        values = [float(p) for p in arg.split(",")] if arg else []
+        ok = len(values) == n and np.all(np.isfinite(values))
     except ValueError:
-        values = []
-    if len(values) != n or not np.all(np.isfinite(values)):
+        ok = False
+    if not ok:
         raise ValueError(f"malformed label {label!r}: expected {n} comma-separated finite number(s)")
     return values
 
@@ -255,12 +253,14 @@ def label_number(x: float) -> str:
 def claim_from_label(label: str, maturity: int) -> Claim:
     """Claim registry: const:c | brownian | neg_part:beta | call:K | sin.
 
-    All payoffs read the first Brownian component at the claim's maturity.
+    All payoffs read the Brownian level at the claim's maturity.
     """
     name, _, arg = label.partition(":")
     if name == "const":
         (c,) = label_floats(label, arg, 1)
         return Claim(maturity, lambda path, c=c: np.full(path.shape[0], c), label)
+    if name in ("brownian", "sin"):
+        label_floats(label, arg, 0)
     if name == "brownian":
         return Claim(maturity, lambda path: path[:, -1, 0].copy(), label)
     if name == "neg_part":
@@ -276,7 +276,7 @@ def claim_from_label(label: str, maturity: int) -> Claim:
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Monomials of the conditioning variables up to total degree `degree`."""
+    """Powers 1, x, ..., x^degree of the conditioning variable x."""
 
     degree: int = 4
     # not a field: bench/spans.py keys its trace on it until the benchmark
@@ -288,23 +288,20 @@ class RegressionBasis:
             raise ValueError("degree must be >= 0")
 
     def design(self, variables: np.ndarray) -> np.ndarray:
-        """Design matrix for (n, k) conditioning variables: all monomials
-        of total degree <= degree, the constant first.
+        """Design matrix for (n, k) conditioning variables, k = 1 or, at the
+        root, 0: the powers x^0, ..., x^degree, or the constant alone.
 
-        Each monomial is its prefix monomial times one variable, so the
-        products run left to right over the sorted index tuple.  The result
-        is shaped (n, p) but views a basis-major (p, n) buffer, in which each
-        monomial is one contiguous row made by one whole-row product: the
-        Gram and fit products then stream long contiguous rows."""
+        Each power is the one before it times x.  The result is shaped
+        (n, p) but views a basis-major (p, n) buffer, in which each power is
+        one contiguous row made by one whole-row product: the Gram and fit
+        products then stream long contiguous rows."""
         n, k = variables.shape
-        combos = [()]
-        for deg in range(1, self.degree + 1):
-            combos += combinations_with_replacement(range(k), deg)
-        row = {combo: j for j, combo in enumerate(combos)}
-        phi = np.empty((len(combos), n))
+        if k > 1:
+            raise ValueError(f"design of {k} conditioning variables, need 0 or 1")
+        phi = np.empty((k * self.degree + 1, n))
         phi[0] = 1.0
-        for j, combo in enumerate(combos[1:], 1):
-            np.multiply(phi[row[combo[:-1]]], variables[:, combo[-1]], out=phi[j])
+        for j in range(1, phi.shape[0]):
+            np.multiply(phi[j - 1], variables[:, 0], out=phi[j])
         return phi.T
 
 
@@ -509,8 +506,8 @@ class LsmcContext:
     def projector(self, at: int) -> _Projector:
         """Factorized projector onto the basis at node `at`.
 
-        The conditioning variables are the Brownian components at t_at
-        scaled by 1/sqrt(t_at); at the root there are none, and
+        The conditioning variable is the Brownian level at t_at scaled by
+        1/sqrt(t_at); at the root there is none, and
         _Projector.coefficients gives the sample mean.  The normal system is
         factorised on first use and its factor reused.
         """
@@ -589,17 +586,17 @@ def estimate_stderr(ctx: LsmcContext, field: RandomField, estimate) -> float:
 def ensemble_to_csv(ensemble: PathEnsemble, path) -> None:
     """Write (path, node, dim, value) rows; grid metadata and seed in the header.
 
+    The header's d=1 and the dim column's 0 name the one Brownian component.
     Each value is written as its float repr, so the file reads back bit-exact.
-    Rows go out CSV_BLOCK_ROWS at a time, split into whole paths, so memory
-    stays bounded whatever the grid and dimension.
+    Rows go out CSV_BLOCK_ROWS at a time, in whole paths: memory stays bounded.
     """
-    g, d = ensemble.grid, ensemble.dim
-    tails = [f",{i},{k}," for i in range(g.n_steps + 1) for k in range(d)]
+    g = ensemble.grid
+    tails = [f",{i},0," for i in range(g.n_steps + 1)]
     step = max(1, CSV_BLOCK_ROWS // len(tails))
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# seed={ensemble.seed} T={g.T!r} n_steps={g.n_steps} "
-            f"d={d} n_paths={ensemble.n_paths}\n"
+            f"d=1 n_paths={ensemble.n_paths}\n"
         )
         fh.write("path,node,dim,value\n")
         for start in range(0, ensemble.n_paths, step):
@@ -616,25 +613,27 @@ def ensemble_from_csv(path) -> PathEnsemble:
     """Read an ensemble_to_csv file bit-exact.
 
     Data row r (from 0) must hold the cell where ensemble_to_csv writes it,
-    (r // (n_nodes*d), r // d % n_nodes, r % d).  The rows are parsed from
-    the open file CSV_READ_ROWS lines at a time into the node-major levels,
-    so besides them the reader holds one block.  The first row out of place
-    or past the header's count raises a ValueError naming the file, the data
-    row, the cell it holds and the one expected; a short file names its first
-    missing cell, and a header of fewer than 2 paths or d < 1 raises first.
+    (r // n_nodes, r % n_nodes, 0).  The rows are parsed from the open file
+    CSV_READ_ROWS lines at a time into the node-major levels, so besides
+    them the reader holds one block.  The first row out of place or past the
+    header's count raises a ValueError naming the file, the data row, the
+    cell it holds and the one expected; a short file names its first missing
+    cell, and a header of fewer than 2 paths or of d != 1 raises first.
     """
     with open(path) as fh:
         header = fh.readline()
         try:
             meta = dict(tok.split("=") for tok in header.lstrip("# ").split())
             grid = TimeGrid(T=float(meta["T"]), n_steps=int(meta["n_steps"]))
-            shape = (grid.n_steps + 1, int(meta["n_paths"]), int(meta["d"]))
+            shape = (int(meta["n_paths"]), grid.n_steps + 1, int(meta["d"]))
             seed = int(meta["seed"])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{path}: malformed header {header!r}") from exc
-        _check_levels((shape[1], shape[0], shape[2]), f"{path}: ")  # shape is node-major
+        _check_levels(shape, f"{path}: ")
+        _check_values(shape, np.dtype(float), grid, f"{path}: ")
+        n_paths, n_nodes, _ = shape
         fh.readline()  # column header
-        (n_nodes, n_paths, d), vals = shape, np.empty(shape)
+        vals = np.empty((n_nodes, n_paths, 1))
         n_rows = 0
         # each pass takes one line to see that data remains, then parses it
         # and the lines after it; a block that starts on a data row is never
@@ -649,19 +648,19 @@ def ensemble_from_csv(path) -> PathEnsemble:
             except ValueError as exc:
                 raise ValueError(f"{path}: in the data rows from {n_rows + 1}: {exc}") from exc
             r = np.arange(n_rows, n_rows + rows.size)
-            p, i, k = r // (n_nodes * d), r // d % n_nodes, r % d
-            bad = (rows["path"] != p) | (rows["node"] != i) | (rows["dim"] != k) | (p >= n_paths)
+            p, i = np.divmod(r, n_nodes)
+            bad = (rows["path"] != p) | (rows["node"] != i) | (rows["dim"] != 0) | (p >= n_paths)
             if bad.any():
                 j = int(np.argmax(bad))
                 held = f"({rows['path'][j]},{rows['node'][j]},{rows['dim'][j]})"
-                want = f"({p[j]},{i[j]},{k[j]})" if p[j] < n_paths else f"nothing, the header has {vals.size} rows"
+                want = f"({p[j]},{i[j]},0)" if p[j] < n_paths else f"nothing, the header has {vals.size} rows"
                 raise ValueError(f"{path}: data row {r[j] + 1} holds {held}, expected {want}")
-            vals.reshape(-1)[(i * n_paths + p) * d + k] = rows["value"]
+            vals.reshape(-1)[i * n_paths + p] = rows["value"]
             n_rows += rows.size
     if n_rows != vals.size:
-        p, i, k = n_rows // (n_nodes * d), n_rows // d % n_nodes, n_rows % d
+        p, i = divmod(n_rows, n_nodes)
         raise ValueError(
-            f"{path}: {n_rows} data rows, the header needs {vals.size}; the first missing is ({p},{i},{k})"
+            f"{path}: {n_rows} data rows, the header needs {vals.size}; the first missing is ({p},{i},0)"
         )
     vals.setflags(write=False)
     return PathEnsemble(grid=grid, seed=seed, values=vals.transpose(1, 0, 2))
@@ -669,8 +668,8 @@ def ensemble_from_csv(path) -> PathEnsemble:
 
 def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
     """Write the levels path-major in C order, with the seed and the grid.
-    The C-order copy matters at d = 1, where the node-major view is
-    Fortran-contiguous: np.savez would store it so, its bytes in node order."""
+    The node-major view is Fortran-contiguous: without the C-order copy
+    np.savez would store it so, its bytes in node order."""
     np.savez(
         path,
         values=np.ascontiguousarray(ensemble.values),
@@ -687,8 +686,8 @@ def ensemble_from_npz(path) -> PathEnsemble:
     NPZ_READ_VALUES levels at a time in whole paths, straight into the
     node-major levels: besides them the reader holds one block.  A missing
     key, fewer than 2 paths, or levels that PathEnsemble rejects (not
-    float64, or off the grid) raise a ValueError naming the file before any
-    level is read."""
+    float64, off the grid, or of d other than 1) raise a ValueError naming
+    the file before any level is read."""
     with np.load(path) as data:
         missing = [key for key in ("values", "seed", "T", "n_steps") if key not in data.files]
         if missing:
@@ -719,23 +718,23 @@ def _npy_header(member) -> tuple:
 
 
 def _read_node_major(member, shape: tuple, fortran: bool) -> np.ndarray:
-    """The float64 data of a .npy member of shape (n_paths, n_nodes, d), read
-    into a new node-major (n_nodes, n_paths, d) buffer one block at a time."""
-    n_paths, n_nodes, d = shape
-    nodes = np.empty((n_nodes, n_paths, d))
+    """The float64 data of a .npy member of shape (n_paths, n_nodes, 1), read
+    into a new node-major (n_nodes, n_paths, 1) buffer one block at a time."""
+    n_paths, n_nodes, _ = shape
+    nodes = np.empty((n_nodes, n_paths, 1))
 
     def take(count: int) -> np.ndarray:
         buf = member.read(8 * count)
         if len(buf) != 8 * count:
-            raise ValueError(f"values.npy ends before the {n_paths * n_nodes * d} levels of shape {shape}")
+            raise ValueError(f"values.npy ends before the {n_paths * n_nodes} levels of shape {shape}")
         return np.frombuffer(buf)
 
-    if fortran:  # stored (d, n_nodes, n_paths) in C order: one node of one component at a time
-        for k, i in np.ndindex(d, n_nodes):
-            nodes[i, :, k] = take(n_paths)
+    if fortran:  # stored (1, n_nodes, n_paths) in C order: one node at a time
+        for i in range(n_nodes):
+            nodes[i, :, 0] = take(n_paths)
     else:
-        step = max(1, NPZ_READ_VALUES // (n_nodes * d))
+        step = max(1, NPZ_READ_VALUES // n_nodes)
         for start in range(0, n_paths, step):
-            block = take(min(step, n_paths - start) * n_nodes * d).reshape(-1, n_nodes, d)
-            nodes[:, start : start + block.shape[0]] = block.transpose(1, 0, 2)
+            block = take(min(step, n_paths - start) * n_nodes).reshape(-1, n_nodes)
+            nodes[:, start : start + block.shape[0], 0] = block.T
     return nodes

@@ -15,7 +15,7 @@ from bsderisk.diagnostics import TAXONOMY
 def ctx50():
     """Workhorse context: T=1, 50 steps, 50k paths, degree-4 basis."""
     grid = TimeGrid(1.0, 50)
-    ens = simulate(grid, d=1, n_paths=50_000, seed=123)
+    ens = simulate(grid, n_paths=50_000, seed=123)
     return LsmcContext(grid, ens, RegressionBasis(4))
 
 
@@ -23,7 +23,7 @@ def ctx50():
 def ctx20():
     """Cheap context for check-level tests: 20 steps, 10k paths."""
     grid = TimeGrid(1.0, 20)
-    ens = simulate(grid, d=1, n_paths=10_000, seed=777)
+    ens = simulate(grid, n_paths=10_000, seed=777)
     return LsmcContext(grid, ens, RegressionBasis(4))
 
 

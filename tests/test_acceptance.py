@@ -46,7 +46,7 @@ def test_criterion_1_entropic_cross_validation():
     errors = []
     for n_steps, n_paths in ((50, 50_000), (100, 200_000)):
         grid = TimeGrid(1.0, n_steps)
-        ens = simulate(grid, 1, n_paths, seed=123)
+        ens = simulate(grid, n_paths, seed=123)
         ctx = LsmcContext(grid, ens, RegressionBasis(4))
         term = RandomField(n_steps, ens.values[:, n_steps, 0])
         sol = solve(driver_from_label("quad_z"), term, n_steps, ctx)

@@ -194,7 +194,7 @@ class TestInvariants:
         errs = []
         for n_steps, n_paths in ((10, 4_000), (20, 16_000), (40, 64_000)):
             grid = TimeGrid(1.0, n_steps)
-            ens = simulate(grid, 1, n_paths, seed=123)
+            ens = simulate(grid, n_paths, seed=123)
             ctx = LsmcContext(grid, ens, RegressionBasis(4))
             term = RandomField(n_steps, ens.values[:, n_steps, 0])
             sol = solve(driver_from_label("quad_z"), term, n_steps, ctx)
@@ -221,7 +221,7 @@ _ROOT_SOLVE = """
 import hashlib
 from bsderisk import LsmcContext, RandomField, TimeGrid, driver_from_label, simulate, solve
 grid = TimeGrid(1.0, 4)
-ens = simulate(grid, 1, 20_000, seed=7)
+ens = simulate(grid, 20_000, seed=7)
 sol = solve(driver_from_label("quad_z"), RandomField(4, ens.values[:, 4, 0]), 4, LsmcContext(grid, ens))
 print(hashlib.sha256(sol.Y[0].tobytes()).hexdigest())
 """
@@ -239,7 +239,7 @@ class TestStoredY:
     @pytest.fixture(scope="class")
     def ctx(self):
         grid = TimeGrid(1.0, 8)
-        return LsmcContext(grid, simulate(grid, 1, 4000, seed=3), RegressionBasis(4))
+        return LsmcContext(grid, simulate(grid, 4000, seed=3), RegressionBasis(4))
 
     @pytest.mark.parametrize("guarded", [False, True])
     def test_pass_z_is_the_projection(self, ctx, guarded):
@@ -281,7 +281,7 @@ class TestStoredY:
         # a stored (maturity, n, d) Z would add 8 more at p = 5, d = 1
         n, p = 20_000, 5
         grid = TimeGrid(1.0, 40)
-        ctx = LsmcContext(grid, simulate(grid, 1, n, seed=5), RegressionBasis(4))
+        ctx = LsmcContext(grid, simulate(grid, n, seed=5), RegressionBasis(4))
         terminal = RandomField(40, np.sin(ctx.ensemble.values[:, 40, 0]))
         tracemalloc.start()
         try:

@@ -229,7 +229,7 @@ class TestWitnessNamesTheCase:
     ])
     def test_witness(self, check, key, worst):
         grid = TimeGrid(1.0, 8)
-        ctx = LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+        ctx = LsmcContext(grid, simulate(grid, 2000, seed=31), RegressionBasis(4))
         p = int(np.argmax(ctx.ensemble.values[:, 4, 0]))  # X_p > 0, far from sin X_p
         rep = check(ctx, _ConcaveOnOnePath(p), claim_from_label("brownian", 4), 2, 4)
         assert not rep.verdict
@@ -266,7 +266,7 @@ class TestShiftGaps:
     @pytest.mark.parametrize("name", sorted(REPORTS))
     def test_one_unshifted_evaluation(self, monkeypatch, name):
         grid = TimeGrid(1.0, 8)
-        ctx = LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+        ctx = LsmcContext(grid, simulate(grid, 2000, seed=31), RegressionBasis(4))
         claim = claim_from_label("brownian", 4)
         calls = []
         original = CertaintyEquivalent._evaluate
@@ -328,7 +328,7 @@ class TestWitnessRule:
 
     def test_every_check(self):
         grid = TimeGrid(1.0, 8)
-        ctx = LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+        ctx = LsmcContext(grid, simulate(grid, 2000, seed=31), RegressionBasis(4))
         p = 1234  # rho(0) = 0.1 on path p alone, on both pairs
         measure, claim = _OnePathBump(0.1, path=p), claim_from_label("brownian", 4)
         reports = {name: diagnostics.run_check(ctx, name, measure, claim, 0, 2, 4, 8) for name in diagnostics.CHECKS}
@@ -544,7 +544,7 @@ class TestRunCheck:
     @pytest.fixture(scope="class")
     def ctx(self):
         grid = TimeGrid(1.0, 8)
-        return LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+        return LsmcContext(grid, simulate(grid, 2000, seed=31), RegressionBasis(4))
 
     @pytest.mark.parametrize("name, params", [
         ("normalization", '{"pairs": [[1, 4], [4, 6]]}'),
@@ -719,7 +719,7 @@ class TestReuse:
     @pytest.fixture
     def ctx(self):
         grid = TimeGrid(1.0, 8)
-        return LsmcContext(grid, simulate(grid, 1, 2000, seed=31), RegressionBasis(4))
+        return LsmcContext(grid, simulate(grid, 2000, seed=31), RegressionBasis(4))
 
     def rows(self, ctx):
         return [

@@ -113,7 +113,7 @@ class TestQEntropicClosed:
     def test_domain_margin_matches_the_driver_guard(self):
         # both routes admit -X exactly where 1 + (1-q)(-X) >= EPS_DOM
         grid = TimeGrid(1.0, 10)
-        ctx = LsmcContext(grid, simulate(grid, 1, 2000, seed=5), RegressionBasis(2))
+        ctx = LsmcContext(grid, simulate(grid, 2000, seed=5), RegressionBasis(2))
         closed = measure_from_label("qent_closed:0.5", grid)
         backward = measure_from_label("driver:q_entropic:0.5", grid)
         outside = claim_from_label("const:1.9985", 10)  # 1 + 0.5 * -1.9985 = 0.00075
@@ -374,6 +374,12 @@ class TestConstructionStrings:
             ("measure", "qent_closed:0.999999999"),
             ("claim", "const:nan"),
             ("claim", "neg_part:nan"),
+            # argument-free labels refuse any argument
+            ("driver", "quad_z:junk"),
+            ("driver", "zero:5"),
+            ("driver", "abs_z:1"),
+            ("claim", "brownian:3"),
+            ("claim", "sin:x"),
         ],
     )
     def test_bad_arguments_name_the_label(self, registry, label):

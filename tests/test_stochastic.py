@@ -56,14 +56,14 @@ class TestSimulate:
 
     def test_seed_determinism(self):
         grid = TimeGrid(1.0, 10)
-        a = simulate(grid, 2, 500, seed=7)
-        b = simulate(grid, 2, 500, seed=7)
+        a = simulate(grid, 500, seed=7)
+        b = simulate(grid, 500, seed=7)
         assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, simulate(grid, 2, 500, seed=8).values)
+        assert not np.array_equal(a.values, simulate(grid, 500, seed=8).values)
 
     def test_single_step_consistency(self):
         grid = TimeGrid(1.0, 2)
-        ens = simulate(grid, 1, 4, seed=7)
+        ens = simulate(grid, 4, seed=7)
         assert ens.n_paths == 4
         np.testing.assert_allclose(
             ens.values[:, 1:, :] - ens.values[:, :-1, :], ens.increments
@@ -71,11 +71,11 @@ class TestSimulate:
 
     def test_row_blocked_draw_is_the_whole_array_draw(self):
         # three whole blocks of normals and a ragged tail
-        grid, d, n = TimeGrid(1.0, 5), 2, 3 * stochastic.SIMULATE_ROWS + 123
-        dB = np.random.default_rng(17).standard_normal((n, grid.n_steps, d)) * np.sqrt(grid.dt)
-        B = np.zeros((n, grid.n_steps + 1, d))
+        grid, n = TimeGrid(1.0, 5), 3 * stochastic.SIMULATE_ROWS + 123
+        dB = np.random.default_rng(17).standard_normal((n, grid.n_steps, 1)) * np.sqrt(grid.dt)
+        B = np.zeros((n, grid.n_steps + 1, 1))
         np.cumsum(dB, axis=1, out=B[:, 1:, :])
-        np.testing.assert_array_equal(bits(simulate(grid, d, n, seed=17).values), bits(B))
+        np.testing.assert_array_equal(bits(simulate(grid, n, seed=17).values), bits(B))
 
     def test_increments_are_the_level_differences(self, ctx20):
         ens = ctx20.ensemble
@@ -86,7 +86,7 @@ class TestSimulate:
 
     def test_terminal_variance(self):
         grid = TimeGrid(1.0, 10)
-        ens = simulate(grid, 1, 100_000, seed=11)
+        ens = simulate(grid, 100_000, seed=11)
         var = np.var(ens.values[:, -1, 0])
         assert 0.98 <= var <= 1.02
 
@@ -100,20 +100,29 @@ class TestSimulate:
 
     def test_validation(self):
         grid = TimeGrid(1.0, 4)
-        with pytest.raises(ValueError):
-            simulate(grid, 1, 1, seed=0)
-        with pytest.raises(ValueError):
-            simulate(grid, 0, 10, seed=0)
+        with pytest.raises(ValueError, match=re.escape("values shape (1, 5, 1), need n_paths >= 2")):
+            simulate(grid, 1, seed=0)
+
+
+def split_paths(monkeypatch, n_paths: int, n_nodes: int, blocks: int) -> None:
+    """Make simulate draw, and both writers and readers move, n_paths paths
+    of n_nodes nodes in `blocks` blocks."""
+    rows = -(-n_paths // blocks)
+    monkeypatch.setattr(stochastic, "SIMULATE_ROWS", rows)
+    for name in ("CSV_BLOCK_ROWS", "CSV_READ_ROWS", "NPZ_READ_VALUES"):
+        monkeypatch.setattr(stochastic, name, rows * n_nodes)
 
 
 class TestLayout:
-    """values is indexed [path, node, component] over a node-major buffer, so
-    each node's levels are one contiguous row whatever built the ensemble."""
+    """values is indexed [path, node, 0] over a node-major buffer, so each
+    node's levels are one contiguous row whatever built the ensemble, and in
+    however many blocks of paths it was drawn, written and read."""
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("source", ["simulate", "csv", "npz", "path_block", "path_major"])
-    def test_node_rows_are_contiguous(self, tmp_path, source, d):
-        ens = simulate(TimeGrid(1.0, 5), d, 300, seed=4)
+    def test_node_rows_are_contiguous(self, tmp_path, monkeypatch, source, blocks):
+        split_paths(monkeypatch, 300, 6, blocks)
+        ens = simulate(TimeGrid(1.0, 5), 300, seed=4)
         if source == "csv":
             ensemble_to_csv(ens, tmp_path / "paths.csv")
             ens = ensemble_from_csv(tmp_path / "paths.csv")
@@ -133,9 +142,10 @@ class TestLayout:
         for i in range(ens.grid.n_steps):
             assert ens.increment(i).flags.c_contiguous
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_files_keep_their_path_major_bytes(self, tmp_path, d):
-        ens = simulate(TimeGrid(1.0, 4), d, 50, seed=9)
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_files_keep_their_path_major_bytes(self, tmp_path, monkeypatch, blocks):
+        split_paths(monkeypatch, 50, 5, blocks)
+        ens = simulate(TimeGrid(1.0, 4), 50, seed=9)
         levels = np.ascontiguousarray(ens.values)
         members = []
         for name, e in (("simulated", ens), ("path_major", PathEnsemble(ens.grid, ens.seed, levels))):
@@ -151,10 +161,15 @@ class TestLayout:
         np.lib.format.read_magic(member)
         assert np.lib.format.read_array_header_1_0(member)[1] is False  # fortran_order
 
-    @pytest.mark.parametrize("shape", [(10, 5), (10,), (10, 3, 1), (10, 6, 1), (10, 5, 0), (10, 5, 1, 1)],
-                             ids=["two_dim", "one_dim", "few_nodes", "many_nodes", "no_component", "four_dim"])
-    def test_shape_off_the_grid_rejected(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"values shape {shape}, need (n_paths, 5, d >= 1)")):
+    @pytest.mark.parametrize("shape, message", [
+        *[(shape, f"values shape {shape}, need (n_paths, 5, 1)")
+          for shape in [(10, 5), (10,), (10, 3, 1), (10, 6, 1), (10, 5, 1, 1)]],
+        # on the grid, but not the one Brownian component
+        *[(shape, f"values shape {shape} holds d={shape[2]} Brownian components, need d=1")
+          for shape in [(10, 5, 0), (10, 5, 2)]],
+    ], ids=["two_dim", "one_dim", "few_nodes", "many_nodes", "four_dim", "no_component", "two_components"])
+    def test_shape_off_the_grid_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             PathEnsemble(TimeGrid(1.0, 4), 1, np.zeros(shape))
 
 
@@ -234,7 +249,7 @@ class TestCondExpect:
         # E[B_1 | F_0.5] = B_0.5: the Brownian level is inside the basis, so
         # only coefficient noise separates the fit from the exact answer
         grid = TimeGrid(1.0, 50)
-        ens = simulate(grid, 1, 100_000, seed=21)
+        ens = simulate(grid, 100_000, seed=21)
         ctx = LsmcContext(grid, ens, RegressionBasis(2))
         out = ctx.cond_expect(RandomField(50, ens.values[:, 50, 0]), 25)
         assert np.max(np.abs(out.values - ens.values[:, 25, 0])) <= 0.05
@@ -273,22 +288,30 @@ class TestCondExpect:
         with pytest.raises(IndexError):
             ctx20.cond_expect(RandomField(20, np.zeros(10_000)), 21)
 
+    @staticmethod
+    def flat_until_the_end(ens):
+        """ens with every path held at 0 until its last node: at each interior
+        node the powers x, ..., x^degree vanish, so every normal system
+        there is rank-deficient."""
+        values = np.zeros_like(ens.values)
+        values[:, -1] = ens.values[:, -1]
+        return PathEnsemble(ens.grid, seed=0, values=values)
+
     def test_singular_fallback_flagged(self, ctx20):
-        # two equal components make the normal system rank-deficient; the
-        # engine retries with the 1e-10 ridge and counts it (at degree 4 the
-        # ridged system is too ill-conditioned and raises SingularRegression)
-        twin = PathEnsemble(ctx20.grid, seed=0, values=np.repeat(ctx20.ensemble.values[:, :, :1], 2, axis=2))
-        ctx = LsmcContext(ctx20.grid, twin, RegressionBasis(3))
-        out = ctx.cond_expect(RandomField(20, twin.values[:, 20, 0]), 10)
+        # the engine retries a rank-deficient normal system with the 1e-10
+        # ridge and counts it
+        flat = self.flat_until_the_end(ctx20.ensemble)
+        ctx = LsmcContext(ctx20.grid, flat, RegressionBasis(3))
+        out = ctx.cond_expect(RandomField(20, flat.values[:, 20, 0]), 10)
         assert np.all(np.isfinite(out.values))
         assert ctx.fallback_count == 1
 
     def test_fallbacks_counted_on_the_shared_cache(self, ctx20):
         # a retry in a with_basis or block context, which shares the root's
         # factor cache, is seen on the root; each is counted once
-        twin = PathEnsemble(ctx20.grid, seed=0, values=np.repeat(ctx20.ensemble.values[:, :, :1], 2, axis=2))
-        ctx = LsmcContext(ctx20.grid, twin, RegressionBasis(2))
-        field = RandomField(20, twin.values[:, 20, 0])
+        flat = self.flat_until_the_end(ctx20.ensemble)
+        ctx = LsmcContext(ctx20.grid, flat, RegressionBasis(2))
+        field = RandomField(20, flat.values[:, 20, 0])
         ctx.with_basis(RegressionBasis(3)).cond_expect(field, 10)  # the degree + 1 probe
         assert ctx.fallback_count == 1
         retries = []
@@ -300,9 +323,7 @@ class TestCondExpect:
             return mean
 
         block_stderr(ctx, estimate)
-        # 7 of the 8 blocks here: whether a rank-deficient Gram factorises
-        # without the retry depends on its rounding
-        assert sum(retries) > 0
+        assert sum(retries) == 8  # one for each block
         assert ctx.fallback_count == 1 + sum(retries)
         ctx.cond_expect(field, 10)
         assert ctx.fallback_count == 2 + sum(retries)
@@ -322,7 +343,7 @@ class TestBlockStderr:
     def test_fewer_paths_than_blocks_rejected(self):
         # 7 paths leave an 8-block split with an empty block; nothing is evaluated
         grid = TimeGrid(1.0, 4)
-        ctx = LsmcContext(grid, simulate(grid, 1, 7, seed=1), RegressionBasis(2))
+        ctx = LsmcContext(grid, simulate(grid, 7, seed=1), RegressionBasis(2))
         blocks = []
         with pytest.raises(ValueError, match=r"8 blocks needs >= 8 paths, got 7"):
             block_stderr(ctx, lambda sub, rows: blocks.append(rows) or 0.0)
@@ -343,7 +364,7 @@ class TestFactorCache:
 
     def test_each_normal_system_factorised_once(self, monkeypatch):
         grid = TimeGrid(1.0, 10)
-        ctx = LsmcContext(grid, simulate(grid, 1, 4000, seed=8), RegressionBasis(3))
+        ctx = LsmcContext(grid, simulate(grid, 4000, seed=8), RegressionBasis(3))
         builds = self._count_builds(monkeypatch)
         refined = ctx.with_basis(RegressionBasis(4))
         for _ in range(2):
@@ -355,7 +376,7 @@ class TestFactorCache:
 
     def test_constant_design_is_built_once_without_a_gram_pass(self, monkeypatch):
         grid = TimeGrid(1.0, 10)
-        ctx = LsmcContext(grid, simulate(grid, 1, 4000, seed=8), RegressionBasis(3))
+        ctx = LsmcContext(grid, simulate(grid, 4000, seed=8), RegressionBasis(3))
         builds = self._count_builds(monkeypatch)
         monkeypatch.setattr(stochastic, "_gram", lambda phi: pytest.fail("Gram pass"))
         monkeypatch.setattr(stochastic, "_blocked_gram", lambda phi, rhs: pytest.fail("right-hand side pass"))
@@ -368,7 +389,7 @@ class TestFactorCache:
 
     def test_cached_projector_fits_bit_for_bit(self):
         grid = TimeGrid(1.0, 10)
-        ens = simulate(grid, 1, 3000, seed=5)
+        ens = simulate(grid, 3000, seed=5)
         ctx = LsmcContext(grid, ens, RegressionBasis(4))
         target = np.sin(ens.values[:, 10, 0])
         first = ctx.projector(6).fitted(target)
@@ -386,7 +407,7 @@ class TestFactorCache:
         # 2 * 16384 + 3 paths: the Gram spans three blocks
         n = 2 * 16384 + 3
         grid = TimeGrid(1.0, 10)
-        ens = simulate(grid, 1, n, seed=5)
+        ens = simulate(grid, n, seed=5)
         ctx = LsmcContext(grid, ens, RegressionBasis(4))
         target = np.sin(ens.values[:, 10, 0])
         builds = self._count_builds(monkeypatch)
@@ -401,73 +422,80 @@ class TestFactorCache:
 class TestRegressionBasis:
     def test_design_columns(self):
         basis = RegressionBasis(2)
-        vars2 = np.array([[1.0, 2.0], [3.0, 4.0]])
-        phi = basis.design(vars2)
-        # constant, x, y, x^2, xy, y^2
-        assert phi.shape == (2, 6)
-        np.testing.assert_allclose(phi[0], [1, 1, 2, 1, 2, 4])
+        # constant, x, x^2
+        np.testing.assert_array_equal(basis.design(np.array([[2.0], [3.0]])), [[1, 2, 4], [1, 3, 9]])
+        # at the root there is no conditioning variable: the constant alone
+        np.testing.assert_array_equal(basis.design(np.empty((2, 0))), [[1], [1]])
+        with pytest.raises(ValueError, match="design of 2 conditioning variables, need 0 or 1"):
+            basis.design(np.ones((2, 2)))
 
     @staticmethod
     def column_products(x, degree):
-        """Reference design: each monomial multiplied out left to right over
-        all rows at once, then stacked."""
-        from itertools import combinations_with_replacement
-
-        n, k = x.shape
-        cols = [np.ones(n)]
+        """Reference design: each power x^j multiplied out left to right,
+        x * x * ... * x, over all rows at once, then stacked."""
+        cols = [np.ones(x.shape[0])]
         for deg in range(1, degree + 1):
-            for combo in combinations_with_replacement(range(k), deg):
-                col = x[:, combo[0]].copy()
-                for j in combo[1:]:
-                    col *= x[:, j]
-                cols.append(col)
+            col = x[:, 0].copy()
+            for _ in range(deg - 1):
+                col *= x[:, 0]
+            cols.append(col)
         return np.column_stack(cols)
 
-    @pytest.mark.parametrize("k, degree", [(1, 4), (2, 5), (3, 3), (0, 4)])
-    def test_design_matches_column_products(self, k, degree):
-        x = np.random.default_rng(k).standard_normal((500, k))
+    @pytest.mark.parametrize("seed, degree", [(1, 4), (2, 5), (3, 3), (0, 4)])
+    def test_design_matches_column_products(self, seed, degree):
+        x = np.random.default_rng(seed).standard_normal((500, 1))
         phi = RegressionBasis(degree).design(x)
         np.testing.assert_array_equal(phi, self.column_products(x, degree))
-        assert phi.T.flags.c_contiguous  # basis-major: each monomial one contiguous row
+        assert phi.T.flags.c_contiguous  # basis-major: each power one contiguous row
 
     @pytest.mark.parametrize("n", [5, 4096, 4097, 16385, 20_000])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_row_blocked_design_is_the_whole_array_design(self, k, n):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_row_blocked_design_is_the_whole_array_design(self, seed, n):
         # small and large path counts, on either side of 4096 and of the
         # reduction block: the design is the column products bit for bit
-        x = np.random.default_rng(n + k).standard_normal((n, k))
+        x = np.random.default_rng(n + seed).standard_normal((n, 1))
         np.testing.assert_array_equal(RegressionBasis(5).design(x), self.column_products(x, 5))
 
+    @staticmethod
+    def targets(ctx, cols: int) -> np.ndarray:
+        """cols regressands of the terminal level, as columns."""
+        b = ctx.ensemble.values[:, -1, 0]
+        return np.column_stack([np.sin(b) + b**3, np.maximum(-b, 0.0)])[:, :cols]
+
     @pytest.mark.parametrize("n", [16383, 16384, 16385, 2 * 16384 + 3])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_fit_matches_lstsq_across_reduction_blocks(self, d, n):
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_fit_matches_lstsq_across_reduction_blocks(self, cols, n):
         # an independent solver on the same design: the blocked Gram and
-        # right-hand side, on either side of a 16384-path block edge
+        # right-hand side of 1 or 2 target columns, on either side of a
+        # 16384-path block edge
         assert stochastic._BLOCK == 16384
         grid = TimeGrid(1.0, 4)
-        ctx = LsmcContext(grid, simulate(grid, d, n, seed=n + d), RegressionBasis(4))
-        b = ctx.ensemble.values[:, -1, :]
-        field = RandomField(4, np.sin(b[:, 0]) + b[:, -1] ** 3)
-        fit = ctx.cond_expect(field, 2).values
+        ctx = LsmcContext(grid, simulate(grid, n, seed=n + cols), RegressionBasis(4))
+        targets = self.targets(ctx, cols)
+        fit = ctx.projector(2).fitted(targets)
         phi = RegressionBasis(4).design(ctx.ensemble.levels(2) / np.sqrt(2 * grid.dt))
-        ref = phi @ np.linalg.lstsq(phi, field.values, rcond=None)[0]
+        ref = phi @ np.linalg.lstsq(phi, targets, rcond=None)[0]
         assert np.max(np.abs(fit - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [16383, 16384, 16385, 2 * 16384 + 3])
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_gram_matches_exactly_rounded_sums(self, d, n):
-        # each entry against math.fsum of its products, on either side of a
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_gram_matches_exactly_rounded_sums(self, cols, n):
+        # each entry of the Gram, and of the right-hand side of 1 or 2 target
+        # columns, against math.fsum of its products, on either side of a
         # block edge; the projector factorises exactly this Gram
         assert stochastic._BLOCK == 16384
         grid = TimeGrid(1.0, 4)
-        ctx = LsmcContext(grid, simulate(grid, d, n, seed=n + d), RegressionBasis(4))
+        ctx = LsmcContext(grid, simulate(grid, n, seed=n + cols), RegressionBasis(4))
         phi = ctx.basis.design(ctx.ensemble.levels(2) / np.sqrt(2 * grid.dt))
-        gram = stochastic._gram(phi)
-        cols = [phi[:, j].copy() for j in range(phi.shape[1])]
-        ref = np.array([[math.fsum((a * b).tolist()) for b in cols] for a in cols])
-        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
-        assert np.all(np.abs(gram - ref) <= 1e-12 * scale)
-        np.testing.assert_array_equal(ctx.projector(2)._chol, np.linalg.cholesky(gram))
+        targets = self.targets(ctx, cols)
+        basis_cols = [phi[:, j].copy() for j in range(phi.shape[1])]
+        for got, right in ((stochastic._gram(phi), basis_cols),
+                           (stochastic._blocked_gram(phi, targets), list(targets.T))):
+            ref = np.array([[math.fsum((a * b).tolist()) for b in right] for a in basis_cols])
+            scale = np.sqrt(np.outer([math.fsum((a * a).tolist()) for a in basis_cols],
+                                     [math.fsum((b * b).tolist()) for b in right]))
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+        np.testing.assert_array_equal(ctx.projector(2)._chol, np.linalg.cholesky(stochastic._gram(phi)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -517,13 +545,12 @@ def reference_csv(ens) -> bytes:
     """The per-value writer that ensemble_to_csv must match byte for byte."""
     g = ens.grid
     out = [
-        f"# seed={ens.seed} T={g.T!r} n_steps={g.n_steps} d={ens.dim} n_paths={ens.n_paths}\n",
+        f"# seed={ens.seed} T={g.T!r} n_steps={g.n_steps} d=1 n_paths={ens.n_paths}\n",
         "path,node,dim,value\n",
     ]
     for p in range(ens.n_paths):
         for i in range(g.n_steps + 1):
-            for k in range(ens.dim):
-                out.append(f"{p},{i},{k},{float(ens.values[p, i, k])!r}\n")
+            out.append(f"{p},{i},0,{float(ens.values[p, i, 0])!r}\n")
     return "".join(out).encode()
 
 
@@ -537,16 +564,16 @@ def moved(row: int, held: str, want: str) -> str:
 
 
 class TestEnsembleIO:
-    @pytest.mark.parametrize("n_steps, d, n_paths, block_rows", [
+    @pytest.mark.parametrize("n_steps, seed, n_paths, block_rows", [
         (3, 1, 7, stochastic.CSV_BLOCK_ROWS),
         (3, 2, 7, stochastic.CSV_BLOCK_ROWS),
         (3, 1, 7, 8),  # two paths of 4 rows a block: 7 paths end on a partial block
         (3, 2, 5, 3),  # a block smaller than one path still writes whole paths
         (40, 1, 3500, stochastic.CSV_BLOCK_ROWS),  # 1598 paths a block
     ])
-    def test_csv_bytes_match_reference(self, tmp_path, monkeypatch, n_steps, d, n_paths, block_rows):
+    def test_csv_bytes_match_reference(self, tmp_path, monkeypatch, n_steps, seed, n_paths, block_rows):
         monkeypatch.setattr(stochastic, "CSV_BLOCK_ROWS", block_rows)
-        ens = simulate(TimeGrid(1.0, n_steps), d, n_paths, seed=21)
+        ens = simulate(TimeGrid(1.0, n_steps), n_paths, seed=seed)
         path = tmp_path / "paths.csv"
         ensemble_to_csv(ens, path)
         assert path.read_bytes() == reference_csv(ens)
@@ -562,7 +589,7 @@ class TestEnsembleIO:
         np.testing.assert_array_equal(bits(ensemble_from_csv(path).values), bits(ens.values))
 
     def test_csv_permuted_rows_refused_at_the_first_moved_row(self, tmp_path):
-        ens = simulate(TimeGrid(1.0, 4), 2, 30, seed=8)
+        ens = simulate(TimeGrid(1.0, 4), 30, seed=8)
         path = tmp_path / "paths.csv"
         ensemble_to_csv(ens, path)
         lines = path.read_text().splitlines()
@@ -594,7 +621,7 @@ class TestEnsembleIO:
     ], ids=["missing", "missing_in_path_order", "duplicate", "replaced", "negative", "node_past_end",
             "dim_past_end", "not_a_number", "past_the_count", "ends_early"])
     def test_csv_malformed_rows_rejected(self, tmp_path, edit, message):
-        ens = simulate(TimeGrid(1.0, 2), 1, 10, seed=1)
+        ens = simulate(TimeGrid(1.0, 2), 10, seed=1)
         path = tmp_path / "paths.csv"
         ensemble_to_csv(ens, path)
         lines = path.read_text().splitlines()
@@ -620,7 +647,7 @@ class TestEnsembleIO:
         # 31st row sits in the fifth, after two good ones
         monkeypatch.setattr(stochastic, "CSV_READ_ROWS", 7)
         path = tmp_path / "paths.csv"
-        ensemble_to_csv(simulate(TimeGrid(1.0, 2), 1, 10, seed=1), path)
+        ensemble_to_csv(simulate(TimeGrid(1.0, 2), 10, seed=1), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
         with pytest.raises(ValueError, match=message) as info:
@@ -636,7 +663,7 @@ class TestEnsembleIO:
     def test_csv_reads_without_warning(self, tmp_path, edit):
         # two blocks of rows exactly: no parse is handed an empty rest of the
         # file, and a line without data is skipped silently
-        ens = simulate(TimeGrid(1.0, 3), 1, 2 * stochastic.CSV_READ_ROWS // 4, seed=6)
+        ens = simulate(TimeGrid(1.0, 3), 2 * stochastic.CSV_READ_ROWS // 4, seed=6)
         path = tmp_path / "paths.csv"
         ensemble_to_csv(ens, path)
         lines = path.read_text().splitlines()
@@ -652,7 +679,7 @@ class TestEnsembleIO:
         # reader holding every row at once needs 32 bytes a row, 10.5 MB at
         # 8000 x 40
         path = tmp_path / "paths.csv"
-        ensemble_to_csv(simulate(TimeGrid(1.0, 40), 1, n_paths, seed=2), path)
+        ensemble_to_csv(simulate(TimeGrid(1.0, 40), n_paths, seed=2), path)
         tracemalloc.start()
         try:
             back = ensemble_from_csv(path)
@@ -663,7 +690,7 @@ class TestEnsembleIO:
 
     def test_reloaded_ensembles_solve_bit_for_bit(self, tmp_path):
         grid = TimeGrid(1.0, 8)
-        ens = simulate(grid, 1, 3000, seed=13)
+        ens = simulate(grid, 3000, seed=13)
         ensemble_to_npz(ens, tmp_path / "paths.npz")
         ensemble_to_csv(ens, tmp_path / "paths.csv")
 
@@ -680,7 +707,7 @@ class TestEnsembleIO:
         # the floor of simulate and ensemble_from_npz, judged on the header
         # before any row: the unparsable row appended is never read
         path = tmp_path / "paths.csv"
-        ensemble_to_csv(path_block(simulate(TimeGrid(1.0, 2), 1, 3, seed=1), 0, n_paths), path)
+        ensemble_to_csv(path_block(simulate(TimeGrid(1.0, 2), 3, seed=1), 0, n_paths), path)
         with open(path, "a") as fh:
             fh.write("0,0,0,oops\n")
         with pytest.raises(ValueError, match=rf"values shape \({n_paths}, 3, 1\), need n_paths >= 2") as info:
@@ -689,7 +716,7 @@ class TestEnsembleIO:
 
     def test_csv_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "paths.csv"
-        ensemble_to_csv(simulate(TimeGrid(1.0, 2), 1, 3, seed=1), path)
+        ensemble_to_csv(simulate(TimeGrid(1.0, 2), 3, seed=1), path)
         path.write_text(path.read_text().replace(" d=1", ""))
         with pytest.raises(ValueError, match="malformed header") as info:
             ensemble_from_csv(path)
@@ -697,12 +724,21 @@ class TestEnsembleIO:
 
     @pytest.mark.parametrize("keep_rows", [True, False], ids=["rows", "no_rows"])
     def test_csv_header_without_a_component_rejected(self, tmp_path, keep_rows):
-        # the floor of simulate, judged on the header before any row
+        # judged on the header before any row
         path = tmp_path / "paths.csv"
-        ensemble_to_csv(simulate(TimeGrid(1.0, 2), 1, 3, seed=1), path)
+        ensemble_to_csv(simulate(TimeGrid(1.0, 2), 3, seed=1), path)
         lines = path.read_text().replace(" d=1", " d=0").splitlines()
         path.write_text("\n".join(lines if keep_rows else lines[:2]) + "\n")
-        with pytest.raises(ValueError, match=r"values shape \(3, 3, 0\), need n_paths >= 2 and d >= 1") as info:
+        with pytest.raises(ValueError, match=r"values shape \(3, 3, 0\) holds d=0 Brownian components") as info:
+            ensemble_from_csv(path)
+        assert str(path) in str(info.value)
+
+    def test_csv_header_of_two_components_refused(self, tmp_path):
+        # judged on the header: the rows, all of dim 0, are never read
+        path = tmp_path / "paths.csv"
+        ensemble_to_csv(simulate(TimeGrid(1.0, 2), 3, seed=1), path)
+        path.write_text(path.read_text().replace(" d=1", " d=2"))
+        with pytest.raises(ValueError, match=r"values shape \(3, 3, 2\) holds d=2 Brownian components, need d=1") as info:
             ensemble_from_csv(path)
         assert str(path) in str(info.value)
 
@@ -710,7 +746,7 @@ class TestEnsembleIO:
         # measured at 2000 x 40: a reader that copies the text peaked at 5.3x the
         # file size, parsing from the open file peaks at 1.75x
         path = tmp_path / "paths.csv"
-        ensemble_to_csv(simulate(TimeGrid(1.0, 40), 1, 2000, seed=2), path)
+        ensemble_to_csv(simulate(TimeGrid(1.0, 40), 2000, seed=2), path)
         tracemalloc.start()
         try:
             ensemble_from_csv(path)
@@ -721,7 +757,7 @@ class TestEnsembleIO:
 
     def test_csv_round_trip(self, tmp_path):
         grid = TimeGrid(0.5, 3)
-        ens = simulate(grid, 2, 7, seed=99)
+        ens = simulate(grid, 7, seed=99)
         path = tmp_path / "paths.csv"
         ensemble_to_csv(ens, path)
         back = ensemble_from_csv(path)
@@ -730,14 +766,14 @@ class TestEnsembleIO:
         np.testing.assert_allclose(back.values, ens.values, atol=1e-15)
 
     def test_csv_header_records_seed(self, tmp_path):
-        ens = simulate(TimeGrid(1.0, 2), 1, 3, seed=4242)
+        ens = simulate(TimeGrid(1.0, 2), 3, seed=4242)
         path = tmp_path / "paths.csv"
         ensemble_to_csv(ens, path)
         assert "seed=4242" in path.read_text().splitlines()[0]
 
     def test_npz_round_trip(self, tmp_path):
         grid = TimeGrid(1.0, 5)
-        ens = simulate(grid, 1, 11, seed=3)
+        ens = simulate(grid, 11, seed=3)
         path = tmp_path / "paths.npz"
         ensemble_to_npz(ens, path)
         back = ensemble_from_npz(path)
@@ -749,17 +785,19 @@ class TestEnsembleIO:
         (lambda arrays: {**arrays, "values": np.zeros((100, 61, 1))}, r"shape \(100, 61, 1\), need .*41"),
         (lambda arrays: {**arrays, "values": np.zeros((100, 41))}, r"shape \(100, 41\)"),
         (lambda arrays: {**arrays, "values": np.zeros((1, 41, 1))}, r"shape \(1, 41, 1\)"),
-        (lambda arrays: {**arrays, "values": np.zeros((100, 41, 0))}, r"shape \(100, 41, 0\)"),
+        (lambda arrays: {**arrays, "values": np.zeros((100, 41, 0))}, r"shape \(100, 41, 0\) holds d=0"),
         (lambda arrays: {k: v for k, v in arrays.items() if k != "seed"}, "missing seed"),
         (lambda arrays: {"values": arrays["values"]}, "missing seed, T, n_steps"),
         # an int64 file used to load and fail in the first backward step
         *[(lambda arrays, t=t: {**arrays, "values": arrays["values"].astype(t)}, f"values dtype {t}, need float64")
           for t in ("int64", "float32", "complex128")],
+        (lambda arrays: {**arrays, "values": np.zeros((100, 41, 2))},
+         r"values shape \(100, 41, 2\) holds d=2 Brownian components, need d=1"),
     ], ids=["nodes_off_grid", "two_dim", "one_path", "no_component", "no_seed", "values_only",
-            "int64", "float32", "complex128"])
+            "int64", "float32", "complex128", "two_components"])
     def test_npz_malformed_rejected(self, tmp_path, monkeypatch, edit, message):
         path = tmp_path / "paths.npz"
-        ensemble_to_npz(simulate(TimeGrid(1.0, 40), 1, 100, seed=1), path)
+        ensemble_to_npz(simulate(TimeGrid(1.0, 40), 100, seed=1), path)
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
         np.savez(path, **edit(arrays))
@@ -773,7 +811,7 @@ class TestEnsembleIO:
         # that loads the path-major array and then copies it holds 6.6 MB
         # more at 20000 x 40
         path = tmp_path / "paths.npz"
-        ens = simulate(TimeGrid(1.0, 40), 1, 20_000, seed=2)
+        ens = simulate(TimeGrid(1.0, 40), 20_000, seed=2)
         ensemble_to_npz(ens, path)
         tracemalloc.start()
         try:
@@ -785,23 +823,24 @@ class TestEnsembleIO:
         np.testing.assert_array_equal(bits(back.values), bits(ens.values))
         assert back.values.strides == ens.values.strides
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("n_paths", [5, 3000])
-    def test_npz_fortran_order_member_read(self, tmp_path, monkeypatch, d, n_paths):
+    def test_npz_fortran_order_member_read(self, tmp_path, monkeypatch, seed, n_paths):
         # np.savez stores a Fortran-ordered array as such; the reader puts it
         # node-major all the same, across several blocks
         monkeypatch.setattr(stochastic, "NPZ_READ_VALUES", 1000)
-        ens = simulate(TimeGrid(1.0, 6), d, n_paths, seed=4)
+        ens = simulate(TimeGrid(1.0, 6), n_paths, seed=seed)
         path = tmp_path / "paths.npz"
         for values in (np.asfortranarray(ens.values), np.ascontiguousarray(ens.values)):
-            np.savez(path, values=values, seed=np.int64(4), T=np.float64(1.0), n_steps=np.int64(6))
+            np.savez(path, values=values, seed=np.int64(seed), T=np.float64(1.0), n_steps=np.int64(6))
             back = ensemble_from_npz(path)
+            assert back.seed == seed
             np.testing.assert_array_equal(bits(back.values), bits(ens.values))
             assert back.values.strides == ens.values.strides
 
     def test_npz_short_member_rejected(self, tmp_path):
         path = tmp_path / "paths.npz"
-        ensemble_to_npz(simulate(TimeGrid(1.0, 4), 1, 10, seed=1), path)
+        ensemble_to_npz(simulate(TimeGrid(1.0, 4), 10, seed=1), path)
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files if key != "values"}
         np.savez(path, **arrays)
@@ -815,7 +854,7 @@ class TestEnsembleIO:
 
     def test_npz_one_path_refused_before_the_ensemble_is_built(self, tmp_path, monkeypatch):
         path = tmp_path / "paths.npz"
-        ensemble_to_npz(simulate(TimeGrid(1.0, 4), 1, 2, seed=1), path)
+        ensemble_to_npz(simulate(TimeGrid(1.0, 4), 2, seed=1), path)
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
         np.savez(path, **{**arrays, "values": arrays["values"][:1]})
