@@ -217,8 +217,8 @@ def solve(
 # ---------------------------------------------------------------------------
 
 def _sq_norm(z: np.ndarray) -> np.ndarray:
-    """|z|^2 of each row of an (n, d) array.  einsum is 2x faster than
-    np.sum(z * z, axis=1) at d = 1 and, at d <= 2, bit-equal to it."""
+    """|z|^2 of each row of an (n, 1) array.  einsum is 2x faster than
+    np.sum(z * z, axis=1) there, and bit-equal to it."""
     return np.einsum("ij,ij->i", z, z)
 
 

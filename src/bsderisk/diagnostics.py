@@ -286,14 +286,15 @@ def gamma_via_premium_measure(
             _, y_bar, z_bar = next(u_pass)
 
         # y-difference quotient at the v-solution's z
-        num_y = driver(t_i, y_v, z_v) - driver(t_i, y_bar, z_v)
+        g_bar_v = driver(t_i, y_bar, z_v)
+        num_y = driver(t_i, y_v, z_v) - g_bar_v
         den_y = y_v - y_bar
         dy = np.where(den_y != 0.0, num_y / np.where(den_y != 0.0, den_y, 1.0), 0.0)
         dy_int += dy * dt
 
         # z-difference quotient at y_bar: dz * (z_v - z_bar) is exactly
         # g(., y_bar, z_v) - g(., y_bar, z_bar)
-        num_z = driver(t_i, y_bar, z_v) - driver(t_i, y_bar, z_bar)
+        num_z = g_bar_v - driver(t_i, y_bar, z_bar)
         den_z = (z_v - z_bar)[:, 0]
         dz = np.where(den_z != 0.0, num_z / np.where(den_z != 0.0, den_z, 1.0), 0.0)
 

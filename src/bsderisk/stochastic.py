@@ -23,8 +23,8 @@ bit for bit like the simulated one.  The levels are stored node-major: values
 is indexed [path, node, 0] but views an (n_nodes, n_paths, 1) buffer, so the
 levels and the increment at one node, which every regression and backward
 step reads, are contiguous.  PathEnsemble copies levels given in any
-other layout into this one once, when it is built; the files keep their
-path-major order.
+other layout into this one once, when it is built.  The CSV file keeps the
+path-major row order; the .npz file stores the levels as held, node-major.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ _BLOCK = 16384  # fixed path-block size for reductions, summed in block order
 SIMULATE_ROWS = 4096  # paths whose normals simulate draws at a time
 CSV_BLOCK_ROWS = 65536  # rows per write of ensemble_to_csv, rounded down to whole paths
 CSV_READ_ROWS = 8192  # lines ensemble_from_csv parses at a time
-NPZ_READ_VALUES = 1 << 16  # levels ensemble_from_npz reads at a time, rounded down to whole paths
 _CSV_ROW = np.dtype([("path", "i8"), ("node", "i8"), ("dim", "i8"), ("value", "f8")])
 
 
@@ -154,7 +153,7 @@ def _check_values(shape: tuple, dtype: np.dtype, grid: TimeGrid, where: str = ""
 
 def _check_levels(shape: tuple, where: str = "") -> None:
     """The path-count floor of simulate and both readers, on the levels
-    shape (n_paths, n_steps+1, d); a reader names its file in where."""
+    shape (n_paths, n_steps+1, 1); a reader names its file in where."""
     if shape[0] < 2:
         raise ValueError(f"{where}values shape {tuple(shape)}, need n_paths >= 2")
 
@@ -534,8 +533,8 @@ class LsmcContext:
         means are preserved exactly.  clip=True clamps the fit to the field's
         sample range (see _Projector.fitted).
         """
-        if at > self.grid.n_steps:
-            raise IndexError(f"node {at} beyond grid end {self.grid.n_steps}")
+        if not 0 <= at <= self.grid.n_steps:
+            raise IndexError(f"node {at} outside the grid [0, {self.grid.n_steps}]")
         if field.index <= at:
             return RandomField(at, field.values)
         fitted = self.projector(at).fitted(field.values, clip=clip)
@@ -667,12 +666,12 @@ def ensemble_from_csv(path) -> PathEnsemble:
 
 
 def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
-    """Write the levels path-major in C order, with the seed and the grid.
-    The node-major view is Fortran-contiguous: without the C-order copy
-    np.savez would store it so, its bytes in node order."""
+    """Write the levels as held, with the seed and the grid.  The node-major
+    view is Fortran-contiguous, so np.savez stores it with fortran_order
+    True, its bytes in node order, and copies nothing."""
     np.savez(
         path,
-        values=np.ascontiguousarray(ensemble.values),
+        values=ensemble.values,
         seed=np.int64(ensemble.seed),
         T=np.float64(ensemble.grid.T),
         n_steps=np.int64(ensemble.grid.n_steps),
@@ -682,12 +681,12 @@ def ensemble_to_npz(ensemble: PathEnsemble, path) -> None:
 def ensemble_from_npz(path) -> PathEnsemble:
     """Read an ensemble_to_npz file.
 
-    The values.npy member's header is read first, and then its data,
-    NPZ_READ_VALUES levels at a time in whole paths, straight into the
-    node-major levels: besides them the reader holds one block.  A missing
-    key, fewer than 2 paths, or levels that PathEnsemble rejects (not
-    float64, off the grid, or of d other than 1) raise a ValueError naming
-    the file before any level is read."""
+    numpy reads the values.npy member into one buffer and returns its
+    node-major view, which PathEnsemble keeps without a copy; a path-major
+    (C-order) member is copied into node-major once.  A missing key, or
+    levels that are malformed or that PathEnsemble rejects (fewer than 2
+    paths, not float64, off the grid, or of d other than 1), raise a
+    ValueError naming the file."""
     with np.load(path) as data:
         missing = [key for key in ("values", "seed", "T", "n_steps") if key not in data.files]
         if missing:
@@ -695,46 +694,10 @@ def ensemble_from_npz(path) -> PathEnsemble:
         grid = TimeGrid(T=float(data["T"]), n_steps=int(data["n_steps"]))
         seed = int(data["seed"])
         try:
-            with data.zip.open("values.npy") as member:
-                shape, fortran, dtype = _npy_header(member)
-                if len(shape) == 3:  # the floor first
-                    _check_levels(shape)
-                _check_values(shape, dtype, grid)
-                nodes = _read_node_major(member, shape, fortran)
+            values = data["values"]
+            if values.ndim == 3:  # the floor first
+                _check_levels(values.shape)
+            values.setflags(write=False)
+            return PathEnsemble(grid=grid, seed=seed, values=values)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    nodes.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=seed, values=nodes.transpose(1, 0, 2))
-
-
-def _npy_header(member) -> tuple:
-    """(shape, fortran_order, dtype) from the header of an open .npy member."""
-    version = np.lib.format.read_magic(member)
-    if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(member)
-    if version == (2, 0):
-        return np.lib.format.read_array_header_2_0(member)
-    raise ValueError(f"values.npy format version {version[0]}.{version[1]} not supported")
-
-
-def _read_node_major(member, shape: tuple, fortran: bool) -> np.ndarray:
-    """The float64 data of a .npy member of shape (n_paths, n_nodes, 1), read
-    into a new node-major (n_nodes, n_paths, 1) buffer one block at a time."""
-    n_paths, n_nodes, _ = shape
-    nodes = np.empty((n_nodes, n_paths, 1))
-
-    def take(count: int) -> np.ndarray:
-        buf = member.read(8 * count)
-        if len(buf) != 8 * count:
-            raise ValueError(f"values.npy ends before the {n_paths * n_nodes} levels of shape {shape}")
-        return np.frombuffer(buf)
-
-    if fortran:  # stored (1, n_nodes, n_paths) in C order: one node at a time
-        for i in range(n_nodes):
-            nodes[i, :, 0] = take(n_paths)
-    else:
-        step = max(1, NPZ_READ_VALUES // n_nodes)
-        for start in range(0, n_paths, step):
-            block = take(min(step, n_paths - start) * n_nodes).reshape(-1, n_nodes)
-            nodes[:, start : start + block.shape[0], 0] = block.T
-    return nodes

@@ -153,6 +153,19 @@ class TestPremiumMeasure:
         gamma_via_premium_measure(ctx20, drv, claim_from_label("brownian", 8), 5, 12, 20)
         assert sorted(calls) == [5, 5, 5, 6, 6, 7, 7]
 
+    def test_three_driver_calls_per_node_of_the_window(self, ctx20, monkeypatch):
+        # the passes get their own uncounted driver; at each node of [t, v)
+        # the quotients call g at (y_v, z_v), (y_bar, z_v) and (y_bar, z_bar),
+        # and the source integrand calls it once more at each node of [u, v)
+        drv = shifted(driver_from_label("csa_example"), 0.1)
+        calls = []
+        counted = Driver(lambda t, y, z: calls.append(t) or drv.fn(t, y, z), drv.label, drv.depends_on_y)
+        original = diagnostics.backward
+        monkeypatch.setattr(diagnostics, "backward", lambda driver, *args, **kw: original(drv, *args, **kw))
+        gamma_via_premium_measure(ctx20, counted, claim_from_label("brownian", 8), 5, 12, 20)
+        dt = ctx20.grid.dt
+        assert Counter(calls) == Counter({i * dt: 3 + (i >= 12) for i in range(5, 20)})
+
     def test_window_validation(self, ctx20):
         with pytest.raises(ValueError):
             gamma_via_premium_measure(

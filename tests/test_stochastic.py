@@ -105,11 +105,11 @@ class TestSimulate:
 
 
 def split_paths(monkeypatch, n_paths: int, n_nodes: int, blocks: int) -> None:
-    """Make simulate draw, and both writers and readers move, n_paths paths
+    """Make simulate draw, and the CSV writer and reader move, n_paths paths
     of n_nodes nodes in `blocks` blocks."""
     rows = -(-n_paths // blocks)
     monkeypatch.setattr(stochastic, "SIMULATE_ROWS", rows)
-    for name in ("CSV_BLOCK_ROWS", "CSV_READ_ROWS", "NPZ_READ_VALUES"):
+    for name in ("CSV_BLOCK_ROWS", "CSV_READ_ROWS"):
         monkeypatch.setattr(stochastic, name, rows * n_nodes)
 
 
@@ -143,7 +143,9 @@ class TestLayout:
             assert ens.increment(i).flags.c_contiguous
 
     @pytest.mark.parametrize("blocks", [1, 2])
-    def test_files_keep_their_path_major_bytes(self, tmp_path, monkeypatch, blocks):
+    def test_csv_keeps_path_major_rows_npz_the_held_levels(self, tmp_path, monkeypatch, blocks):
+        # from either layout, the CSV rows go path by path, and the npz member
+        # holds the node-major levels as held: Fortran order, node by node
         split_paths(monkeypatch, 50, 5, blocks)
         ens = simulate(TimeGrid(1.0, 4), 50, seed=9)
         levels = np.ascontiguousarray(ens.values)
@@ -155,11 +157,12 @@ class TestLayout:
                 members.append(z.read("values.npy"))
         assert (tmp_path / "simulated.csv").read_bytes() == (tmp_path / "path_major.csv").read_bytes()
         reference = io.BytesIO()
-        np.save(reference, levels)
+        np.save(reference, ens.values)
         assert members[0] == members[1] == reference.getvalue()
         member = io.BytesIO(members[0])
         np.lib.format.read_magic(member)
-        assert np.lib.format.read_array_header_1_0(member)[1] is False  # fortran_order
+        assert np.lib.format.read_array_header_1_0(member)[1] is True  # fortran_order
+        assert member.read() == np.ascontiguousarray(ens.values.transpose(1, 0, 2)).tobytes()
 
     @pytest.mark.parametrize("shape, message", [
         *[(shape, f"values shape {shape}, need (n_paths, 5, 1)")
@@ -285,8 +288,11 @@ class TestCondExpect:
         np.testing.assert_array_equal(out.values, f.values)
 
     def test_index_out_of_range(self, ctx20):
-        with pytest.raises(IndexError):
-            ctx20.cond_expect(RandomField(20, np.zeros(10_000)), 21)
+        field = RandomField(20, np.zeros(10_000))
+        for at in (21, -1, -5):  # past either end of the grid
+            with pytest.raises(IndexError, match=rf"node {at} outside the grid \[0, 20\]"):
+                ctx20.cond_expect(field, at)
+        assert [ctx20.cond_expect(field, at).index for at in (0, 20)] == [0, 20]
 
     @staticmethod
     def flat_until_the_end(ens):
@@ -779,7 +785,8 @@ class TestEnsembleIO:
         back = ensemble_from_npz(path)
         assert back.seed == 3
         np.testing.assert_array_equal(bits(back.values), bits(ens.values))
-        assert back.values.strides == ens.values.strides
+        # node rows contiguous; the stride of the size-1 axis is immaterial
+        assert back.values.strides[:2] == ens.values.strides[:2] and not back.values.flags.writeable
 
     @pytest.mark.parametrize("edit, message", [
         (lambda arrays: {**arrays, "values": np.zeros((100, 61, 1))}, r"shape \(100, 61, 1\), need .*41"),
@@ -795,21 +802,20 @@ class TestEnsembleIO:
          r"values shape \(100, 41, 2\) holds d=2 Brownian components, need d=1"),
     ], ids=["nodes_off_grid", "two_dim", "one_path", "no_component", "no_seed", "values_only",
             "int64", "float32", "complex128", "two_components"])
-    def test_npz_malformed_rejected(self, tmp_path, monkeypatch, edit, message):
+    def test_npz_malformed_rejected(self, tmp_path, edit, message):
         path = tmp_path / "paths.npz"
         ensemble_to_npz(simulate(TimeGrid(1.0, 40), 100, seed=1), path)
         with np.load(path) as data:
             arrays = {key: data[key] for key in data.files}
         np.savez(path, **edit(arrays))
-        monkeypatch.setattr(stochastic, "_read_node_major", lambda *args: pytest.fail("levels were read"))
         with pytest.raises(ValueError, match=message) as info:
             ensemble_from_npz(path)
         assert str(path) in str(info.value)
 
     def test_npz_reader_holds_one_block_besides_the_levels(self, tmp_path):
-        # the levels are read straight into the node-major buffer; a reader
-        # that loads the path-major array and then copies it holds 6.6 MB
-        # more at 20000 x 40
+        # numpy reads the member into one buffer, one chunk of BUFFER_SIZE
+        # bytes at a time, and the ensemble keeps its node-major view; a
+        # reader that copied the levels would hold 6.6 MB more at 20000 x 40
         path = tmp_path / "paths.npz"
         ens = simulate(TimeGrid(1.0, 40), 20_000, seed=2)
         ensemble_to_npz(ens, path)
@@ -819,24 +825,49 @@ class TestEnsembleIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - back.values.nbytes < 2.5 * 8 * stochastic.NPZ_READ_VALUES
+        assert peak - back.values.nbytes < 4 * np.lib.format.BUFFER_SIZE
         np.testing.assert_array_equal(bits(back.values), bits(ens.values))
-        assert back.values.strides == ens.values.strides
+        assert back.values.strides[:2] == ens.values.strides[:2]
+
+    def test_npz_writer_makes_no_copy(self, tmp_path):
+        # numpy writes the Fortran-contiguous levels in chunks of up to 16 MiB,
+        # here one chunk of the whole array; a path-major copy would double it
+        ens = simulate(TimeGrid(1.0, 40), 20_000, seed=2)
+        tracemalloc.start()
+        try:
+            ensemble_to_npz(ens, tmp_path / "paths.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ens.values.nbytes + 1e6
+
+    def test_npz_legacy_path_major_member_read(self, tmp_path):
+        # a file of the older layout: the levels path-major, in C order
+        ens = simulate(TimeGrid(1.0, 40), 3000, seed=5)
+        path = tmp_path / "paths.npz"
+        np.savez(path, values=np.ascontiguousarray(ens.values), seed=np.int64(5), T=np.float64(1.0),
+                 n_steps=np.int64(40))
+        with zipfile.ZipFile(path) as z, z.open("values.npy") as member:
+            np.lib.format.read_magic(member)
+            assert np.lib.format.read_array_header_1_0(member)[1] is False  # fortran_order
+        back = ensemble_from_npz(path)
+        np.testing.assert_array_equal(bits(back.values), bits(ens.values))
+        assert back.values.strides == ens.values.strides and not back.values.flags.writeable
+        assert all(back.levels(i).flags.c_contiguous for i in range(41))
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("n_paths", [5, 3000])
-    def test_npz_fortran_order_member_read(self, tmp_path, monkeypatch, seed, n_paths):
-        # np.savez stores a Fortran-ordered array as such; the reader puts it
-        # node-major all the same, across several blocks
-        monkeypatch.setattr(stochastic, "NPZ_READ_VALUES", 1000)
+    def test_npz_fortran_order_member_read(self, tmp_path, seed, n_paths):
+        # np.savez stores a Fortran-ordered array as such, and it reads back
+        # node-major; test_npz_legacy_path_major_member_read takes C order
         ens = simulate(TimeGrid(1.0, 6), n_paths, seed=seed)
         path = tmp_path / "paths.npz"
-        for values in (np.asfortranarray(ens.values), np.ascontiguousarray(ens.values)):
-            np.savez(path, values=values, seed=np.int64(seed), T=np.float64(1.0), n_steps=np.int64(6))
-            back = ensemble_from_npz(path)
-            assert back.seed == seed
-            np.testing.assert_array_equal(bits(back.values), bits(ens.values))
-            assert back.values.strides == ens.values.strides
+        np.savez(path, values=np.asfortranarray(ens.values), seed=np.int64(seed), T=np.float64(1.0),
+                 n_steps=np.int64(6))
+        back = ensemble_from_npz(path)
+        assert back.seed == seed
+        np.testing.assert_array_equal(bits(back.values), bits(ens.values))
+        assert back.values.strides[:2] == ens.values.strides[:2]
 
     def test_npz_short_member_rejected(self, tmp_path):
         path = tmp_path / "paths.npz"
@@ -848,7 +879,7 @@ class TestEnsembleIO:
         np.lib.format.write_array_header_1_0(member, {"descr": "<f8", "fortran_order": False, "shape": (10, 5, 1)})
         with zipfile.ZipFile(path, "a") as z:
             z.writestr("values.npy", member.getvalue() + np.zeros(49).tobytes())
-        with pytest.raises(ValueError, match=r"values.npy ends before the 50 levels of shape \(10, 5, 1\)") as info:
+        with pytest.raises(ValueError, match=r"EOF: reading array data, expected 400 bytes got 392") as info:
             ensemble_from_npz(path)
         assert str(path) in str(info.value)
 
