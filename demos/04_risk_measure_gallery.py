@@ -33,7 +33,7 @@ labels = [
 ]
 print(f"{'construction':24s}  rho_0(B_1)   stderr")
 for label in labels:
-    measure = measure_from_label(label, grid)
+    measure = measure_from_label(label)
     rho = measure.evaluate(ctx, 0, claim)
     se = block_stderr(ctx, lambda sub, rows, m=measure: m.evaluate(sub, 0, claim).mean())
     print(f"{label:24s}  {rho.mean():+10.5f}  {se:.5f}")
@@ -41,10 +41,10 @@ for label in labels:
 print()
 print("losses measure sweeping the deformation index (common paths):")
 lower = np.mean(np.maximum(-ens.values[:, 50, 0], 0.0))
-upper = measure_from_label("qent:1,0", grid).evaluate(ctx, 0, claim).mean()
+upper = measure_from_label("qent:1,0").evaluate(ctx, 0, claim).mean()
 print(f"  expected loss (q->0 limit)     = {lower:.5f}")
 for q in (0.1, 0.3, 0.5, 0.7, 0.9):
-    val = measure_from_label(f"qent:{q},0", grid).evaluate(ctx, 0, claim).mean()
+    val = measure_from_label(f"qent:{q},0").evaluate(ctx, 0, claim).mean()
     bar = "#" * int(60 * (val - lower) / (upper - lower))
     print(f"  q={q}: {val:.5f} {bar}")
 print(f"  entropic on losses (q=1 cap)   = {upper:.5f}")

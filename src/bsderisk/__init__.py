@@ -4,7 +4,6 @@ driven by backward stochastic differential equations."""
 from .tsallis import DomainError, exp_q, ln_q
 from .stochastic import (
     Claim,
-    DiscountCurve,
     LsmcContext,
     PathEnsemble,
     RandomField,

@@ -234,7 +234,7 @@ def run_evaluate(cfg: RunConfig) -> tuple[str, str, Optional[str]]:
     with _refused_input():
         s, t, u, v = cfg.indices()
         claim = claim_from_label(cfg.claim, u)
-        measure = measure_from_label(cfg.measure, cfg.grid())
+        measure = measure_from_label(cfg.measure)
     ctx = cfg.build()
     rho, se = _value(ctx, measure, claim, t, u)
     est = rho.mean()
@@ -286,7 +286,7 @@ def run_sweep(cfg: RunConfig) -> str:
         s, t, u, v = cfg.indices()
         claim = claim_from_label(cfg.claim, u)
         labels = [cfg.measure.replace(placeholder, label_number(float(value))) for value in cfg.values]
-        measures = [measure_from_label(label, cfg.grid()) for label in labels]
+        measures = [measure_from_label(label) for label in labels]
     ctx = cfg.build()
 
     def row(item) -> str:
@@ -332,14 +332,14 @@ def run_verify(cfg: RunConfig) -> tuple[list[PropertyReport], dict]:
         s, t, u, v = cfg.indices()
         claim = claim_from_label(cfg.claim, u)
         single = set(cfg.checks) - {"taxonomy", "gamma_cross"}
-        measure = measure_from_label(cfg.measure, cfg.grid()) if single else None
+        measure = measure_from_label(cfg.measure) if single else None
     ctx = cfg.build()
 
     # per check: (name, the label each task's report is audited under, the tasks)
     groups = []
     for name in cfg.checks:
         if name == "taxonomy":
-            rows = [(measure_from_label(lbl, ctx.grid), claim_from_label(claim_lbl, u))
+            rows = [(measure_from_label(lbl), claim_from_label(claim_lbl, u))
                     for lbl, claim_lbl in taxonomy_rows()]
             groups.append((name, None, [partial(taxonomy_row, ctx, m, x, s, t, u, v) for m, x in rows]))
         elif name == "gamma_cross":

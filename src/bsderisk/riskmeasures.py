@@ -5,7 +5,8 @@ constructions are: the backward solve of a driver or of a maturity-indexed
 driver family (on -X or on the loss (X+beta)^-), the conditional mean, the
 certainty-equivalent closed form ln_q E[exp_q(T(X)) | F_t] (entropic,
 deformed-entropic, and deformed-entropic on losses with an optional
-translation rate), and discount-wrapping of a cash-additive base measure.
+translation rate), and discount-wrapping of a cash-additive base measure
+at one flat short rate.
 
 Claims measurable before the requested maturity are handled by the terminal
 extension built into the solver (value held, Z = 0 on the tail), so a measure
@@ -31,10 +32,8 @@ from .bsde import (
 )
 from .stochastic import (
     Claim,
-    DiscountCurve,
     LsmcContext,
     RandomField,
-    TimeGrid,
     digest,
     label_floats,
     label_number,
@@ -132,7 +131,7 @@ class DriverMeasure(RiskMeasure):
     label: str = ""
 
     def __post_init__(self):
-        if self.beta is not None and self.beta < 0.0:
+        if self.beta is not None and not 0.0 <= self.beta < np.inf:
             raise ValueError(f"acceptable loss level beta must be >= 0, got {self.beta}")
         family = isinstance(self.driver, DriverFamily)
         if not self.label:
@@ -197,13 +196,13 @@ class CertaintyEquivalent(RiskMeasure):
             if self.a is not None:
                 raise ValueError("a translation rate needs the losses transform (set beta)")
             self.label = "entropic" if tsallis.is_classical(self.q) else f"qent_closed:{label_number(self.q)}"
-        elif self.beta < 0.0:
+        elif not 0.0 <= self.beta < np.inf:
             raise ValueError(f"acceptable loss level beta must be >= 0, got {self.beta}")
         elif self.a is None:
             self.label = f"qent:{label_number(self.q)},{label_number(self.beta)}"
         elif callable(self.a):
             self.label = f"qent_tr:{label_number(self.q)},{label_number(self.beta)},a(t)"
-        elif self.a < 0.0:
+        elif not 0.0 <= self.a < np.inf:
             raise ValueError(f"translation rate must be >= 0, got {self.a}")
         else:
             self.label = f"qent_tr:{label_number(self.q)},{label_number(self.beta)},{label_number(self.a)}"
@@ -212,7 +211,7 @@ class CertaintyEquivalent(RiskMeasure):
 
     def _rate(self, t: float) -> float:
         r = self.a(t) if callable(self.a) else float(self.a)
-        if r < 0.0:
+        if not 0.0 <= r < np.inf:
             raise ValueError(f"translation rate must be >= 0, got a({t}) = {r}")
         return r
 
@@ -234,31 +233,34 @@ class CertaintyEquivalent(RiskMeasure):
 
 @dataclass
 class DiscountedMeasure(RiskMeasure):
-    """Wrap a cash-additive base: rho_{tu}(X) = base_{tu}(D(t,u) X).
+    """Wrap a cash-additive base: rho_{tu}(X) = base_{tu}(D(t,u) X), with
+    D(t_i, t_j) = exp(-sum_{k=i}^{j-1} rate * dt) for one flat short rate.
 
-    The construction yields cash subadditivity from D <= 1; it refuses
-    non-cash-additive bases because the subadditivity argument needs exact
-    translation invariance of the base.
+    The construction yields cash subadditivity from D <= 1; it refuses a
+    rate that is negative or not finite, and non-cash-additive bases because
+    the subadditivity argument needs exact translation invariance of the base.
     """
 
     base: RiskMeasure
-    curve: DiscountCurve
+    rate: float
 
     def __post_init__(self):
         if not self.base.is_cash_additive:
             raise ValueError(f"discounted wrapper requires a cash-additive base, got {self.base.label}")
-        rates = np.asarray(self.curve.rates)
-        tag = label_number(float(rates[0])) if np.all(rates == rates[0]) else "curve"
-        self.label = f"discounted:{self.base.label},{tag}"
+        self.label = f"discounted:{self.base.label},{label_number(float(self.rate))}"
+        if not 0.0 <= self.rate < np.inf:
+            raise ValueError(f"{self.label!r}: short rate must be nonnegative and finite, got {self.rate}")
         self.is_cash_additive = False
 
     def _evaluate(self, ctx, t_index, field, maturity):
-        d = self.curve.factor(t_index, maturity)
+        cum = np.zeros(maturity + 1)
+        np.cumsum(np.full(maturity, self.rate * ctx.grid.dt), out=cum[1:])
+        d = float(np.exp(-(cum[maturity] - cum[t_index])))
         scaled = RandomField(field.index, d * field.values)
         return self.base._evaluate(ctx, t_index, scaled, maturity)
 
 
-def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
+def measure_from_label(label: str) -> RiskMeasure:
     """Construction strings:
 
     mean | entropic | qent:q,beta | qent_tr:q,beta,a | qent_closed:q
@@ -293,5 +295,5 @@ def measure_from_label(label: str, grid: TimeGrid) -> RiskMeasure:
     if name == "discounted":
         base_label, _, r_s = arg.rpartition(",")
         (r,) = label_floats(label, r_s, 1)
-        return DiscountedMeasure(measure_from_label(base_label, grid), DiscountCurve.flat(grid, r))
+        return DiscountedMeasure(measure_from_label(base_label), r)
     raise KeyError(f"unknown measure label {label!r}")

@@ -1,4 +1,4 @@
-"""Brownian path simulation, claims, discount curves and the regression engine.
+"""Brownian path simulation, claims and the regression engine.
 
 Conditional expectations E[. | F_t] are realized by least-squares Monte Carlo
 on paths of one Brownian motion B: projection onto the powers of its level
@@ -43,7 +43,6 @@ __all__ = [
     "RandomField",
     "Claim",
     "RegressionBasis",
-    "DiscountCurve",
     "LsmcContext",
     "SingularRegression",
     "simulate",
@@ -75,7 +74,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (self.T > 0.0):
+        if not 0.0 < self.T < np.inf:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if self.n_steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.n_steps}")
@@ -302,38 +301,6 @@ class RegressionBasis:
         for j in range(1, phi.shape[0]):
             np.multiply(phi[j - 1], variables[:, 0], out=phi[j])
         return phi.T
-
-
-@dataclass(frozen=True)
-class DiscountCurve:
-    """Deterministic piecewise-constant short rate on the grid.
-
-    D(t_i, t_j) = exp(-sum_{k=i}^{j-1} r_k * dt).
-    """
-
-    grid: TimeGrid
-    rates: np.ndarray  # (n_steps,), nonnegative
-
-    def __post_init__(self):
-        r = np.asarray(self.rates, dtype=float)
-        if r.shape != (self.grid.n_steps,):
-            raise ValueError(f"rates must have shape ({self.grid.n_steps},), got {r.shape}")
-        if np.any(r < 0.0):
-            raise ValueError("short rate must be nonnegative")
-        object.__setattr__(self, "rates", r)
-        cum = np.zeros(self.grid.n_steps + 1)
-        np.cumsum(r * self.grid.dt, out=cum[1:])
-        object.__setattr__(self, "_cum", cum)
-
-    @classmethod
-    def flat(cls, grid: TimeGrid, r: float) -> "DiscountCurve":
-        return cls(grid, np.full(grid.n_steps, float(r)))
-
-    def factor(self, i: int, j: int) -> float:
-        """Discount factor D(t_i, t_j) in (0, 1], requires i <= j."""
-        if i > j:
-            raise ValueError(f"discount factor needs i <= j, got ({i}, {j})")
-        return float(np.exp(-(self._cum[j] - self._cum[i])))
 
 
 class _Projector:

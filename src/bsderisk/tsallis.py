@@ -1,11 +1,12 @@
 """Deformed exponential/logarithm pair used by the generalized-entropy measures.
 
-For deformation index q != 1,
+For deformation index q in (0,1),
 
     exp_q(x) = (1 + (1-q)*x)^(1/(1-q))      ln_q(x) = (x^(1-q) - 1)/(1-q)
 
 and the classical exp/ln are recovered as q -> 1.  Both maps are strictly
-increasing on their domains and mutually inverse where defined.
+increasing on their domains and mutually inverse where defined; both take q
+through check_q, so q > 1 is refused.
 
 The q-entropic risk measure on losses is built from this pair and from the
 generator q|z|^2 / (2(1 + (1-q)y)); its rules live here once: q ranges over
@@ -46,8 +47,8 @@ def is_classical(q: float) -> bool:
 
 
 def check_q(label: str, q: float) -> float:
-    """q of a q-entropic construction, which must lie in (0,1]; the error
-    names the label."""
+    """q of a q-entropic construction or of the deformed pair, which must lie
+    in (0,1]; the error names the label or the function."""
     if not 0.0 < q <= 1.0:
         raise ValueError(f"{label!r}: q must lie in (0,1], got {q}")
     return q
@@ -58,33 +59,21 @@ def in_domain(x, q: float):
     return 1.0 + (1.0 - q) * x >= EPS_DOM
 
 
-def _positive(q) -> float:
-    q = float(q)
-    if not (q > 0.0 and np.isfinite(q)):
-        raise ValueError(f"q must be a positive finite real, got {q}")
-    return q
-
-
 def exp_q(x, q):
     """Deformed exponential, elementwise on scalars or arrays.
 
     Domain: for q in (0,1) requires x >= 1/(q-1) (boundary included, value 0);
-    for q > 1 requires x < 1/(q-1); any x for q = 1.
+    any x for q = 1.
     """
-    q = _positive(q)
+    q = check_q("exp_q", q)
     x = np.asarray(x, dtype=float)
     if is_classical(q):
         out = np.exp(x)
         return out if out.ndim else float(out)
     omq = 1.0 - q
     base = 1.0 + omq * x
-    if q < 1.0:
-        if np.any(base < 0.0):
-            xb = float(np.min(x)) if x.ndim else float(x)
-            raise DomainError("exp_q", xb, q, f"x >= {1.0 / (q - 1.0)}")
-    elif np.any(base <= 0.0):
-        xb = float(np.max(x)) if x.ndim else float(x)
-        raise DomainError("exp_q", xb, q, f"x < {1.0 / (q - 1.0)}")
+    if np.any(base < 0.0):
+        raise DomainError("exp_q", float(np.min(x)), q, f"x >= {1.0 / (q - 1.0)}")
     out = base ** (1.0 / omq)
     return out if out.ndim else float(out)
 
@@ -92,19 +81,17 @@ def exp_q(x, q):
 def ln_q(x, q):
     """Deformed logarithm, inverse of exp_q on the shared domain.
 
-    Domain: x >= 0 for q in (0,1); x > 0 for q >= 1 and in the classical branch.
+    Domain: x >= 0 for q in (0,1); x > 0 in the classical branch.
     """
-    q = _positive(q)
+    q = check_q("ln_q", q)
     x = np.asarray(x, dtype=float)
-    classical = is_classical(q)
-    if classical or q > 1.0:
+    if is_classical(q):
         if np.any(x <= 0.0):
             raise DomainError("ln_q", float(np.min(x)), q, "x > 0")
-    elif np.any(x < 0.0):
-        raise DomainError("ln_q", float(np.min(x)), q, "x >= 0")
-    if classical:
         out = np.log(x)
     else:
+        if np.any(x < 0.0):
+            raise DomainError("ln_q", float(np.min(x)), q, "x >= 0")
         omq = 1.0 - q
         out = (x**omq - 1.0) / omq
     return out if out.ndim else float(out)

@@ -133,7 +133,7 @@ class TestEvaluate:
         _, _, pathwise = run_evaluate(cfg)
         ctx = cfg.build()
         _, t, u, _ = cfg.indices()
-        rho = measure_from_label(cfg.measure, ctx.grid).evaluate(ctx, t, claim_from_label(cfg.claim, u), maturity=u)
+        rho = measure_from_label(cfg.measure).evaluate(ctx, t, claim_from_label(cfg.claim, u), maturity=u)
         assert pathwise == "path,value\n" + "".join(f"{p},{float(v):.9g}\n" for p, v in enumerate(rho.values))
 
 
@@ -378,8 +378,9 @@ class TestRefusedInput:
         ("", ["--paths", "1", "simulate"], "need n_paths >= 2"),
         ("", ["--seed", "-1", "simulate"], "--seed / [ensemble] seed = -1: need a non-negative integer"),
         ("[ensemble]\nseed = -3\n", ["verify"], "[ensemble] seed = -3"),
+        ("[grid]\nT = inf\nn_steps = 4\n", ["--paths", "100", "evaluate"], "horizon T must be positive, got inf"),
     ], ids=["ridge_key", "window", "claim_label", "sweep_metric", "check_name", "path_count", "seed_flag",
-            "seed_key"])
+            "seed_key", "horizon_inf"])
     def test_one_line_and_status_2(self, tmp_path, capsys, config, argv, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(config)

@@ -87,7 +87,7 @@ class TestGamma:
             gamma(ctx50, m, claim_from_label("brownian", 25), 0, 20, 50)
 
     def test_root_stderr_is_eight_block_split(self, ctx50):
-        m = measure_from_label("qent_tr:0.5,0,0.2", ctx50.grid)
+        m = measure_from_label("qent_tr:0.5,0,0.2")
         claim = claim_from_label("brownian", 25)
         res = gamma(ctx50, m, claim, 0, 25, 50)
         x = claim.evaluate(ctx50.ensemble).values
@@ -175,19 +175,19 @@ class TestPremiumMeasure:
 
 class TestCashAdditivity:
     def test_y_free_driver_exact(self, ctx20):
-        m = measure_from_label("driver:quad_z", ctx20.grid)
+        m = measure_from_label("driver:quad_z")
         rep = check_cash_additivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert rep.verdict
         assert rep.max_violation <= 1e-8
 
     def test_losses_measure_fails_with_positive_witness(self, ctx20):
-        m = measure_from_label("qent:0.5,0", ctx20.grid)
+        m = measure_from_label("qent:0.5,0")
         rep = check_cash_additivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert not rep.verdict
         assert rep.details[f"mean_gap[{rep.witness['shift']}]"] > 0.0
 
     def test_wrapper_gap_matches_closed_form(self, ctx20):
-        m = measure_from_label("discounted:mean,0.1", ctx20.grid)
+        m = measure_from_label("discounted:mean,0.1")
         rep = check_cash_additivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert not rep.verdict
         gap_per_unit = 1.0 - np.exp(-0.1 * 0.5)
@@ -199,7 +199,7 @@ class TestCashAdditivity:
     # the cash-additive constructions from the others exactly
     @pytest.mark.parametrize("label", list(TAXONOMY))
     def test_verdict_follows_the_construction(self, ctx20, label):
-        measure = measure_from_label(label, ctx20.grid)
+        measure = measure_from_label(label)
         claim = claim_from_label(TAXONOMY[label][0], 20)
         assert check_cash_additivity(ctx20, measure, claim, 10, 20).verdict == measure.is_cash_additive
 
@@ -207,12 +207,12 @@ class TestCashAdditivity:
 class TestCashSubadditivity:
     @pytest.mark.parametrize("label", ["discounted:mean,0.1", "driver:csa_example"])
     def test_passes(self, ctx20, label):
-        m = measure_from_label(label, ctx20.grid)
+        m = measure_from_label(label)
         rep = check_cash_subadditivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert rep.verdict
 
     def test_zero_shift_is_equality(self, ctx20):
-        m = measure_from_label("discounted:mean,0.1", ctx20.grid)
+        m = measure_from_label("discounted:mean,0.1")
         rep = check_cash_subadditivity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert rep.details["mean_gap[0]"] == 0.0
 
@@ -289,7 +289,7 @@ class TestShiftGaps:
             return original(self, c, t_index, field, maturity)
 
         monkeypatch.setattr(CertaintyEquivalent, "_evaluate", counted)
-        rep = diagnostics.run_check(ctx, name, measure_from_label("entropic", grid), claim, 0, 2, 4, 8)
+        rep = diagnostics.run_check(ctx, name, measure_from_label("entropic"), claim, 0, 2, 4, 8)
         line, (n_calls, n_plain) = self.REPORTS[name]
         assert len(calls) == n_calls
         assert calls.count((4, digest(claim.evaluate(ctx.ensemble).values))) == n_plain
@@ -299,24 +299,24 @@ class TestShiftGaps:
 
 class TestNormalizationChecks:
     def test_quad_z_passes(self, ctx20):
-        m = measure_from_label("driver:quad_z", ctx20.grid)
+        m = measure_from_label("driver:quad_z")
         assert check_normalization(ctx20, m, 0, 10, 20).verdict
 
     def test_shifted_example_fails(self, ctx20):
-        m = measure_from_label("driver:csa_example_shift", ctx20.grid)
+        m = measure_from_label("driver:csa_example_shift")
         rep = check_normalization(ctx20, m, 0, 10, 20)
         assert not rep.verdict
         assert rep.witness["violation"] == pytest.approx(0.5, abs=1e-9)
         assert rep.witness["pair"] in ([0, 10], [10, 20]) and 0 <= rep.witness["path"] < 10_000
 
     def test_zero_driver_passes(self, ctx20):
-        m = measure_from_label("driver:zero", ctx20.grid)
+        m = measure_from_label("driver:zero")
         assert check_normalization(ctx20, m, 0, 20, 20).verdict
 
     def test_rho0_sign_check(self, ctx20):
-        good = measure_from_label("driver:quad_z", ctx20.grid)
+        good = measure_from_label("driver:quad_z")
         assert check_nonpositive_at_zero(ctx20, good, 0, 20, 20).verdict
-        bad = measure_from_label("qent_tr:0.5,0,0.2", ctx20.grid)
+        bad = measure_from_label("qent_tr:0.5,0,0.2")
         assert not check_nonpositive_at_zero(ctx20, bad, 0, 20, 20).verdict
 
 
@@ -360,7 +360,7 @@ class TestVerdictPolicy:
     """The tolerances and caps are fixed behaviour, not arguments."""
 
     def test_exact_check_tolerances(self, ctx20):
-        m = measure_from_label("driver:quad_z", ctx20.grid)
+        m = measure_from_label("driver:quad_z")
         claim = claim_from_label("brownian", 20)
         assert check_cash_additivity(ctx20, m, claim, 10, 20).tolerance == 1e-8
         assert check_normalization(ctx20, m, 0, 10, 20).tolerance == 1e-10
@@ -376,7 +376,7 @@ class TestVerdictPolicy:
         assert check_normalization(ctx20, _OnePathBump(0.5e-10), 0, 20, 20).verdict
 
     def test_monte_carlo_tolerance_is_four_probe_scales(self, ctx20):
-        m = measure_from_label("driver:csa_example", ctx20.grid)
+        m = measure_from_label("driver:csa_example")
         claim = claim_from_label("brownian", 20)
         rep = check_cash_subadditivity(ctx20, m, claim, 10, 20)
         assert rep.tolerance == 4 * noise_sigma(ctx20, m, claim, 10, 20)[1]
@@ -403,54 +403,54 @@ class TestVerdictPolicy:
 
 class TestRestrictionCheck:
     def test_quad_z_passes_exactly(self, ctx20):
-        m = measure_from_label("driver:quad_z", ctx20.grid)
+        m = measure_from_label("driver:quad_z")
         for v in (15, 20):
             rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, v)
             assert rep.verdict and rep.max_violation == 0.0
 
     def test_translated_fails_with_source_gap(self, ctx20):
-        m = measure_from_label("qent_tr:0.5,0,0.2", ctx20.grid)
+        m = measure_from_label("qent_tr:0.5,0,0.2")
         rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, 20)
         assert not rep.verdict
         # gap is the translation integral over (u, v]
         assert rep.details["gap_mean[v=20]"] == pytest.approx(0.2 * 0.5, abs=0.02)
 
     def test_same_maturity_is_equality(self, ctx20):
-        m = measure_from_label("driver:csa_example", ctx20.grid)
+        m = measure_from_label("driver:csa_example")
         rep = check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, 10)
         assert rep.verdict and rep.max_violation == 0.0
 
 
 class TestTimeConsistencyChecks:
     def test_single_y_free_driver_strong(self, ctx20):
-        m = measure_from_label("driver:abs_z", ctx20.grid)
+        m = measure_from_label("driver:abs_z")
         rep = check_time_consistency(ctx20, m, "strong", claim_from_label("brownian", 20), 0, 10, 20)
         assert rep.verdict and rep.max_violation == 0.0
 
     def test_linear_measure_weak_ratio(self, ctx50):
-        m = measure_from_label("discounted:mean,0.1", ctx50.grid)
+        m = measure_from_label("discounted:mean,0.1")
         claim = Claim(50, lambda p: p[:, -1, 0] + 2.0, "brownian+2")
         rep = check_time_consistency(ctx50, m, "weak", claim, 0, 25, 50)
         assert not rep.verdict
         assert rep.details["ratio"] == pytest.approx(np.exp(-0.05), rel=0.01)
 
     def test_increasing_family_sub(self, ctx20):
-        m = measure_from_label("family_losses:translated_family:0.5,0.4", ctx20.grid)
+        m = measure_from_label("family_losses:translated_family:0.5,0.4")
         rep = check_time_consistency(ctx20, m, "sub", claim_from_label("brownian", 20), 0, 10, 20)
         assert rep.verdict
 
     def test_order_under_cash_additive_inner(self, ctx20):
-        m = measure_from_label("entropic", ctx20.grid)
+        m = measure_from_label("entropic")
         rep = check_time_consistency(ctx20, m, "order", claim_from_label("brownian", 20), 0, 10, 20)
         assert rep.verdict
 
     def test_unknown_kind(self, ctx20):
-        m = measure_from_label("mean", ctx20.grid)
+        m = measure_from_label("mean")
         with pytest.raises(ValueError):
             check_time_consistency(ctx20, m, "medium", claim_from_label("brownian", 20), 0, 10, 20)
 
     def test_window_validation(self, ctx20):
-        m = measure_from_label("mean", ctx20.grid)
+        m = measure_from_label("mean")
         with pytest.raises(ValueError):
             check_time_consistency(ctx20, m, "strong", claim_from_label("brownian", 20), 10, 5, 20)
 
@@ -473,7 +473,7 @@ class TestEqualInnerTwin:
 
     @pytest.mark.parametrize("label, claim_label", taxonomy_rows() + OFF_TAXONOMY)
     def test_twin_meets_the_inner_bound(self, ctx20, label, claim_label):
-        m = measure_from_label(label, ctx20.grid)
+        m = measure_from_label(label)
         field = claim_from_label(claim_label, self.U).evaluate(ctx20.ensemble)
         inner = m.evaluate(ctx20, self.T, field, maturity=self.U)
         twin, gap = diagnostics._equal_inner_twin(ctx20, m, inner, self.U)
@@ -489,7 +489,7 @@ class TestEqualInnerTwin:
     def test_a_twin_that_misses_its_bound_fails(self, ctx20, monkeypatch, budget):
         # the search needs the passes it counts at the default budget; one short
         # of them the outer gap alone passes
-        m = measure_from_label("driver:csa_example_shift", ctx20.grid)
+        m = measure_from_label("driver:csa_example_shift")
         claim = claim_from_label("call:-2", self.U)
         assert check_time_consistency(ctx20, m, "order", claim, self.S, self.T, self.U).verdict
         inner = m.evaluate(ctx20, self.T, claim.evaluate(ctx20.ensemble), maturity=self.U)
@@ -506,7 +506,7 @@ class TestEqualInnerTwin:
         assert (rep.max_violation <= rep.tolerance) == (passes == needed - 1)
 
     def test_passes_stay_out_of_the_memo(self, ctx20):
-        m = measure_from_label("driver:csa_example_shift", ctx20.grid)
+        m = measure_from_label("driver:csa_example_shift")
         field = claim_from_label("call:-2", self.U).evaluate(ctx20.ensemble)
         with ctx20.evaluation_memo():
             inner = m.evaluate(ctx20, self.T, field, maturity=self.U)
@@ -517,34 +517,34 @@ class TestEqualInnerTwin:
 class TestMonotonicityConvexity:
     def test_monotonicity(self, ctx20):
         # B_1 paired with B_1 - 0.5
-        m = measure_from_label("qent:0.5,0", ctx20.grid)
+        m = measure_from_label("qent:0.5,0")
         rep = check_monotonicity(ctx20, m, claim_from_label("brownian", 20), 10, 20)
         assert rep.verdict
 
     def test_convexity_at_root(self, ctx20):
         # B_1 mixed with sin(B_1)
-        m = measure_from_label("entropic", ctx20.grid)
+        m = measure_from_label("entropic")
         rep = check_convexity(ctx20, m, claim_from_label("brownian", 20), 0, 20)
         assert rep.verdict
 
 
 class TestLongevityCheck:
     def test_nonneg_driver(self, ctx20):
-        m = measure_from_label("driver:csa_example", ctx20.grid)
+        m = measure_from_label("driver:csa_example")
         probe = RandomField(10, ctx20.ensemble.values[:, 10, 0])
         for v in (15, 20):
             assert check_longevity(ctx20, m, probe, 5, 10, v).verdict
 
     def test_zero_gamma_reports_positive_zero(self, ctx20):
         # gamma is exactly +0.0 for the zero driver, and max(0, -gamma) is -0.0
-        m = measure_from_label("driver:zero", ctx20.grid)
+        m = measure_from_label("driver:zero")
         probe = RandomField(10, ctx20.ensemble.values[:, 10, 0])
         rep = check_longevity(ctx20, m, probe, 5, 10, 20)
         assert rep.verdict and np.copysign(1.0, rep.max_violation) == 1.0
         assert '"max_violation": 0.0' in json.dumps(rep.as_dict())
 
     def test_sign_indefinite_measure_fails(self, ctx20):
-        m = measure_from_label("driver:linear_y:0.1", ctx20.grid)
+        m = measure_from_label("driver:linear_y:0.1")
         probe = RandomField(10, ctx20.ensemble.values[:, 10, 0])
         rep = check_longevity(ctx20, m, probe, 5, 10, 20)
         assert not rep.verdict
@@ -574,7 +574,7 @@ class TestRunCheck:
         ("convexity", '{"t": 1, "lambdas": [0.25, 0.5, 0.75]}'),
     ])
     def test_params(self, ctx, name, params):
-        m = measure_from_label("entropic", ctx.grid)
+        m = measure_from_label("entropic")
         rep = diagnostics.run_check(ctx, name, m, claim_from_label("brownian", 6), 1, 4, 6, 8)
         assert rep.property == name
         assert json.dumps(rep.as_dict()["params"]) == params
@@ -583,7 +583,7 @@ class TestRunCheck:
 class TestTaxonomy:
     def test_matrix_has_no_implication_failures(self, ctx20):
         rows = [
-            (measure_from_label(lbl, ctx20.grid), claim_from_label(claim_lbl, 15))
+            (measure_from_label(lbl), claim_from_label(claim_lbl, 15))
             for lbl, claim_lbl in taxonomy_rows()
         ]
         reports, failures = run_taxonomy(ctx20, rows, 0, 10, 15, 20)
@@ -628,7 +628,7 @@ class TestTaxonomy:
 
             monkeypatch.setattr(diagnostics, name, counted)
         rows = [
-            (measure_from_label(lbl, ctx20.grid), claim_from_label(claim_lbl, 15))
+            (measure_from_label(lbl), claim_from_label(claim_lbl, 15))
             for lbl, claim_lbl in taxonomy_rows()[:2]
         ]
         run_taxonomy(ctx20, rows, 0, 10, 15, 20)
@@ -678,7 +678,7 @@ class TestGeneratorVerdicts:
         # the backward solve of the generator it names, on losses when it is a
         # losses construction, within the closed-form cross-check's 0.05
         claim_label, gen = TAXONOMY[label]
-        measure = measure_from_label(label, ctx50.grid)
+        measure = measure_from_label(label)
         if label.startswith("driver:"):
             assert measure.driver.label == gen
             return
@@ -690,7 +690,7 @@ class TestGeneratorVerdicts:
 
 class TestReportSerialization:
     def test_json_lines_schema(self, ctx20):
-        m = measure_from_label("driver:quad_z", ctx20.grid)
+        m = measure_from_label("driver:quad_z")
         rep = check_normalization(ctx20, m, 0, 20, 20)
         line = reports_to_json_lines([rep]).splitlines()[0]
         obj = json.loads(line)
@@ -712,7 +712,7 @@ class TestReportSerialization:
         assert obj["seed"] == ctx20.ensemble.seed
 
     def test_csv_one_row_per_check(self, ctx20):
-        m = measure_from_label("driver:quad_z", ctx20.grid)
+        m = measure_from_label("driver:quad_z")
         reps = [
             check_normalization(ctx20, m, 0, 20, 20),
             check_restriction(ctx20, m, claim_from_label("brownian", 10), 5, 20),
@@ -736,7 +736,7 @@ class TestReuse:
 
     def rows(self, ctx):
         return [
-            (measure_from_label(lbl, ctx.grid), claim_from_label(claim_lbl, self.U))
+            (measure_from_label(lbl), claim_from_label(claim_lbl, self.U))
             for lbl, claim_lbl in taxonomy_rows()
         ]
 
@@ -843,7 +843,7 @@ class TestReuse:
         assert all(shape[0] == shape[1] <= 6 for shape in factors)
 
     def test_memoised_value_is_read_only(self, ctx):
-        m = measure_from_label("driver:quad_z", ctx.grid)
+        m = measure_from_label("driver:quad_z")
         claim = claim_from_label("brownian", 8)
         with ctx.evaluation_memo():
             rho = m.evaluate(ctx, 4, claim)

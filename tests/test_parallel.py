@@ -102,7 +102,7 @@ class TestInProcesses:
             return check(ctx, measure, *args)
 
         monkeypatch.setattr(diagnostics, "check_restriction", failing)
-        rows = [(measure_from_label(lbl, ctx20.grid), claim_from_label(claim_lbl, 15))
+        rows = [(measure_from_label(lbl), claim_from_label(claim_lbl, 15))
                 for lbl, claim_lbl in taxonomy_rows()[:4]]
         with pytest.raises(DomainError, match=r"^exp_q: x=99\.0 outside domain for q=0\.5 \(requires x < 2\)$"):
             run_taxonomy(ctx20, rows, 0, 10, 15, 20)

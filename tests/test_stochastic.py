@@ -10,11 +10,13 @@ import pytest
 
 from bsderisk import (
     Claim,
-    DiscountCurve,
+    DiscountedMeasure,
     LsmcContext,
+    MeanMeasure,
     PathEnsemble,
     RandomField,
     RegressionBasis,
+    RiskMeasure,
     TimeGrid,
     claim_from_label,
     driver_from_label,
@@ -44,6 +46,9 @@ class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 10)
+        for horizon in (math.inf, math.nan):  # an infinite dt snaps every time to node 0
+            with pytest.raises(ValueError, match=re.escape(f"horizon T must be positive, got {horizon}")):
+                TimeGrid(horizon, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 1)
         with pytest.raises(ValueError):
@@ -510,41 +515,68 @@ class TestRegressionBasis:
             RegressionBasis(2, ridge=0.1)
 
 
+class _Received(RiskMeasure):
+    """Cash-additive probe that returns the field it is handed, so that a
+    wrapper's discounted claim of ones reads D(t, u) on every path."""
+
+    label = "received"
+    is_cash_additive = True
+
+    def _evaluate(self, ctx, t_index, field, maturity):
+        return RandomField(t_index, field.values)
+
+
+def tiny_ctx(T: float, n_steps: int) -> LsmcContext:
+    grid = TimeGrid(T, n_steps)
+    return LsmcContext(grid, simulate(grid, 2, 0), RegressionBasis(4))
+
+
+def discount_factor(ctx, rate: float, t: int, u: int) -> float:
+    values = DiscountedMeasure(_Received(), rate).evaluate(ctx, t, RandomField(u, np.ones(ctx.ensemble.n_paths)))
+    assert np.all(values.values == values.values[0])
+    return float(values.values[0])
+
+
 class TestDiscountCurve:
+    """The flat discount curve of DiscountedMeasure."""
+
     def test_zero_rate(self, ctx20):
-        curve = DiscountCurve.flat(ctx20.grid, 0.0)
-        assert curve.factor(0, 20) == 1.0
+        assert discount_factor(ctx20, 0.0, 0, 20) == 1.0
 
     def test_same_node(self, ctx20):
-        curve = DiscountCurve.flat(ctx20.grid, 0.37)
-        assert curve.factor(7, 7) == 1.0
+        assert discount_factor(ctx20, 0.37, 7, 7) == 1.0
 
     def test_flat_closed_form(self):
-        grid = TimeGrid(1.0, 10)
-        curve = DiscountCurve.flat(grid, 0.1)
+        ctx = tiny_ctx(1.0, 10)
         # product of per-step factors is the independent oracle
-        oracle = np.prod([np.exp(-0.1 * grid.dt)] * 10)
-        assert curve.factor(0, 10) == pytest.approx(np.exp(-0.1), rel=1e-12)
-        assert curve.factor(0, 10) == pytest.approx(oracle, rel=1e-12)
+        oracle = np.prod([np.exp(-0.1 * ctx.grid.dt)] * 10)
+        assert discount_factor(ctx, 0.1, 0, 10) == pytest.approx(np.exp(-0.1), rel=1e-12)
+        assert discount_factor(ctx, 0.1, 0, 10) == pytest.approx(oracle, rel=1e-12)
 
     def test_multiplicativity(self):
-        grid = TimeGrid(2.0, 8)
-        rates = np.linspace(0.01, 0.2, 8)
-        curve = DiscountCurve(grid, rates)
+        ctx = tiny_ctx(2.0, 8)
         for i, j, k in [(0, 3, 8), (1, 4, 6), (2, 2, 5)]:
-            assert curve.factor(i, k) == pytest.approx(
-                curve.factor(i, j) * curve.factor(j, k), rel=1e-12
+            assert discount_factor(ctx, 0.13, i, k) == pytest.approx(
+                discount_factor(ctx, 0.13, i, j) * discount_factor(ctx, 0.13, j, k), rel=1e-12
             )
-            assert 0.0 < curve.factor(i, k) <= 1.0
+            assert 0.0 < discount_factor(ctx, 0.13, i, k) <= 1.0
+
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.1, 0.37, 2.5])
+    def test_factor_is_the_cumulative_sum(self, ctx20, rate):
+        # the definition on the whole grid: D(t_i, t_j) = exp(-(cum_j - cum_i)),
+        # cum the running sum of rate * dt over the steps
+        cum = np.zeros(ctx20.grid.n_steps + 1)
+        np.cumsum(np.full(ctx20.grid.n_steps, float(rate)) * ctx20.grid.dt, out=cum[1:])
+        for t, u in [(0, 20), (0, 1), (3, 17), (10, 15), (19, 20), (5, 5)]:
+            assert discount_factor(ctx20, rate, t, u) == np.exp(-(cum[u] - cum[t]))
 
     def test_validation(self):
-        grid = TimeGrid(1.0, 4)
+        for rate in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"'discounted:mean,{rate}': short rate")):
+                DiscountedMeasure(MeanMeasure(), rate)
+        ctx = tiny_ctx(1.0, 4)
         with pytest.raises(ValueError):
-            DiscountCurve(grid, np.array([0.1, -0.1, 0.1, 0.1]))
-        with pytest.raises(ValueError):
-            DiscountCurve(grid, np.array([0.1, 0.1]))
-        with pytest.raises(ValueError):
-            DiscountCurve.flat(grid, 0.1).factor(3, 1)
+            DiscountedMeasure(_Received(), 0.1).evaluate(ctx, 3, RandomField(1, np.ones(2)), maturity=1)
 
 
 def reference_csv(ens) -> bytes:
