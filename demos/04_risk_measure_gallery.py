@@ -15,7 +15,7 @@ from bsderisk import (
     measure_from_label,
     simulate,
 )
-from bsderisk.stochastic import block_stderr
+from bsderisk.stochastic import estimate_stderr
 
 grid = TimeGrid(1.0, 50)
 ens = simulate(grid, n_paths=50_000, seed=123)
@@ -35,7 +35,7 @@ print(f"{'construction':24s}  rho_0(B_1)   stderr")
 for label in labels:
     measure = measure_from_label(label)
     rho = measure.evaluate(ctx, 0, claim)
-    se = block_stderr(ctx, lambda sub, rows, m=measure: m.evaluate(sub, 0, claim).mean())
+    se = estimate_stderr(ctx, rho, lambda sub, rows, m=measure: m.evaluate(sub, 0, claim).mean())
     print(f"{label:24s}  {rho.mean():+10.5f}  {se:.5f}")
 
 print()

@@ -21,8 +21,6 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .diagnostics import (
     CHECKS,
     EXPECTED_VERDICTS,  # re-exported: bench/test_bench.py reads cli.EXPECTED_VERDICTS
@@ -117,12 +115,13 @@ class RunConfig:
         return TimeGrid(self.T, self.n_steps)
 
     def build(self):
-        with _refused_input():  # the path count, grid and seed
+        with _refused_input():  # the path count, grid, seed and basis
             if self.seed < 0:
                 raise ValueError(f"--seed / [ensemble] seed = {self.seed}: need a non-negative integer")
             grid = self.grid()
+            basis = RegressionBasis(self.degree)
             ens = simulate(grid, self.n_paths, self.seed)
-        return LsmcContext(grid, ens, RegressionBasis(self.degree))
+        return LsmcContext(grid, ens, basis)
 
     def indices(self) -> tuple[int, int, int, int]:
         """Grid indices of the window (s, t, u, v), checked before any path is

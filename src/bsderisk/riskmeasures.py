@@ -5,8 +5,8 @@ constructions are: the backward solve of a driver or of a maturity-indexed
 driver family (on -X or on the loss (X+beta)^-), the conditional mean, the
 certainty-equivalent closed form ln_q E[exp_q(T(X)) | F_t] (entropic,
 deformed-entropic, and deformed-entropic on losses with an optional
-translation rate), and discount-wrapping of a cash-additive base measure
-at one flat short rate.
+constant translation rate), and discount-wrapping of a cash-additive base
+measure at one flat short rate.
 
 Claims measurable before the requested maturity are handled by the terminal
 extension built into the solver (value held, Z = 0 on the tail), so a measure
@@ -16,7 +16,7 @@ can be evaluated at any maturity >= the claim's measurability index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -177,11 +177,10 @@ class CertaintyEquivalent(RiskMeasure):
       only cash-additive member; q in (0,1) requires tsallis.in_domain(-X, q)
       pathwise and raises DomainError otherwise, which is the reason the
       losses transform exists.
-    - beta >= 0: T(X) = (X+beta)^- + integral_t^u a(s) ds, defined for every
-      claim and always >= 0.  Without a rate it is the losses measure; a
-      deterministic nonnegative rate a (a constant or a callable of time)
-      makes longer horizons carry a nonnegative premium through the
-      integral bound.
+    - beta >= 0: T(X) = (X+beta)^- + a (u - t), defined for every claim
+      and always >= 0.  Without a rate it is the losses measure; one
+      constant rate a >= 0, checked when the measure is built, makes
+      longer horizons carry a nonnegative premium.
 
     q must lie in (0,1]; q within tsallis.Q_ONE_TOL of 1 takes the classical
     exp/log branch of the deformed pair.
@@ -189,7 +188,7 @@ class CertaintyEquivalent(RiskMeasure):
 
     q: float
     beta: Optional[float] = None
-    a: Optional[Union[float, Callable[[float], float]]] = None
+    a: Optional[float] = None
 
     def __post_init__(self):
         if self.beta is None:
@@ -200,20 +199,12 @@ class CertaintyEquivalent(RiskMeasure):
             raise ValueError(f"acceptable loss level beta must be >= 0, got {self.beta}")
         elif self.a is None:
             self.label = f"qent:{label_number(self.q)},{label_number(self.beta)}"
-        elif callable(self.a):
-            self.label = f"qent_tr:{label_number(self.q)},{label_number(self.beta)},a(t)"
         elif not 0.0 <= self.a < np.inf:
             raise ValueError(f"translation rate must be >= 0, got {self.a}")
         else:
             self.label = f"qent_tr:{label_number(self.q)},{label_number(self.beta)},{label_number(self.a)}"
         tsallis.check_q(self.label, self.q)
         self.is_cash_additive = self.beta is None and tsallis.is_classical(self.q)
-
-    def _rate(self, t: float) -> float:
-        r = self.a(t) if callable(self.a) else float(self.a)
-        if not 0.0 <= r < np.inf:
-            raise ValueError(f"translation rate must be >= 0, got a({t}) = {r}")
-        return r
 
     def _evaluate(self, ctx, t_index, field, maturity):
         if self.beta is None:
@@ -225,8 +216,8 @@ class CertaintyEquivalent(RiskMeasure):
         else:
             arg = _positive_part_of_loss(field.values, self.beta)
             if self.a is not None:
-                dt = ctx.grid.dt
-                arg = arg + sum(self._rate(k * dt) for k in range(t_index, maturity)) * dt
+                # a repeated sum, not (u - t) * a * dt: the qent_tr bytes rest on it
+                arg = arg + sum([float(self.a)] * (maturity - t_index)) * ctx.grid.dt
         eq = RandomField(field.index, np.asarray(tsallis.exp_q(arg, self.q)))
         return _safe_ln_q(ctx.cond_expect(eq, t_index, clip=True), self.q)
 

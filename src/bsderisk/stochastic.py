@@ -2,7 +2,8 @@
 
 Conditional expectations E[. | F_t] are realized by least-squares Monte Carlo
 on paths of one Brownian motion B: projection onto the powers of its level
-B_{t_i} at the conditioning node, and on nothing else.  The design matrix is
+B_{t_i} at the conditioning node, and on nothing else, so a claim is a
+payoff f(B_u) of the level at its maturity u (Claim).  The design matrix is
 basis-major: indexed (n_paths, p), it views a (p, n_paths) buffer whose rows
 are the powers, so the Gram and fit products stream long contiguous rows.
 
@@ -78,6 +79,8 @@ class TimeGrid:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if self.n_steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.n_steps}")
+        if self.dt == 0.0:
+            raise ValueError(f"horizon T = {self.T} over {self.n_steps} steps gives a step that rounds to 0")
 
     @property
     def dt(self) -> float:
@@ -203,22 +206,22 @@ class RandomField:
 
 @dataclass(frozen=True)
 class Claim:
-    """Payoff rule over the path restricted to [0, t_maturity].
+    """A claim f(B_u): the payoff of the Brownian level at its maturity u.
 
-    The payoff receives values[:, :maturity+1, :] only, which enforces
-    adaptedness by construction.
+    The payoff receives levels(maturity)[:, 0], shape (n_paths,), and
+    nothing else: the regression conditions on the level at each node only,
+    so a claim that read an earlier node could not be priced as Markov.
     """
 
     maturity: int
     payoff: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
     def evaluate(self, ensemble: PathEnsemble) -> RandomField:
         if self.maturity > ensemble.grid.n_steps:
             raise IndexError(
                 f"claim maturity index {self.maturity} beyond grid end {ensemble.grid.n_steps}"
             )
-        vals = np.asarray(self.payoff(ensemble.values[:, : self.maturity + 1, :]), dtype=float)
+        vals = np.asarray(self.payoff(ensemble.levels(self.maturity)[:, 0]), dtype=float)
         if vals.shape != (ensemble.n_paths,):
             raise ValueError(f"payoff returned shape {vals.shape}, expected ({ensemble.n_paths},)")
         return RandomField(self.maturity, vals)
@@ -249,26 +252,24 @@ def label_number(x: float) -> str:
 
 
 def claim_from_label(label: str, maturity: int) -> Claim:
-    """Claim registry: const:c | brownian | neg_part:beta | call:K | sin.
-
-    All payoffs read the Brownian level at the claim's maturity.
-    """
+    """Claim registry: const:c | brownian | neg_part:beta | call:K | sin,
+    each a payoff of the Brownian level at the claim's maturity."""
     name, _, arg = label.partition(":")
     if name == "const":
         (c,) = label_floats(label, arg, 1)
-        return Claim(maturity, lambda path, c=c: np.full(path.shape[0], c), label)
+        return Claim(maturity, lambda b, c=c: np.full(b.shape[0], c))
     if name in ("brownian", "sin"):
         label_floats(label, arg, 0)
     if name == "brownian":
-        return Claim(maturity, lambda path: path[:, -1, 0].copy(), label)
+        return Claim(maturity, np.copy)
     if name == "neg_part":
         beta = label_floats(label, arg, 1)[0] if arg else 0.0
-        return Claim(maturity, lambda path, b=beta: np.maximum(-(path[:, -1, 0] + b), 0.0), label)
+        return Claim(maturity, lambda b, beta=beta: np.maximum(-(b + beta), 0.0))
     if name == "call":
         (strike,) = label_floats(label, arg, 1)
-        return Claim(maturity, lambda path, k=strike: np.maximum(path[:, -1, 0] - k, 0.0), label)
+        return Claim(maturity, lambda b, k=strike: np.maximum(b - k, 0.0))
     if name == "sin":
-        return Claim(maturity, lambda path: np.sin(path[:, -1, 0]), label)
+        return Claim(maturity, np.sin)
     raise KeyError(f"unknown claim label {label!r}")
 
 
@@ -283,7 +284,7 @@ class RegressionBasis:
 
     def __post_init__(self):
         if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
 
     def design(self, variables: np.ndarray) -> np.ndarray:
         """Design matrix for (n, k) conditioning variables, k = 1 or, at the
@@ -513,17 +514,21 @@ def path_block(ensemble: PathEnsemble, start: int, stop: int) -> PathEnsemble:
     return PathEnsemble(grid=ensemble.grid, seed=ensemble.seed, values=ensemble.values[start:stop])
 
 
-def block_stderr(ctx: LsmcContext, estimate) -> float:
-    """Monte Carlo standard error of a scalar estimator by block splitting.
+def estimate_stderr(ctx: LsmcContext, field: RandomField, estimate) -> float:
+    """Monte Carlo standard error of field.mean().
 
-    `estimate(sub, rows)` maps a context on one block of paths, and the
-    slice of the parent's path rows it holds, to a float; rows lets a caller
-    cut its own per-path arrays to the block.  It is re-run on 8 contiguous
-    sub-ensembles and the spread of the block estimates scales down to the
-    full-sample error.  Deterministic: the partition depends on the path
-    count only.  The block contexts share ctx's factor cache, so repeated
-    calls on one parent factorise each block's normal systems once.
+    At an interior node it is the cross-sectional one.  At the root, where
+    the field is constant, it splits the paths into 8 contiguous blocks:
+    `estimate(sub, rows)` maps a context on one block, and the slice of the
+    parent's path rows it holds, to the mean on that block (rows lets a
+    caller cut its own per-path arrays to the block), and the spread of the
+    block estimates scales down to the full-sample error.  Deterministic:
+    the partition depends on the path count only.  The block contexts share
+    ctx's factor cache, so repeated calls on one parent factorise each
+    block's normal systems once.
     """
+    if field.index > 0:
+        return field.stderr()
     n, n_blocks = ctx.ensemble.n_paths, 8
     if n < n_blocks:
         raise ValueError(f"block standard error over {n_blocks} blocks needs >= {n_blocks} paths, got {n}")
@@ -533,16 +538,6 @@ def block_stderr(ctx: LsmcContext, estimate) -> float:
         rows = slice(edges[k], edges[k + 1])
         vals.append(float(estimate(ctx.block(rows.start, rows.stop), rows)))
     return float(np.std(vals) / np.sqrt(n_blocks))
-
-
-def estimate_stderr(ctx: LsmcContext, field: RandomField, estimate) -> float:
-    """Monte Carlo standard error of field.mean(): the cross-sectional one at
-    an interior node, block_stderr(ctx, estimate) at the root, where the
-    field is constant and estimate(sub, rows) recomputes the mean on a block.
-    """
-    if field.index > 0:
-        return field.stderr()
-    return block_stderr(ctx, estimate)
 
 
 # ---------------------------------------------------------------------------

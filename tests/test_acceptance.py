@@ -95,7 +95,7 @@ def test_criterion_3_monotone_in_q(ctx50, b1):
 
 def test_criterion_4_linear_measure_example(ctx50, b1):
     measure = measure_from_label("discounted:mean,0.1")
-    claim = Claim(50, lambda p: p[:, -1, 0] + 2.0, "brownian+2")
+    claim = Claim(50, lambda b: b + 2.0)
     s, t, u = 0, 25, 50
 
     rep = br.check_time_consistency(ctx50, measure, "weak", claim, s, t, u)
@@ -116,7 +116,7 @@ def _sign_claim_for(driver, ctx):
     if driver.domain_guard is not None:
         # quadratic generators need terminals inside their domain: feed the
         # negative loss so the solver sees a nonnegative terminal
-        return Claim(25, lambda p: -np.maximum(-(p[:, -1, 0] + 0.5), 0.0), "neg loss")
+        return Claim(25, lambda b: -np.maximum(-(b + 0.5), 0.0))
     return claim_from_label("brownian", 25)
 
 

@@ -379,8 +379,12 @@ class TestRefusedInput:
         ("", ["--seed", "-1", "simulate"], "--seed / [ensemble] seed = -1: need a non-negative integer"),
         ("[ensemble]\nseed = -3\n", ["verify"], "[ensemble] seed = -3"),
         ("[grid]\nT = inf\nn_steps = 4\n", ["--paths", "100", "evaluate"], "horizon T must be positive, got inf"),
+        ("[grid]\nT = 5e-324\nn_steps = 4\n", ["--paths", "100", "evaluate"],
+         "horizon T = 5e-324 over 4 steps gives a step that rounds to 0"),
+        ("[basis]\ndegree = -1\n", ["--paths", "100", "evaluate"], "degree must be >= 0, got -1"),
+        ("[basis]\ndegree = -1\n", ["--paths", "100", "verify"], "degree must be >= 0, got -1"),
     ], ids=["ridge_key", "window", "claim_label", "sweep_metric", "check_name", "path_count", "seed_flag",
-            "seed_key", "horizon_inf"])
+            "seed_key", "horizon_inf", "horizon_tiny", "degree_evaluate", "degree_verify"])
     def test_one_line_and_status_2(self, tmp_path, capsys, config, argv, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(config)
@@ -390,10 +394,14 @@ class TestRefusedInput:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_negative_seed_refused_before_drawing(self, monkeypatch):
+    @pytest.mark.parametrize("config, message", [
+        (RunConfig(seed=-1), "[ensemble] seed = -1"),
+        (RunConfig(degree=-1), "degree must be >= 0, got -1"),
+    ], ids=["seed", "degree"])
+    def test_negative_seed_refused_before_drawing(self, monkeypatch, config, message):
         monkeypatch.setattr(cli, "simulate", lambda *args: pytest.fail("paths were simulated"))
-        with pytest.raises(ValueError, match=re.escape("[ensemble] seed = -1")):
-            RunConfig(seed=-1).build()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config.build()
 
     @pytest.mark.parametrize("argv, named", [
         (["--config", "{tmp}/missing.cfg", "verify"], "{tmp}/missing.cfg: No such file"),

@@ -429,7 +429,7 @@ class TestTimeConsistencyChecks:
 
     def test_linear_measure_weak_ratio(self, ctx50):
         m = measure_from_label("discounted:mean,0.1")
-        claim = Claim(50, lambda p: p[:, -1, 0] + 2.0, "brownian+2")
+        claim = Claim(50, lambda b: b + 2.0)
         rep = check_time_consistency(ctx50, m, "weak", claim, 0, 25, 50)
         assert not rep.verdict
         assert rep.details["ratio"] == pytest.approx(np.exp(-0.05), rel=0.01)
@@ -854,8 +854,8 @@ class TestReuse:
         assert ctx.memo is None
 
     def test_memo_tells_apart_equal_labels_and_equal_bytes(self, ctx):
-        a = CertaintyEquivalent(0.5, 0.0, a=lambda t: 0.1)
-        b = CertaintyEquivalent(0.5, 0.0, a=lambda t: 0.2)
+        a = DriverMeasure(shifted(driver_from_label("zero"), 0.1, "source"))
+        b = DriverMeasure(shifted(driver_from_label("zero"), 0.2, "source"))
         assert a.label == b.label
         claim = claim_from_label("brownian", 8)
         noise = RandomField(8, np.random.default_rng(0).standard_normal(1000))

@@ -29,7 +29,7 @@ from bsderisk.stochastic import (
     ensemble_from_npz,
     ensemble_to_csv,
     ensemble_to_npz,
-    block_stderr,
+    estimate_stderr,
     path_block,
 )
 
@@ -49,6 +49,9 @@ class TestTimeGrid:
         for horizon in (math.inf, math.nan):  # an infinite dt snaps every time to node 0
             with pytest.raises(ValueError, match=re.escape(f"horizon T must be positive, got {horizon}")):
                 TimeGrid(horizon, 4)
+        # a step that rounds to 0 would divide by zero in index_of
+        with pytest.raises(ValueError, match=re.escape("horizon T = 5e-324 over 4 steps gives a step that rounds to 0")):
+            TimeGrid(5e-324, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 1)
         with pytest.raises(ValueError):
@@ -208,6 +211,17 @@ class TestClaims:
         with pytest.raises(KeyError):
             claim_from_label("lookback", 10)
 
+    def test_payoff_reads_the_level_at_maturity_only(self, ctx20):
+        # the regression conditions on the level at a node, so a payoff is
+        # handed that level and no other node of the path
+        seen = []
+        field = Claim(10, lambda b: seen.append(b) or 2.0 * b).evaluate(ctx20.ensemble)
+        (arg,) = seen
+        assert arg.shape == (ctx20.ensemble.n_paths,)
+        np.testing.assert_array_equal(arg, ctx20.ensemble.levels(10)[:, 0])
+        np.testing.assert_array_equal(field.values, 2.0 * ctx20.ensemble.values[:, 10, 0])
+        assert field.index == 10
+
     def test_maturity_out_of_range(self, ctx20):
         with pytest.raises(IndexError):
             claim_from_label("brownian", 21).evaluate(ctx20.ensemble)
@@ -333,7 +347,7 @@ class TestCondExpect:
             retries.append(sub.fallback_count - before)
             return mean
 
-        block_stderr(ctx, estimate)
+        estimate_stderr(ctx, RandomField(0, np.zeros(ctx.ensemble.n_paths)), estimate)
         assert sum(retries) == 8  # one for each block
         assert ctx.fallback_count == 1 + sum(retries)
         ctx.cond_expect(field, 10)
@@ -357,7 +371,7 @@ class TestBlockStderr:
         ctx = LsmcContext(grid, simulate(grid, 7, seed=1), RegressionBasis(2))
         blocks = []
         with pytest.raises(ValueError, match=r"8 blocks needs >= 8 paths, got 7"):
-            block_stderr(ctx, lambda sub, rows: blocks.append(rows) or 0.0)
+            estimate_stderr(ctx, RandomField(0, np.zeros(7)), lambda sub, rows: blocks.append(rows) or 0.0)
         assert blocks == []
 
 
